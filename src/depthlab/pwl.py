@@ -1,15 +1,19 @@
 """Exact piecewise-linear algebra for 1-D ReLU networks.
 
 A PwlFunction is a sorted breakpoint sequence plus per-segment (slope,
-intercept) pairs on a closed interval.  Network propagation is symbolic:
-affine maps transform segments, each ReLU splits segments at interior zero
-crossings, and collinear neighbours are merged.  All hinge-loss integrals
-against the dyadic square wave are computed in closed form per cell.
+intercept) pairs on a closed interval.  Network propagation is symbolic and
+layer-wise: all units of a layer share one refinement of the interval, held
+as breakpoints plus (cells x width) slope and intercept matrices.  An affine
+layer is one matrix product; a ReLU adds, in one vectorized pass, every
+root that falls strictly inside a cell, then zeroes the entries that are
+negative on their cell; a breakpoint is dropped when every unit is collinear
+across it.  All hinge-loss integrals against the dyadic square wave are
+computed in closed form per cell.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +31,6 @@ __all__ = [
     "restrict_to_line",
     "piece_bound",
     "evaluate",
-    "pwl_to_dict",
-    "pwl_from_dict",
-    "save_pwl",
-    "load_pwl",
 ]
 
 MERGE_TOL = 1e-12   # collinearity tolerance on (slope, intercept)
@@ -86,18 +86,22 @@ def evaluate(f: PwlFunction, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# internal triple algebra: (breaks, slopes, intercepts) without validation
+# internal algebra on (breaks, slopes, intercepts) without validation.  The
+# slopes and intercepts hold one row per cell: vectors for a single function,
+# (cells x units) matrices for a layer of units on a shared refinement.
 
 def _edges(lo, hi, b):
     return np.concatenate([[lo], b, [hi]])
 
 
 def _merge(b, s, c):
+    """Drop each break whose neighbouring rows agree, within MERGE_TOL, in every unit."""
     if b.size == 0:
         return b, s, c
-    same = (np.abs(np.diff(s)) <= MERGE_TOL) & (np.abs(np.diff(c)) <= MERGE_TOL)
-    keep = ~same
-    return b[keep], np.concatenate([s[:1], s[1:][keep]]), np.concatenate([c[:1], c[1:][keep]])
+    same = (np.abs(np.diff(s, axis=0)) <= MERGE_TOL) & (np.abs(np.diff(c, axis=0)) <= MERGE_TOL)
+    same = same.reshape(b.size, -1).all(axis=1)
+    rows = np.concatenate([[True], ~same])
+    return b[~same], s[rows], c[rows]
 
 
 def _check_cap(n):
@@ -105,53 +109,21 @@ def _check_cap(n):
         raise PieceCapError(f"{n} pieces exceeds the cap {PIECE_CAP}")
 
 
-def _combine(lo, hi, triples, coefs, const):
-    """Linear combination sum_l coefs[l] * p_l + const on the common refinement."""
-    all_b = np.unique(np.concatenate([t[0] for t in triples]))
-    _check_cap(all_b.size + 1)
-    edges = _edges(lo, hi, all_b)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    s = np.full(mids.shape, 0.0)
-    c = np.full(mids.shape, float(const))
-    for (b_l, s_l, c_l), a in zip(triples, coefs):
-        if a == 0.0:
-            continue
-        src = np.searchsorted(b_l, mids, side="right")
-        s += a * s_l[src]
-        c += a * c_l[src]
-    return _merge(all_b, s, c)
-
-
 def _split_at_level(lo, hi, b, s, c, level):
-    """Insert breakpoints where the function strictly crosses ``level``."""
+    """Insert breakpoints where some unit strictly crosses ``level`` inside a cell."""
     edges = _edges(lo, hi, b)
-    L, R = edges[:-1], edges[1:]
-    vL = s * L + c - level
-    vR = s * R + c - level
-    straddle = (vL * vR) < 0.0
-    if not straddle.any():
+    col = edges.reshape(-1, *(1,) * (s.ndim - 1))  # broadcasts against the rows of s
+    hit = np.nonzero((s * col[:-1] + c - level) * (s * col[1:] + c - level) < 0.0)
+    roots = (level - c[hit]) / s[hit]
+    cell = hit[0]
+    roots = roots[(roots > edges[cell]) & (roots < edges[cell + 1])]
+    if not roots.size:
         return b, s, c
-    safe = np.where(s == 0.0, 1.0, s)
-    roots = (level - c) / safe
-    valid = straddle & (roots > L) & (roots < R)
-    if not valid.any():
-        return b, s, c
-    new_b = np.sort(np.concatenate([b, roots[valid]]))
+    new_b = np.unique(np.concatenate([b, roots]))
     _check_cap(new_b.size + 1)
     edges = _edges(lo, hi, new_b)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    src = np.searchsorted(b, mids, side="right")
+    src = np.searchsorted(b, 0.5 * (edges[:-1] + edges[1:]), side="right")
     return new_b, s[src], c[src]
-
-
-def _relu(lo, hi, b, s, c):
-    b, s, c = _split_at_level(lo, hi, b, s, c, 0.0)
-    edges = _edges(lo, hi, b)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    neg = (s * mids + c) < 0.0
-    s = np.where(neg, 0.0, s)
-    c = np.where(neg, 0.0, c)
-    return _merge(b, s, c)
 
 
 # ---------------------------------------------------------------------------
@@ -160,19 +132,19 @@ def from_mlp_1d(net: Mlp, lo: float = 0.0, hi: float = 1.0) -> PwlFunction:
     """Exact symbolic propagation of a 1-input net into a PwlFunction."""
     if net.in_dim != 1:
         raise DimensionError("from_mlp_1d needs a net with input dimension 1")
-    empty = np.array([], dtype=np.float64)
-    units = [(empty, np.array([1.0]), np.array([0.0]))]  # the identity map
+    b = np.array([], dtype=np.float64)
+    S, C = np.ones((1, 1)), np.zeros((1, 1))  # the identity map
     last = len(net.layers) - 1
     for i, (W, bias) in enumerate(net.layers):
-        new_units = []
-        for j in range(W.shape[0]):
-            t = _combine(lo, hi, units, W[j], bias[j])
-            if i != last:
-                t = _relu(lo, hi, *t)
-            new_units.append(t)
-        units = new_units
-    b, s, c = _merge(*units[0])
-    return PwlFunction(lo, hi, b, s, c)
+        S, C = S @ W.T, C @ W.T + bias
+        if i != last:
+            b, S, C = _split_at_level(lo, hi, b, S, C, 0.0)
+            edges = _edges(lo, hi, b)
+            neg = S * (0.5 * (edges[:-1] + edges[1:]))[:, None] + C < 0.0
+            S[neg] = 0.0
+            C[neg] = 0.0
+        b, S, C = _merge(b, S, C)
+    return PwlFunction(lo, hi, b, S[:, 0], C[:, 0])
 
 
 def count_pieces(f: PwlFunction) -> int:
@@ -242,7 +214,9 @@ def sign_hinge_loss_vs_fn(f: PwlFunction, n: int) -> float:
 
     sign(f) takes values +-1 (sign(0) = +1), so the loss is exactly twice
     the measure where sign(f) disagrees with the wave.  The sign is
-    composed symbolically; no discontinuous function is materialized.
+    composed symbolically; no discontinuous function is materialized.  The
+    measure is summed exactly and rounded once, so a dyadic lower bound on
+    the loss holds with no tolerance.
     """
     if f.lo > 0.0 or f.hi < 1.0:
         raise ValueError("function domain must contain [0,1]")
@@ -254,11 +228,16 @@ def sign_hinge_loss_vs_fn(f: PwlFunction, n: int) -> float:
     cuts = np.unique(np.concatenate([edges, dyadic, [0.0, 1.0]]))
     cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
     mids = 0.5 * (cuts[:-1] + cuts[1:])
-    widths = np.diff(cuts)
     cell = np.searchsorted(edges[1:-1], mids, side="right")
-    s_f = signs[cell]
-    wave = _square_wave_on_mids(mids, n)
-    return float(2.0 * np.dot(widths, (s_f != wave).astype(np.float64)))
+    disagree = (signs[cell] != _square_wave_on_mids(mids, n)).astype(np.int8)
+    # interior endpoints of a run of disagreeing cells cancel: the measure is
+    # the sum of run ends minus run starts.  Scaled by 2^n, the band edges
+    # among them are small integers that np.sum adds exactly; fsum adds the
+    # few others, which come from f's own cells.
+    jump = np.diff(disagree, prepend=0, append=0)
+    ends = np.concatenate([cuts[jump < 0], -cuts[jump > 0]]) * 2.0**n
+    whole = ends == np.floor(ends)
+    return 2.0 * math.fsum([ends[whole].sum(), *ends[~whole]]) / 2**n
 
 
 def restrict_to_line(net: Mlp, y) -> Mlp:
@@ -276,29 +255,3 @@ def restrict_to_line(net: Mlp, y) -> Mlp:
     newW = W1[:, -1:].copy()
     newb = b1 + W1[:, :-1] @ y
     return Mlp([(newW, newb)] + list(net.layers[1:]))
-
-
-def pwl_to_dict(f: PwlFunction) -> dict:
-    return {
-        "lo": f.lo,
-        "hi": f.hi,
-        "breakpoints": f.breaks.tolist(),
-        "segments": [[s, c] for s, c in zip(f.slopes.tolist(), f.intercepts.tolist())],
-    }
-
-
-def pwl_from_dict(d: dict) -> PwlFunction:
-    seg = np.array(d["segments"], dtype=np.float64).reshape(-1, 2)
-    return PwlFunction(
-        float(d["lo"]), float(d["hi"]), np.array(d["breakpoints"]), seg[:, 0], seg[:, 1]
-    )
-
-
-def save_pwl(f: PwlFunction, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(pwl_to_dict(f), fh)
-
-
-def load_pwl(path) -> PwlFunction:
-    with open(path) as fh:
-        return pwl_from_dict(json.load(fh))

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from depthlab.constructions import telgarsky_net, telgarsky_target
 from depthlab.dists import uniform_cube
 from depthlab.mlp import Mlp, forward_many, xavier_init
+from depthlab import pwl
 from depthlab.pwl import (
     PieceCapError,
     PwlFunction,
@@ -13,8 +14,6 @@ from depthlab.pwl import (
     exact_hinge_loss_vs_fn,
     from_mlp_1d,
     piece_bound,
-    pwl_from_dict,
-    pwl_to_dict,
     restrict_to_line,
     sign_crossings,
     sign_hinge_loss_vs_fn,
@@ -40,6 +39,30 @@ def tent_tent_mlp():
 
 def constant_pwl(v, lo=0.0, hi=1.0):
     return PwlFunction(lo, hi, np.array([]), np.array([0.0]), np.array([v]))
+
+
+def biased_net(depth, width, seed):
+    """Weights and biases both N(0, 1/fan_in): with biases a net on [0,1]
+    is no longer positively homogeneous, so it can have more than one piece."""
+    rng = np.random.default_rng(seed)
+    dims = [1] + [width] * (depth - 1) + [1]
+    return Mlp([
+        (rng.normal(0.0, 1.0 / np.sqrt(fi), size=(fo, fi)),
+         rng.normal(0.0, 1.0 / np.sqrt(fi), size=fo))
+        for fi, fo in zip(dims[:-1], dims[1:])
+    ])
+
+
+# (depth, width, pieces, crossings) of biased_net(depth, width, 1000 * depth
+# + width), as the per-unit propagation computed them.
+BIASED_PIECES = [
+    (2, 1, 1, 0), (2, 4, 1, 0), (2, 16, 5, 0), (2, 32, 9, 1),
+    (3, 1, 1, 0), (3, 4, 3, 0), (3, 16, 7, 0), (3, 32, 12, 1),
+    (4, 1, 1, 0), (4, 4, 1, 0), (4, 16, 12, 0), (4, 32, 24, 0),
+    (6, 1, 1, 0), (6, 4, 4, 0), (6, 16, 15, 1), (6, 32, 47, 0),
+    (8, 1, 1, 0), (8, 4, 1, 0), (8, 16, 25, 0), (8, 32, 52, 0),
+    (12, 1, 1, 0), (12, 4, 1, 0), (12, 16, 19, 0), (12, 32, 47, 0),
+]
 
 
 class TestFromMlp1d:
@@ -71,16 +94,35 @@ class TestFromMlp1d:
             err = np.abs(evaluate(f, xs) - forward_many(net, xs[:, None]))
             assert np.max(err) <= 1e-9
 
+    def test_biased_nets_pinned(self):
+        grid = np.linspace(0.0, 1.0, 10**4)
+        pieces = []
+        for depth, width, want_pieces, want_crossings in BIASED_PIECES:
+            net = biased_net(depth, width, 1000 * depth + width)
+            f = from_mlp_1d(net)
+            assert (count_pieces(f), sign_crossings(f)) == (want_pieces, want_crossings)
+            xs = np.concatenate([grid, f.breaks])
+            err = np.abs(evaluate(f, xs) - forward_many(net, xs[:, None]))
+            assert np.max(err) <= 1e-9
+            pieces.append(want_pieces)
+        assert np.median(pieces) > 1
+
     def test_requires_one_dim(self):
         with pytest.raises(Exception):
             from_mlp_1d(xavier_init(2, 3, 2, seed=0))
 
+    def test_refinement_cap(self, monkeypatch):
+        monkeypatch.setattr(pwl, "PIECE_CAP", 64)
+        with pytest.raises(PieceCapError):
+            from_mlp_1d(telgarsky_net(10))
+
 
 class TestPieces:
-    @given(seed=st.integers(0, 10**6), depth=st.integers(2, 6), width=st.integers(1, 8))
+    @given(seed=st.integers(0, 10**6), depth=st.integers(2, 6), width=st.integers(1, 8),
+           biased=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_piece_bound_holds(self, seed, depth, width):
-        net = xavier_init(depth, width, 1, seed=seed)
+    def test_piece_bound_holds(self, seed, depth, width, biased):
+        net = biased_net(depth, width, seed) if biased else xavier_init(depth, width, 1, seed)
         assert count_pieces(from_mlp_1d(net)) <= piece_bound(depth, width)
 
     def test_bound_formula(self):
@@ -141,6 +183,27 @@ class TestHingeLoss:
             K = sign_crossings(f)
             loss = sign_hinge_loss_vs_fn(f, n)
             assert loss >= (2 ** (n - 1) - K) / 2 ** (n - 1)
+        # biased nets put breakpoints inside the bands, where a float sum of
+        # cell widths can land an ulp below the bound
+        for depth in (4, 12):
+            for seed in range(16):
+                f = from_mlp_1d(biased_net(depth, 32, seed))
+                K = sign_crossings(f)
+                for n in range(8, 15):
+                    loss = sign_hinge_loss_vs_fn(f, n)
+                    assert loss >= (2 ** (n - 1) - K) / 2 ** (n - 1)
+
+    def test_sign_loss_exact_with_breaks_inside_bands(self):
+        # positive throughout, so K = 0 and the loss is exactly 1; one break
+        # a third of the way into odd bands 3..15 of each wave, n = 8..14
+        x = np.unique([(2 * k + 4 / 3) / 2**n for n in range(8, 15) for k in range(1, 8)])
+        x = np.concatenate([[0.0], x, [1.0]])
+        v = 1.0 + 0.5 * (np.arange(x.size) % 2)
+        s = np.diff(v) / np.diff(x)
+        f = PwlFunction(0.0, 1.0, x[1:-1], s, v[:-1] - s * x[:-1])
+        assert sign_crossings(f) == 0
+        for n in range(8, 15):
+            assert sign_hinge_loss_vs_fn(f, n) == 1.0
 
     def test_telgarsky_sign_plateaus_zero_loss(self):
         for n in (2, 6, 10):
@@ -193,11 +256,3 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError):
             PwlFunction(0.0, 1.0, np.array([0.6, 0.4]),
                         np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0]))
-
-    def test_roundtrip(self):
-        f = from_mlp_1d(tent_mlp(), -1.0, 2.0)
-        g = pwl_from_dict(pwl_to_dict(f))
-        assert np.array_equal(f.breaks, g.breaks)
-        assert np.array_equal(f.slopes, g.slopes)
-        assert np.array_equal(f.intercepts, g.intercepts)
-        assert (f.lo, f.hi) == (g.lo, g.hi)
