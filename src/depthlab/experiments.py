@@ -197,8 +197,7 @@ def _exp_gd_flatline(p):
     grid = _grid_for(n, p["grid"])
     dist = dists.uniform_cube(1, grid=grid)
     net = mlp.xavier_init(depth, p["width"], 1, seed=derive_seed(p["seed"], "init"))
-    cfg = gd.GdConfig(eta=p["eta"], iters=p["iters"], seed=p["seed"],
-                      estimator="grid", resolution=grid)
+    cfg = gd.GdConfig(eta=p["eta"], iters=p["iters"])
     traj = gd.gd_train(net, constructions.telgarsky_target(n), dist, cfg)
     change = abs(float(traj.loss[0]) - float(traj.loss[-1]))
     metrics = {
@@ -222,8 +221,7 @@ def _exp_gd_sanity(p):
     grid = _grid_for(n, p["grid"])
     dist = dists.uniform_cube(1, grid=grid)
     net = mlp.xavier_init(p["depth"], p["width"], 1, seed=derive_seed(p["seed"], "init"))
-    cfg = gd.GdConfig(eta=p["eta"], iters=p["iters"], seed=p["seed"],
-                      estimator="grid", resolution=grid)
+    cfg = gd.GdConfig(eta=p["eta"], iters=p["iters"])
     traj = gd.gd_train(net, constructions.telgarsky_target(n), dist, cfg)
     metrics = {
         "n": n, "depth": p["depth"], "grid_points": grid,

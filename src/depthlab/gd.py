@@ -4,19 +4,35 @@ The gradient at each step is the distribution-weighted average of per-point
 hinge subgradients (exact on enumerated supports, quadrature/Monte Carlo on
 the cube).  A run records loss, gradient norm and parameter distance at
 every iterate.
+
+Against the 1-D square wave on a midpoint grid of at least CELL_MIN_GRID
+points (and more points than the wave has bands), each step first groups
+the grid into cells on which the per-point subgradient is affine
+(``pwl.grid_cells``: cuts at hidden-unit kinks, band edges and the net's
++-1 crossings) and backpropagates one row per cell instead of one per grid
+point.  The loss and gradient equal the grid's up to rounding.  Every other
+target or distribution, and smaller grids, where the symbolic propagation
+costs more than it saves, take the grid itself.
 """
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
+from .constructions import TelgarskyTarget
 from .mlp import Mlp, population_hinge_grad
+from .pwl import grid_cells
 
-__all__ = ["GdConfig", "Trajectory", "GdDivergence", "gd_train"]
+__all__ = ["GdConfig", "Trajectory", "GdDivergence", "gd_train", "CELL_MIN_GRID"]
+
+# Smallest grid that is grouped into cells.  One gradient with one BLAS
+# thread, dense vs cells (propagation included): a trained depth-12 net with
+# 443 pieces, 0.54 vs 5.6 ms at 64 points, 3.2 vs 6.6 ms at 512, 7.1 vs
+# 7.1 ms at 1024; the depth-5 flatline net after 100 steps at 512 points,
+# 1.36 vs 1.37 ms; depth 6 at 1024, 3.4 vs 1.4 ms; depth 8 at 4096, 18 vs 2.8 ms.
+CELL_MIN_GRID = 1024
 
 
 class GdDivergence(RuntimeError):
@@ -27,9 +43,6 @@ class GdDivergence(RuntimeError):
 class GdConfig:
     eta: float
     iters: int
-    seed: int = 0
-    estimator: str = "grid"  # "grid" or "mc"; which estimator built the dist
-    resolution: int = 0      # grid points or Monte Carlo sample count
 
     def __post_init__(self):
         if not self.eta >= 0.0:
@@ -49,30 +62,13 @@ class Trajectory:
     param_dist: np.ndarray
     final_net: Mlp
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iter", "loss", "grad_norm", "param_dist"])
-            for row in zip(self.iters, self.loss, self.grad_norm, self.param_dist):
-                w.writerow([int(row[0])] + [repr(float(v)) for v in row[1:]])
 
-    def to_json(self, path) -> None:
-        doc = {
-            "config": asdict(self.config),
-            "records": [
-                {
-                    "iter": int(t),
-                    "loss": float(l),
-                    "grad_norm": float(g),
-                    "param_dist": float(d),
-                }
-                for t, l, g, d in zip(
-                    self.iters, self.loss, self.grad_norm, self.param_dist
-                )
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
+def _groups_into_cells(target, dist) -> bool:
+    if not (isinstance(target, TelgarskyTarget) and target.d == 1
+            and dist.kind == "uniform_cube" and "grid" in dist.meta):
+        return False
+    m = dist.meta["grid"]
+    return m >= CELL_MIN_GRID and 2**target.n < m
 
 
 def gd_train(net: Mlp, target, dist, cfg: GdConfig) -> Trajectory:
@@ -82,6 +78,7 @@ def gd_train(net: Mlp, target, dist, cfg: GdConfig) -> Trajectory:
     including the initial one, so the arrays have iters+1 entries and
     loss[-1] is the loss of the returned net.
     """
+    cells = _groups_into_cells(target, dist)
     theta0 = net.flat_params()
     theta = theta0.copy()
     T = cfg.iters
@@ -91,7 +88,8 @@ def gd_train(net: Mlp, target, dist, cfg: GdConfig) -> Trajectory:
     current = net
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T + 1):
-            l, g = population_hinge_grad(current, target, dist)
+            rows = grid_cells(current, target.n, dist) if cells else dist
+            l, g = population_hinge_grad(current, target, rows)
             if not (np.isfinite(l) and np.isfinite(g).all()):
                 raise GdDivergence(
                     f"non-finite loss or gradient at iteration {t} (loss={l})"

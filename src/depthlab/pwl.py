@@ -8,7 +8,8 @@ layer is one matrix product; a ReLU adds, in one vectorized pass, every
 root that falls strictly inside a cell, then zeroes the entries that are
 negative on their cell; a breakpoint is dropped when every unit is collinear
 across it.  All hinge-loss integrals against the dyadic square wave are
-computed in closed form per cell.
+computed in closed form per cell, and ``grid_cells`` uses the same cells
+to group a 1-D quadrature grid for the population hinge gradient.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dists import InputDistribution
 from .mlp import Mlp, DimensionError
 
 __all__ = [
     "PwlFunction",
     "PieceCapError",
     "from_mlp_1d",
+    "grid_cells",
     "count_pieces",
     "sign_crossings",
     "exact_hinge_loss_vs_fn",
@@ -36,6 +39,7 @@ __all__ = [
 MERGE_TOL = 1e-12   # collinearity tolerance on (slope, intercept)
 CONTINUITY_TOL = 1e-9
 PIECE_CAP = 2**22   # refinement resource cap
+KINK_TOL = 1e-9     # grid points this close to a kink or +-1 crossing are rows of their own
 
 
 class PieceCapError(RuntimeError):
@@ -104,6 +108,22 @@ def _merge(b, s, c):
     return b[~same], s[rows], c[rows]
 
 
+def _union_sorted(a, b):
+    """Sorted union of two sorted arrays, duplicates dropped, in linear time."""
+    u = np.concatenate([a, b])
+    u.sort(kind="stable")  # timsort: one merge of the two runs
+    keep = np.empty(u.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(u[1:], u[:-1], out=keep[1:])
+    return u[keep]
+
+
+def _band_cuts(b, n):
+    """0, 1, the 2^n-band edges of [0,1] and the points of sorted b inside [0,1], sorted."""
+    inside = b[np.searchsorted(b, 0.0):np.searchsorted(b, 1.0, side="right")]
+    return _union_sorted(np.arange(2**n + 1) / float(2**n), inside)
+
+
 def _check_cap(n):
     if n > PIECE_CAP:
         raise PieceCapError(f"{n} pieces exceeds the cap {PIECE_CAP}")
@@ -128,10 +148,15 @@ def _split_at_level(lo, hi, b, s, c, level):
 
 # ---------------------------------------------------------------------------
 
-def from_mlp_1d(net: Mlp, lo: float = 0.0, hi: float = 1.0) -> PwlFunction:
-    """Exact symbolic propagation of a 1-input net into a PwlFunction."""
+def _propagate(net: Mlp, lo: float, hi: float, hidden_breaks: list | None = None):
+    """Symbolic propagation of a 1-input net: the output's merged (b, S, C).
+
+    Appends to ``hidden_breaks``, when given, each hidden layer's breaks
+    after its ReLU and before the merge: every point where one of the
+    layer's pre-activations changes sign is among them.
+    """
     if net.in_dim != 1:
-        raise DimensionError("from_mlp_1d needs a net with input dimension 1")
+        raise DimensionError("symbolic propagation needs a net with input dimension 1")
     b = np.array([], dtype=np.float64)
     S, C = np.ones((1, 1)), np.zeros((1, 1))  # the identity map
     last = len(net.layers) - 1
@@ -143,8 +168,53 @@ def from_mlp_1d(net: Mlp, lo: float = 0.0, hi: float = 1.0) -> PwlFunction:
             neg = S * (0.5 * (edges[:-1] + edges[1:]))[:, None] + C < 0.0
             S[neg] = 0.0
             C[neg] = 0.0
+            if hidden_breaks is not None:
+                hidden_breaks.append(b)
         b, S, C = _merge(b, S, C)
+    return b, S, C
+
+
+def from_mlp_1d(net: Mlp, lo: float = 0.0, hi: float = 1.0) -> PwlFunction:
+    """Exact symbolic propagation of a 1-input net into a PwlFunction."""
+    b, S, C = _propagate(net, lo, hi)
     return PwlFunction(lo, hi, b, S[:, 0], C[:, 0])
+
+
+def grid_cells(net: Mlp, n: int, dist: InputDistribution) -> InputDistribution:
+    """The midpoint grid of ``uniform_cube(1, grid=m)`` grouped into cells
+    for the hinge gradient of ``net`` against the 2^n-band square wave.
+
+    The cuts are every hidden layer's breaks, the crossings of the net's
+    output with +-1 and the band edges.  Between two cuts every ReLU mask,
+    the wave and the hinge's active set are constant, so the per-point
+    hinge loss and subgradient are affine in x.  Each cell that holds grid
+    points becomes one row at the mean of its points, weighted by their
+    share of the grid, and a weighted sum over the rows equals the one over
+    the grid up to rounding.  A grid point within KINK_TOL of a break or a
+    +-1 crossing is a row of its own, so the mask (preact >= 0) and hinge
+    (margin <= 1) conventions decide it exactly as on the grid.
+    """
+    m = dist.meta["grid"]
+    x = dist.points[:, 0]
+    hidden = []
+    b, S, C = _propagate(net, 0.0, 1.0, hidden)
+    for level in (1.0, -1.0):
+        b, S, C = _split_at_level(0.0, 1.0, b, S, C, level)
+    kinks = b
+    for h in hidden:
+        kinks = _union_sorted(kinks, h)
+    # a cell's first grid point is the first one at or past its cut, so a
+    # point on a band edge opens the band the wave assigns it to
+    bounds = np.unique(np.concatenate([
+        np.searchsorted(x, _band_cuts(kinks, n)),
+        np.searchsorted(x, kinks - KINK_TOL),
+        np.searchsorted(x, kinks + KINK_TOL, side="right"),
+    ]))
+    lo, hi = bounds[:-1], bounds[1:]
+    # x_j = (j + 1/2)/m, so the mean of x_lo..x_(hi-1) is (lo + hi)/(2m),
+    # rounded once: it never leaves [x_lo, x_(hi-1)]
+    return InputDistribution("grid_cells", ((lo + hi) / (2.0 * m))[:, None], (hi - lo) / m,
+                             {"d": 1, "grid": m, "n": n})
 
 
 def count_pieces(f: PwlFunction) -> int:
@@ -197,9 +267,7 @@ def exact_hinge_loss_vs_fn(f: PwlFunction, n: int) -> float:
     b, s, c = f.breaks, f.slopes, f.intercepts
     for level in (1.0, -1.0):
         b, s, c = _split_at_level(f.lo, f.hi, b, s, c, level)
-    dyadic = np.arange(1, 2**n) / float(2**n)
-    cuts = np.unique(np.concatenate([b, dyadic, [0.0, 1.0]]))
-    cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
+    cuts = _band_cuts(b, n)
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     widths = np.diff(cuts)
     src = np.searchsorted(b, mids, side="right")
@@ -224,9 +292,7 @@ def sign_hinge_loss_vs_fn(f: PwlFunction, n: int) -> float:
         raise ValueError("n must be >= 1")
     _check_cap(2**n + f.n_pieces)
     edges, signs = _cells_with_signs(f)
-    dyadic = np.arange(1, 2**n) / float(2**n)
-    cuts = np.unique(np.concatenate([edges, dyadic, [0.0, 1.0]]))
-    cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
+    cuts = _band_cuts(edges, n)
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     cell = np.searchsorted(edges[1:-1], mids, side="right")
     disagree = (signs[cell] != _square_wave_on_mids(mids, n)).astype(np.int8)

@@ -95,7 +95,7 @@ def test_c04_gd_flatline_decay_and_sanity():
     dist = uniform_cube(1, grid=2 ** (n + 4))
     net = xavier_init(n, 32, 1, seed=derive_seed(0, "init"))
     traj = gd_train(net, telgarsky_target(n), dist,
-                    GdConfig(eta=0.1, iters=500, seed=0))
+                    GdConfig(eta=0.1, iters=500))
     change = abs(float(traj.loss[0]) - float(traj.loss[-1]))
     flat_ok = change <= 1e-3
 
@@ -106,7 +106,7 @@ def test_c04_gd_flatline_decay_and_sanity():
             d2 = uniform_cube(1, grid=2 ** (nn + 4))
             net2 = xavier_init(nn, 32, 1, seed=derive_seed(seed, f"slope{nn}"))
             tr = gd_train(net2, telgarsky_target(nn), d2,
-                          GdConfig(eta=0.1, iters=20, seed=seed))
+                          GdConfig(eta=0.1, iters=20))
             points.append((nn, float(np.log(tr.grad_norm.mean()))))
     ns = np.array([p[0] for p in points], dtype=float)
     ys = np.array([p[1] for p in points])
@@ -119,7 +119,7 @@ def test_c04_gd_flatline_decay_and_sanity():
     d_easy = uniform_cube(1, grid=2**6)
     net3 = xavier_init(12, 32, 1, seed=derive_seed(0, "sanity"))
     tr3 = gd_train(net3, telgarsky_target(2), d_easy,
-                   GdConfig(eta=0.1, iters=2000, seed=0))
+                   GdConfig(eta=0.1, iters=2000))
     sanity_ok = float(tr3.loss[-1]) < 0.5
 
     dt = time.time() - t0

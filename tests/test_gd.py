@@ -1,12 +1,11 @@
-import csv
-import json
-
 import numpy as np
 import pytest
 
+from depthlab import gd
+from depthlab.constructions import telgarsky_target
 from depthlab.dists import uniform_cube, InputDistribution
-from depthlab.gd import GdConfig, GdDivergence, gd_train
-from depthlab.mlp import Mlp, xavier_init
+from depthlab.gd import CELL_MIN_GRID, GdConfig, GdDivergence, gd_train
+from depthlab.mlp import Mlp, population_hinge_grad, xavier_init
 
 
 def two_point_dist():
@@ -22,6 +21,9 @@ def test_zero_step_is_identity():
     dist = uniform_cube(1, grid=32)
     net = xavier_init(3, 8, 1, seed=2)
     traj = gd_train(net, lambda X: np.ones(len(X)), dist, GdConfig(eta=0.0, iters=5))
+    # one record per iterate, the initial one included
+    assert np.array_equal(traj.iters, np.arange(6))
+    assert traj.loss.shape == traj.grad_norm.shape == traj.param_dist.shape == (6,)
     assert traj.loss[0] == traj.loss[-1]
     assert np.all(traj.param_dist == 0.0)
     assert all(
@@ -63,24 +65,67 @@ def test_config_validation():
         GdConfig(eta=0.1, iters=0)
 
 
-def test_trajectory_serialization(tmp_path):
-    dist = uniform_cube(1, grid=16)
-    net = xavier_init(2, 4, 1, seed=1)
-    cfg = GdConfig(eta=0.05, iters=3, seed=7, estimator="grid", resolution=16)
-    traj = gd_train(net, sign_target, dist, cfg)
+def dense_reference(net, target, dist, cfg):
+    """(loss, grad norm) series of population_hinge_grad stepped on ``dist``."""
+    theta = net.flat_params()
+    loss, gnorm = [], []
+    for t in range(cfg.iters + 1):
+        l, g = population_hinge_grad(net.with_flat_params(theta), target, dist)
+        loss.append(l)
+        gnorm.append(np.linalg.norm(g))
+        theta = theta - cfg.eta * g
+    return np.array(loss), np.array(gnorm)
 
-    csv_path = tmp_path / "series.csv"
-    traj.to_csv(csv_path)
-    with open(csv_path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["iter", "loss", "grad_norm", "param_dist"]
-    assert len(rows) == 1 + cfg.iters + 1
-    assert float(rows[1][1]) == traj.loss[0]
 
-    json_path = tmp_path / "report.json"
-    traj.to_json(json_path)
-    doc = json.loads(json_path.read_text())
-    assert doc["config"] == {"eta": 0.05, "iters": 3, "seed": 7,
-                             "estimator": "grid", "resolution": 16}
-    assert len(doc["records"]) == cfg.iters + 1
-    assert doc["records"][0]["iter"] == 0
+def rows_fed(monkeypatch):
+    """Record the support size of every gradient gd_train takes."""
+    rows = []
+
+    def recording(net, target, dist):
+        rows.append(dist.n_points)
+        return population_hinge_grad(net, target, dist)
+
+    monkeypatch.setattr(gd, "population_hinge_grad", recording)
+    return rows
+
+
+@pytest.mark.parametrize("target, grid", [
+    (lambda X: telgarsky_target(4)(X), 4 * CELL_MIN_GRID),  # not the wave itself
+    (telgarsky_target(2), 64),                               # below CELL_MIN_GRID
+])
+def test_dense_fallback_is_bit_identical(monkeypatch, target, grid):
+    rows = rows_fed(monkeypatch)
+    dist = uniform_cube(1, grid=grid)
+    net = xavier_init(6, 16, 1, seed=3)
+    cfg = GdConfig(eta=0.1, iters=8)
+    traj = gd_train(net, target, dist, cfg)
+    assert rows == [grid] * (cfg.iters + 1)
+    loss, gnorm = dense_reference(net, target, dist, cfg)
+    assert np.array_equal(traj.loss, loss)
+    assert np.array_equal(traj.grad_norm, gnorm)
+
+
+def assert_cells_track_dense(monkeypatch, n, iters):
+    """gd_train on the wave takes its gradients over grid cells; the loss
+    series stays within 1e-12 of the dense run's and the grad norms within
+    1e-11 relative.  Wrapping the wave in a lambda forces the dense path."""
+    rows = rows_fed(monkeypatch)
+    grid = 2 ** (n + 4)
+    dist = uniform_cube(1, grid=grid)
+    net = xavier_init(n, 32, 1, seed=n)
+    target = telgarsky_target(n)
+    cfg = GdConfig(eta=0.1, iters=iters)
+    fast = gd_train(net, target, dist, cfg)
+    assert len(rows) == iters + 1 and 4 * max(rows) < grid
+    dense = gd_train(net, lambda X: target(X), dist, cfg)
+    assert np.max(np.abs(fast.loss - dense.loss)) <= 1e-12
+    assert np.max(np.abs(fast.grad_norm - dense.grad_norm) / dense.grad_norm) <= 1e-11
+
+
+def test_cells_track_dense_trajectory(monkeypatch):
+    assert_cells_track_dense(monkeypatch, 8, 20)
+
+
+@pytest.mark.slow
+def test_cells_track_dense_trajectory_n12(monkeypatch):
+    assert_cells_track_dense(monkeypatch, 12, 100)

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from depthlab.constructions import telgarsky_net, telgarsky_target
 from depthlab.dists import uniform_cube
-from depthlab.mlp import Mlp, forward_many, xavier_init
+from depthlab.gd import GdConfig, gd_train
+from depthlab.mlp import Mlp, forward_many, population_hinge_grad, xavier_init
 from depthlab import pwl
 from depthlab.pwl import (
     PieceCapError,
@@ -13,6 +14,7 @@ from depthlab.pwl import (
     evaluate,
     exact_hinge_loss_vs_fn,
     from_mlp_1d,
+    grid_cells,
     piece_bound,
     restrict_to_line,
     sign_crossings,
@@ -218,6 +220,91 @@ class TestHingeLoss:
     def test_refinement_cap(self):
         with pytest.raises(PieceCapError):
             exact_hinge_loss_vs_fn(constant_pwl(0.0), 23)
+
+
+def stretched(net):
+    """The net with its output mapped affinely onto [-1.5, 1.5] over [0,1]
+    (on a 256-point grid), so that it crosses both -1 and +1."""
+    f = forward_many(net, uniform_cube(1, grid=256).points)
+    k = 3.0 / (f.max() - f.min())
+    *hidden, (W, b) = net.layers
+    return Mlp(hidden + [(k * W, k * (b - f.min()) - 1.5)])
+
+
+class TestGridCells:
+    """One gradient over the cells equals the dense grid gradient: loss
+    within 1e-12, gradient within 1e-11 max|g|.  A grid point grouped into
+    the wrong cell moves the gradient by about 1/grid, far above that."""
+
+    def assert_matches_grid(self, net, n, grid=None):
+        # the default grid, 2^(n+4) points, holds 16 points per band
+        dist = uniform_cube(1, grid=grid or 2 ** (n + 4))
+        target = telgarsky_target(n)
+        cells = grid_cells(net, n, dist)
+        assert cells.n_points <= dist.n_points
+        assert grid or 4 * cells.n_points < dist.n_points
+        assert np.isclose(cells.weights.sum(), 1.0, rtol=0.0, atol=1e-12)
+        l0, g0 = population_hinge_grad(net, target, dist)
+        l1, g1 = population_hinge_grad(net, target, cells)
+        assert abs(l1 - l0) <= 1e-12
+        assert np.max(np.abs(g1 - g0)) <= 1e-11 * np.max(np.abs(g0))
+        return cells
+
+    @pytest.mark.parametrize("n", [6, 8, 12])
+    def test_zero_bias_nets(self, n):
+        for seed in range(3 if n < 12 else 1):
+            self.assert_matches_grid(xavier_init(n, 32, 1, seed=seed), n)
+
+    @pytest.mark.parametrize("n", [6, 8, 12])
+    def test_trained_nets(self, n):
+        grid = 2 ** (n + 4)
+        net = xavier_init(n, 32, 1, seed=n)
+        net = gd_train(net, telgarsky_target(n), uniform_cube(1, grid=grid),
+                       GdConfig(eta=0.1, iters=20)).final_net
+        self.assert_matches_grid(net, n)
+
+    @pytest.mark.parametrize("n", [6, 8, 12])
+    @pytest.mark.parametrize("depth", [4, 12])
+    def test_biased_nets_crossing_both_levels(self, depth, n):
+        for seed in range(3 if n < 12 else 1):
+            net = stretched(biased_net(depth, 32, 100 * depth + seed))
+            self.assert_matches_grid(net, n)
+
+    def test_grid_point_on_decreasing_kink(self):
+        # unit 0 is relu(x_503 - x): its pre-activation is exactly 0 at the
+        # grid point x_503, where the mask is 1 but 0 just to the right
+        x = 503.5 / 1024
+        rng = np.random.default_rng(7)
+        net = Mlp([
+            (np.array([[-1.0], [1.0], [0.7], [-0.4]]), np.array([x, -0.25, -0.6, 0.3])),
+            (rng.normal(0.0, 0.5, (3, 4)), rng.normal(0.0, 0.5, 3)),
+            (5.0 * rng.normal(0.0, 0.6, (1, 3)), np.array([0.0])),
+        ])
+        cells = self.assert_matches_grid(net, 6)
+        assert np.any((cells.points[:, 0] == x) & (cells.weights == 1 / 1024))
+
+    def test_grid_point_on_margin_one(self):
+        # f(x_503) = -1 exactly and the wave is -1 there: margin exactly 1,
+        # active at the point, inactive just to the right where f < -1
+        x = 503.5 / 1024
+        net = Mlp([
+            (np.array([[2.0], [-1.0], [1.0]]), np.array([1.0 - 2.0 * x, 0.25, -0.9])),
+            (np.array([[-1.0, 3.0, 2.0]]), np.array([0.0])),
+        ])
+        assert forward_many(net, np.array([[x]]))[0] == -1.0
+        assert telgarsky_target(6)(np.array([[x]]))[0] == -1.0
+        cells = self.assert_matches_grid(net, 6)
+        assert np.any((cells.points[:, 0] == x) & (cells.weights == 1 / 1024))
+
+    def test_grid_point_on_band_edge(self):
+        # on a 1000-point grid x_62 = 0.0625 = 256/4096 is a band edge of
+        # the 2^12-band wave: its row must stay in the band it opens
+        dist = uniform_cube(1, grid=1000)
+        assert dist.points[62, 0] == 0.0625
+        cells = self.assert_matches_grid(stretched(biased_net(4, 32, 5)), 12, 1000)
+        row = cells.points[:, 0] == 0.0625
+        assert np.count_nonzero(row) == 1
+        assert telgarsky_target(12)(cells.points[row])[0] == 1.0
 
 
 class TestRestrictToLine:
