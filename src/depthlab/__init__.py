@@ -1,77 +1,3 @@
 """depthlab: finite-size experiments on depth, gradient descent, and SQ hardness."""
 
-from .mlp import (
-    Mlp,
-    DimensionError,
-    forward,
-    forward_many,
-    grad_params,
-    output_grad_params,
-    population_hinge_loss,
-    population_hinge_grad,
-    xavier_init,
-    save_mlp,
-    load_mlp,
-)
-from .dists import InputDistribution, uniform_cube, uniform_signs, induced_pair
-from .gd import GdConfig, Trajectory, GdDivergence, gd_train
-from .audit import LStandardReport, audit_l_standard, param_lipschitz_ratio
-from .constructions import (
-    TelgarskyTarget,
-    telgarsky_eval,
-    telgarsky_target,
-    telgarsky_net,
-    Box,
-    cube_indicator_net,
-    lipschitz_approx_net,
-    parity_net,
-    or_parity_net,
-)
-from .pwl import (
-    PwlFunction,
-    PieceCapError,
-    from_mlp_1d,
-    count_pieces,
-    sign_crossings,
-    exact_hinge_loss_vs_fn,
-    sign_hinge_loss_vs_fn,
-    restrict_to_line,
-    piece_bound,
-)
-from .boolfn import (
-    BooleanFn,
-    enumerate_signs,
-    parity_fn,
-    parity_family,
-    or_parity_fn,
-    or_parity_inner_closed_form,
-    inner_product,
-)
-from .sq import (
-    SqOracle,
-    HonestNoisyOracle,
-    AdversarialOracle,
-    QueryBudgetError,
-    SqDimCertificate,
-    certify_sqdim,
-    certify_from_gram,
-    f_family_gram,
-    hoeffding_zset,
-    correlation_weak_learner,
-    adversarial_game,
-    correlation_count_check,
-)
-from .kernel import (
-    FeatureMap,
-    KernelSolveResult,
-    feature_map_from_family,
-    random_sign_features,
-    min_hinge,
-    min_hinge_family,
-    hardness_bound,
-    hardness_bound_variants,
-    verify_linear_hardness,
-    depth2_to_kernel,
-)
-
 __version__ = "0.1.0"

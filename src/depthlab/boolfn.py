@@ -7,7 +7,6 @@ and always aligned to this order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,6 @@ __all__ = [
     "or_parity_fn",
     "or_parity_inner_closed_form",
     "inner_product",
-    "save_family",
-    "load_family",
 ]
 
 
@@ -156,25 +153,3 @@ def inner_product(f: BooleanFn, g: BooleanFn, dist) -> float:
     idx = sign_index(dist.points)
     prod = f.table[idx].astype(np.float64) * g.table[idx]
     return float(np.dot(dist.weights, prod))
-
-
-def save_family(family: list[BooleanFn], path) -> None:
-    """Families serialize as bit arrays (bit 1 encodes the value -1)."""
-    doc = {
-        "arity": family[0].arity,
-        "tables": [np.packbits(f.table < 0).tolist() for f in family],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_family(path) -> list[BooleanFn]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    arity = doc["arity"]
-    m = 2**arity
-    out = []
-    for packed in doc["tables"]:
-        bits = np.unpackbits(np.array(packed, dtype=np.uint8))[:m]
-        out.append(BooleanFn(arity, (1 - 2 * bits.astype(np.int8))))
-    return out

@@ -128,6 +128,12 @@ DEFAULTS = {
 }
 
 
+# keys that count nets, draws, targets or steps; an empty population would
+# pass every per-member check vacuously
+_SIZE_KEYS = {"count", "seeds", "targets", "trials", "probes", "samples", "features",
+              "iters"}
+
+
 def experiment_ids():
     return sorted(DEFAULTS)
 
@@ -150,8 +156,15 @@ class ExperimentConfig:
             want = type(defaults[k])
             try:
                 merged[k] = want(v)
-            except (TypeError, ValueError) as e:
+            except (TypeError, ValueError, OverflowError) as e:
                 raise ConfigError(f"bad value for {k}: {v!r}") from e
+            # int(20.5) == 20 and int(True) == 1: refuse rather than coerce
+            if want is int and (isinstance(v, bool) or
+                                isinstance(v, float) and merged[k] != v):
+                raise ConfigError(f"{k} must be an integer, got {v!r}")
+        small = sorted(k for k in _SIZE_KEYS & set(merged) if merged[k] < 1)
+        if small:
+            raise ConfigError(f"population sizes must be >= 1: {small}")
         object.__setattr__(self, "params", merged)
 
     def run_name(self) -> str:
@@ -187,52 +200,44 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 # experiment bodies: params -> (metrics, thresholds, passed, series rows)
 
-def _grid_for(n: int, grid: int) -> int:
-    return grid if grid > 0 else 2 ** (n + 4)
-
-
-def _exp_gd_flatline(p):
+def _gd_on_wave(p, depth):
+    """Population GD from the seeded init against the 2^n-band wave on a
+    midpoint grid (default 2^(n+4) points); returns the trajectory, the
+    metrics both GD experiments report, and the per-step series."""
     n = p["n"]
-    depth = p["depth"] if p["depth"] > 0 else n
-    grid = _grid_for(n, p["grid"])
-    dist = dists.uniform_cube(1, grid=grid)
+    grid = p["grid"] if p["grid"] > 0 else 2 ** (n + 4)
     net = mlp.xavier_init(depth, p["width"], 1, seed=derive_seed(p["seed"], "init"))
-    cfg = gd.GdConfig(eta=p["eta"], iters=p["iters"])
-    traj = gd.gd_train(net, constructions.telgarsky_target(n), dist, cfg)
-    change = abs(float(traj.loss[0]) - float(traj.loss[-1]))
+    traj = gd.gd_train(net, constructions.telgarsky_target(n),
+                       dists.uniform_cube(1, grid=grid),
+                       gd.GdConfig(eta=p["eta"], iters=p["iters"]))
     metrics = {
         "n": n, "depth": depth, "grid_points": grid,
         "loss_start_hinge": float(traj.loss[0]),
         "loss_end_hinge": float(traj.loss[-1]),
+    }
+    series = [
+        {"iter": int(t), "loss": float(l), "grad_norm": float(g), "param_dist": float(d)}
+        for t, l, g, d in zip(traj.iters, traj.loss, traj.grad_norm, traj.param_dist)
+    ]
+    return traj, metrics, series
+
+
+def _exp_gd_flatline(p):
+    traj, metrics, series = _gd_on_wave(p, p["depth"] if p["depth"] > 0 else p["n"])
+    change = abs(metrics["loss_start_hinge"] - metrics["loss_end_hinge"])
+    metrics.update({
         "abs_loss_change_hinge": change,
         "mean_grad_norm_l2": float(traj.grad_norm.mean()),
         "log_mean_grad_norm": float(np.log(traj.grad_norm.mean())),
         "final_param_dist_l2": float(traj.param_dist[-1]),
-    }
-    series = [
-        {"iter": int(t), "loss": float(l), "grad_norm": float(g), "param_dist": float(d)}
-        for t, l, g, d in zip(traj.iters, traj.loss, traj.grad_norm, traj.param_dist)
-    ]
+    })
     return metrics, {"abs_loss_change_hinge_max": p["flat_tol"]}, change <= p["flat_tol"], series
 
 
 def _exp_gd_sanity(p):
-    n = p["n"]
-    grid = _grid_for(n, p["grid"])
-    dist = dists.uniform_cube(1, grid=grid)
-    net = mlp.xavier_init(p["depth"], p["width"], 1, seed=derive_seed(p["seed"], "init"))
-    cfg = gd.GdConfig(eta=p["eta"], iters=p["iters"])
-    traj = gd.gd_train(net, constructions.telgarsky_target(n), dist, cfg)
-    metrics = {
-        "n": n, "depth": p["depth"], "grid_points": grid,
-        "loss_start_hinge": float(traj.loss[0]),
-        "loss_end_hinge": float(traj.loss[-1]),
-    }
-    series = [
-        {"iter": int(t), "loss": float(l), "grad_norm": float(g), "param_dist": float(d)}
-        for t, l, g, d in zip(traj.iters, traj.loss, traj.grad_norm, traj.param_dist)
-    ]
-    return metrics, {"loss_end_hinge_max": p["loss_target"]}, float(traj.loss[-1]) < p["loss_target"], series
+    _, metrics, series = _gd_on_wave(p, p["depth"])
+    passed = metrics["loss_end_hinge"] < p["loss_target"]
+    return metrics, {"loss_end_hinge_max": p["loss_target"]}, passed, series
 
 
 def _exp_telgarsky_separation(p):
@@ -323,8 +328,7 @@ def _exp_sq_weak_learn(p):
         j = int(rng.integers(len(family)))
         target = family[j]
         oracle = sq.HonestNoisyOracle(target, dist, tau=p["tau"],
-                                      seed=derive_seed(p["seed"], f"oracle{t}"),
-                                      digests=False)
+                                      seed=derive_seed(p["seed"], f"oracle{t}"))
         got = sq.correlation_weak_learner(oracle, family)
         loss = float(np.dot(dist.weights,
                             np.maximum(0.0, 1.0 - target(dist.points) * got(dist.points))))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolfn import BooleanFn, sign_index
+from .boolfn import sign_index
 from .mlp import Mlp
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "depth2_to_kernel",
 ]
 
-RANGE_SAMPLES = 10**4
-
 
 @dataclass(frozen=True)
 class FeatureMap:
@@ -48,12 +46,6 @@ class FeatureMap:
         if np.max(np.abs(out)) > 1.0 + 1e-12:
             raise ValueError("feature values escape [-1,1]")
         return out
-
-    def validate_range(self, sampler, seed: int = 0) -> None:
-        """Sampled range assertion for continuous domains."""
-        rng = np.random.default_rng(seed)
-        X = sampler(rng, RANGE_SAMPLES)
-        self(X)
 
 
 def feature_map_from_family(family) -> FeatureMap:
@@ -90,22 +82,6 @@ class KernelSolveResult:
     regret_bound: float          # B sqrt(N) / sqrt(T), worst case
     final_step_norm: float
     loss_decrease_last_window: float
-    lam: float | None = None     # set when the regularized path was used
-
-    def to_dict(self, w_cap: int = 10**4) -> dict:
-        doc = {
-            "loss": self.loss,
-            "B": self.B,
-            "iters": self.iters,
-            "regret_bound": self.regret_bound,
-            "final_step_norm": self.final_step_norm,
-            "loss_decrease_last_window": self.loss_decrease_last_window,
-            "lam": self.lam,
-            "w_norm": float(np.linalg.norm(self.w)),
-        }
-        if self.w.shape[0] <= w_cap:
-            doc["w"] = self.w.tolist()
-        return doc
 
 
 def _solve_batched(Phi: np.ndarray, Y: np.ndarray, weights: np.ndarray,
@@ -201,9 +177,7 @@ def hardness_bound(N: int, B: float, d: int) -> float:
 def hardness_bound_variants(N: int, B: float, d: int) -> dict:
     """All stated constant/exponent variants, for the record."""
     return {
-        "proof_end_sqrt_2sqrt5N_d112": max(
-            0.0, 1.0 - np.sqrt(2.0 * np.sqrt(5.0) * N) * B / d ** (1.0 / 12.0)
-        ),
+        "proof_end_sqrt_2sqrt5N_d112": hardness_bound(N, B, d),
         "statement_sqrt_5N_d112": max(0.0, 1.0 - np.sqrt(5.0 * N) * B / d ** (1.0 / 12.0)),
         "corollary_sqrt_5N_d15": max(0.0, 1.0 - np.sqrt(5.0 * N) * B / d ** (1.0 / 5.0)),
     }
@@ -222,12 +196,6 @@ class LinearHardnessReport:
     slack: float
     grad_identity_max_err: float
     solver_iters: int
-
-    def to_csv_rows(self):
-        return [
-            (j, float(l), self.bound, float(l) - self.bound)
-            for j, l in enumerate(self.losses)
-        ]
 
 
 def _grad_identity_check(Phi, Y, weights, lam, rng, pairs=20) -> float:

@@ -7,7 +7,6 @@ immutable after construction (arrays are frozen read-only).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +22,6 @@ __all__ = [
     "population_hinge_loss",
     "population_hinge_grad",
     "xavier_init",
-    "save_mlp",
-    "load_mlp",
-    "mlp_to_dict",
-    "mlp_from_dict",
 ]
 
 
@@ -243,25 +238,3 @@ def xavier_init(depth: int, width: int, in_dim: int, seed: int) -> Mlp:
         W = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in))
         layers.append((W, np.zeros(fan_out)))
     return Mlp(layers)
-
-
-def mlp_to_dict(net: Mlp) -> dict:
-    return {
-        "layers": [
-            {"weights": W.tolist(), "bias": b.tolist()} for W, b in net.layers
-        ]
-    }
-
-
-def mlp_from_dict(d: dict) -> Mlp:
-    return Mlp([(np.array(l["weights"]), np.array(l["bias"])) for l in d["layers"]])
-
-
-def save_mlp(net: Mlp, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(mlp_to_dict(net), fh)
-
-
-def load_mlp(path) -> Mlp:
-    with open(path) as fh:
-        return mlp_from_dict(json.load(fh))

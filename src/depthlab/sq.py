@@ -9,8 +9,6 @@ members remain consistent, exactly as the lower-bound argument plays it.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +30,12 @@ __all__ = [
     "GameResult",
     "correlation_count_check",
     "make_correlation_learner",
-    "save_zset",
-    "load_zset",
     "make_random_query_learner",
     "make_majority_learner",
 ]
 
 _CHUNK = 512  # row block for family matrix products
+_ZSET_MAX_BATCHES = 64  # resampled batches before hoeffding_zset gives up
 
 
 class QueryBudgetError(RuntimeError):
@@ -61,31 +58,16 @@ def _family_matvec(values: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _query_digest(plus: np.ndarray, minus: np.ndarray) -> str:
-    h = hashlib.blake2b(digest_size=8)
-    h.update(plus.tobytes())
-    h.update(minus.tobytes())
-    return h.hexdigest()
-
-
-@dataclass
-class QueryRecord:
-    digest: str
-    answer: float
-
-
 class SqOracle:
-    """Base oracle: enumerated support, tolerance, budget, query log."""
+    """Base oracle: enumerated support, tolerance, budget, answer log."""
 
-    def __init__(self, dist, tau: float, budget: int | None = None,
-                 digests: bool = True):
+    def __init__(self, dist, tau: float, budget: int | None = None):
         if not 0 < tau < 1:
             raise ValueError("tau must lie in (0,1)")
         self.dist = dist
         self.tau = tau
         self.budget = budget
-        self.digests = digests  # per-query value hashing for transcripts
-        self.log: list[QueryRecord] = []
+        self.log: list[float] = []  # answers in query order
         self._X = dist.points_float()
         self._ones = np.ones(dist.n_points)
         self._ones.flags.writeable = False
@@ -111,26 +93,19 @@ class SqOracle:
             raise QueryBudgetError(f"budget of {self.budget} queries exhausted")
         plus, minus = self._evaluate(q)
         answer = self._answer(plus, minus)
-        digest = _query_digest(plus, minus) if self.digests else ""
-        self.log.append(QueryRecord(digest, answer))
+        self.log.append(answer)
         return answer
 
     def _answer(self, plus, minus) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def transcript(self) -> dict:
-        return {
-            "tau": self.tau,
-            "queries": [{"digest": r.digest, "answer": r.answer} for r in self.log],
-        }
 
 
 class HonestNoisyOracle(SqOracle):
     """True expectation of q(x, f(x)) plus uniform noise in [-tau, tau]."""
 
     def __init__(self, target: BooleanFn, dist, tau: float, seed: int,
-                 budget: int | None = None, digests: bool = True):
-        super().__init__(dist, tau, budget, digests)
+                 budget: int | None = None):
+        super().__init__(dist, tau, budget)
         self.target = target
         self._labels = target(dist.points)
         self._rng = np.random.default_rng(seed)
@@ -183,7 +158,6 @@ class AdversarialOracle(SqOracle):
 
 @dataclass(frozen=True)
 class SqDimCertificate:
-    indices: tuple
     size: int
     max_abs_inner: float
     passed: bool
@@ -192,23 +166,14 @@ class SqDimCertificate:
         if self.passed and not self.max_abs_inner < 1.0 / self.size:
             raise ValueError("pass flag contradicts the recorded maximum")
 
-    @property
-    def threshold(self) -> float:
-        return 1.0 / self.size
 
-
-def certify_from_gram(abs_gram: np.ndarray, indices=None) -> SqDimCertificate:
+def certify_from_gram(abs_gram: np.ndarray) -> SqDimCertificate:
     """Certificate from a precomputed |inner product| matrix."""
     d = abs_gram.shape[0]
     off = abs_gram.copy()
     np.fill_diagonal(off, 0.0)
     mx = float(off.max()) if d > 1 else 0.0
-    return SqDimCertificate(
-        indices=tuple(indices) if indices is not None else tuple(range(d)),
-        size=d,
-        max_abs_inner=mx,
-        passed=mx < 1.0 / d,
-    )
+    return SqDimCertificate(size=d, max_abs_inner=mx, passed=mx < 1.0 / d)
 
 
 def certify_sqdim(family, dist) -> SqDimCertificate:
@@ -233,7 +198,7 @@ def certify_sqdim(family, dist) -> SqDimCertificate:
         for r in range(block.shape[0]):
             block[r, k + r] = 0.0
         mx = max(mx, float(np.max(np.abs(block))))
-    return SqDimCertificate(tuple(range(d)), d, mx, mx < 1.0 / d)
+    return SqDimCertificate(d, mx, mx < 1.0 / d)
 
 
 def f_family_gram(zset: np.ndarray) -> np.ndarray:
@@ -246,7 +211,7 @@ def f_family_gram(zset: np.ndarray) -> np.ndarray:
     return G
 
 
-def hoeffding_zset(n: int, d: int, seed: int, max_batches: int = 64) -> np.ndarray:
+def hoeffding_zset(n: int, d: int, seed: int) -> np.ndarray:
     """d uniform sign vectors with all pairwise Hamming distances >= n/4.
 
     Whole batches are rejected and resampled until the condition holds
@@ -258,7 +223,7 @@ def hoeffding_zset(n: int, d: int, seed: int, max_batches: int = 64) -> np.ndarr
     if d > int(2 ** (n / 12.0)):
         raise ValueError(f"d = {d} exceeds the admissible 2^(n/12) = {2 ** (n / 12.0):.2f}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_batches):
+    for _ in range(_ZSET_MAX_BATCHES):
         Z = (rng.integers(0, 2, size=(d, n)) * 2 - 1).astype(np.int8)
         if d == 1:
             return Z
@@ -267,28 +232,8 @@ def hoeffding_zset(n: int, d: int, seed: int, max_batches: int = 64) -> np.ndarr
         if hamming.min() >= n / 4.0:
             return Z
     raise RuntimeError(
-        f"no admissible batch of {d} vectors after {max_batches} resamples"
+        f"no admissible batch of {d} vectors after {_ZSET_MAX_BATCHES} resamples"
     )
-
-
-def save_zset(Z: np.ndarray, path) -> None:
-    """Selector sets serialize as bit arrays (bit 1 encodes the value -1)."""
-    Z = np.asarray(Z, dtype=np.int8)
-    doc = {"n": int(Z.shape[1]),
-           "vectors": [np.packbits(z < 0).tolist() for z in Z]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_zset(path) -> np.ndarray:
-    with open(path) as fh:
-        doc = json.load(fh)
-    n = doc["n"]
-    rows = []
-    for packed in doc["vectors"]:
-        bits = np.unpackbits(np.array(packed, dtype=np.uint8))[:n]
-        rows.append(1 - 2 * bits.astype(np.int8))
-    return np.stack(rows)
 
 
 def make_correlation_query(f: BooleanFn):
@@ -317,11 +262,8 @@ def correlation_weak_learner(oracle: SqOracle, family) -> BooleanFn:
 @dataclass
 class GameResult:
     chosen_index: int
-    chosen: BooleanFn
-    hypothesis: np.ndarray  # values over the distribution support
     loss: float
     inconsistent_counts: list[int]
-    transcript: dict
 
 
 def _hypothesis_values(h, dist) -> np.ndarray:
@@ -363,14 +305,7 @@ def adversarial_game(family, learner, budget: int, tau: float, dist) -> GameResu
     j = int(np.argmax(ok))
     labels = oracle.values[j].astype(np.float64)
     loss = float(np.dot(dist.weights, np.maximum(0.0, 1.0 - labels * h_vals)))
-    return GameResult(
-        chosen_index=j,
-        chosen=family[j],
-        hypothesis=h_vals,
-        loss=loss,
-        inconsistent_counts=list(oracle.inconsistent_counts),
-        transcript={**oracle.transcript(), "chosen_index": j, "loss": loss},
-    )
+    return GameResult(j, loss, list(oracle.inconsistent_counts))
 
 
 def correlation_count_check(family, h, tau: float, dist,

@@ -196,7 +196,7 @@ def test_c07_sq_weak_learning(parity12):
     for t in range(50):
         target = family[int(rng.integers(len(family)))]
         oracle = HonestNoisyOracle(target, dist, tau=1e-3,
-                                   seed=derive_seed(1, f"c7-{t}"), digests=False)
+                                   seed=derive_seed(1, f"c7-{t}"))
         got = correlation_weak_learner(oracle, family)
         loss = float(np.dot(dist.weights,
                             np.maximum(0.0, 1.0 - target(dist.points) * got(dist.points))))

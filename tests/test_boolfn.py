@@ -5,12 +5,10 @@ from depthlab.boolfn import (
     BooleanFn,
     enumerate_signs,
     inner_product,
-    load_family,
     or_parity_fn,
     or_parity_inner_closed_form,
     parity_family,
     parity_fn,
-    save_family,
     sign_index,
 )
 from depthlab.dists import uniform_signs
@@ -70,14 +68,3 @@ def test_or_parity_hamming_exponent():
     z1 = np.array([1, 1, -1, 1], dtype=np.int8)
     z2 = np.array([1, -1, -1, -1], dtype=np.int8)
     assert or_parity_inner_closed_form(z1, z2) == 0.25
-
-
-def test_family_serialization_roundtrip(tmp_path):
-    fam = parity_family(4)[:5]
-    path = tmp_path / "family.json"
-    save_family(fam, path)
-    back = load_family(path)
-    assert len(back) == 5
-    for a, b in zip(fam, back):
-        assert a.arity == b.arity
-        assert np.array_equal(a.table, b.table)

@@ -176,16 +176,3 @@ class TestOrParityNet:
         net = or_parity_net(-np.ones(n, dtype=np.int8), n)
         U = enumerate_signs(2 * n).astype(np.float64)
         assert np.all(forward_many(net, U) == 1.0)
-
-
-def test_constructed_nets_share_the_network_file_format(tmp_path):
-    from depthlab.mlp import load_mlp, save_mlp
-    for net in (telgarsky_net(3), parity_net([0, 2], 5),
-                cube_indicator_net(Box([0.0], [1.0], 0.1))):
-        path = tmp_path / "net.json"
-        save_mlp(net, path)
-        back = load_mlp(path)
-        assert all(
-            np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
-            for (Wa, ba), (Wb, bb) in zip(net.layers, back.layers)
-        )

@@ -34,9 +34,39 @@ def test_unknown_key_rejected():
 
 
 def test_defaults_merged_and_typed():
-    cfg = ExperimentConfig("gd-flatline", {"n": "6"})
+    cfg = ExperimentConfig("gd-flatline", {"n": "6", "iters": 20.0})
     assert cfg.params["n"] == 6
+    assert cfg.params["iters"] == 20 and type(cfg.params["iters"]) is int
     assert cfg.params["eta"] == 0.1
+
+
+@pytest.mark.parametrize("experiment,key", [
+    ("telgarsky-separation", "count"), ("sq-parity-lower-bound", "seeds"),
+    ("sq-weak-learn", "targets"), ("xavier-audit", "trials"),
+    ("xavier-audit", "probes"), ("lipschitz-approx", "samples"),
+    ("kernel-hardness", "features"), ("kernel-hardness", "iters"),
+    ("gd-flatline", "iters"), ("gd-sanity", "iters"),
+])
+def test_empty_population_rejected(experiment, key):
+    for size in (0, -1):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(experiment, {key: size})
+
+
+@pytest.mark.parametrize("experiment,extra,threshold", [
+    ("gd-sanity", set(), "loss_end_hinge_max"),
+    ("gd-flatline", {"abs_loss_change_hinge", "mean_grad_norm_l2", "log_mean_grad_norm",
+                     "final_param_dist_l2"}, "abs_loss_change_hinge_max"),
+])
+def test_gd_reports_keep_their_metrics(tmp_path, experiment, extra, threshold):
+    cfg = ExperimentConfig(experiment, {"iters": 3})
+    rep = run(cfg, tmp_path)
+    assert set(rep.metrics) == {"n", "depth", "grid_points", "loss_start_hinge",
+                                "loss_end_hinge"} | extra
+    assert list(rep.thresholds) == [threshold]
+    assert rep.metrics["depth"] == 12  # gd-flatline's depth 0 stands for n = 12
+    series = (tmp_path / cfg.run_name() / "series.csv").read_text().splitlines()
+    assert series[0] == "iter,loss,grad_norm,param_dist" and len(series) == 1 + 4
 
 
 def test_derive_seed_stable():
@@ -138,6 +168,19 @@ class TestCli:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("experiment = warp-drive\n")
         assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")]) == 2
+
+    @pytest.mark.parametrize("value", ["20.5", "true", "Infinity"])
+    def test_non_integer_iters_exit_two(self, tmp_path, capsys, value):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(f"experiment = gd-sanity\niters = {value}\n")
+        assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")]) == 2
+        assert not (tmp_path / "runs").exists()
+
+    def test_empty_population_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text("experiment = telgarsky-separation\ncount = 0\n")
+        assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")]) == 2
+        assert "count" in capsys.readouterr().err
 
     def test_sweep_directory(self, tmp_path, capsys):
         d = tmp_path / "cfgs"

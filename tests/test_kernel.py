@@ -76,8 +76,7 @@ class TestMinHinge:
         res = min_hinge(psi, 1.0, family[1], dist, iters=400)
         assert res.regret_bound == pytest.approx(1.0 * 2.0 / np.sqrt(400))
         assert res.iters == 400
-        doc = res.to_dict()
-        assert "w" in doc and doc["w_norm"] <= 1.0 + 1e-9
+        assert np.linalg.norm(res.w) <= 1.0 + 1e-9
 
     def test_cross_validated_against_convex_solver(self, parity6):
         # the stated 8-feature instance is far beyond grid search, so an
@@ -161,8 +160,6 @@ class TestVerifyLinearHardness:
         assert rep.grad_identity_max_err <= 1e-9
         assert rep.losses.shape == (32,)
         assert rep.slack == pytest.approx(rep.average_loss - rep.bound)
-        rows = rep.to_csv_rows()
-        assert rows[0][0] == 0 and len(rows) == 32
 
 
 def random_depth2_pair_net(rng, k, n, scale=0.3):
@@ -230,13 +227,3 @@ def test_min_hinge_family_matches_single_solves(parity6):
     batched = min_hinge_family(psi, 1.5, targets, dist, iters=3000)
     singles = [min_hinge(psi, 1.5, t, dist, iters=3000).loss for t in targets]
     assert np.allclose(batched, singles, atol=1e-12)
-
-
-def test_solve_report_omits_giant_w():
-    import numpy as _np
-    from depthlab.kernel import KernelSolveResult
-    res = KernelSolveResult(w=_np.zeros(10**4 + 1), loss=1.0, B=1.0, iters=1,
-                            regret_bound=1.0, final_step_norm=0.0,
-                            loss_decrease_last_window=0.0)
-    doc = res.to_dict()
-    assert "w" not in doc and doc["w_norm"] == 0.0

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +8,7 @@ from depthlab.mlp import (
     forward,
     forward_many,
     grad_params,
-    load_mlp,
     population_hinge_loss,
-    save_mlp,
     xavier_init,
 )
 from depthlab.dists import uniform_cube, uniform_signs
@@ -166,16 +162,3 @@ class TestXavierInit:
     def test_biases_zero(self):
         net = xavier_init(3, 8, 2, seed=0)
         assert all(np.all(b == 0.0) for _, b in net.layers)
-
-
-def test_save_load_roundtrip(tmp_path):
-    net = xavier_init(3, 5, 2, seed=4)
-    path = tmp_path / "net.json"
-    save_mlp(net, path)
-    loaded = load_mlp(path)
-    assert all(
-        np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
-        for (Wa, ba), (Wb, bb) in zip(net.layers, loaded.layers)
-    )
-    doc = json.loads(path.read_text())
-    assert "layers" in doc and "weights" in doc["layers"][0]

@@ -130,7 +130,7 @@ class TestWeakLearner:
     def test_recovers_planted_parity(self, parity10):
         family, dist = parity10
         target = family[0b1000]  # the single-coordinate parity on bit 3
-        oracle = HonestNoisyOracle(target, dist, tau=1e-3, seed=1, digests=False)
+        oracle = HonestNoisyOracle(target, dist, tau=1e-3, seed=1)
         got = correlation_weak_learner(oracle, family)
         assert np.array_equal(got.table, target.table)
         assert oracle.queries_used == len(family)
@@ -148,10 +148,10 @@ class TestWeakLearner:
         target = family[255]
         others = [f for i, f in enumerate(family) if i != 255][:64]
         tau = 1e-3
-        oracle = HonestNoisyOracle(target, dist, tau=tau, seed=2, digests=False)
+        oracle = HonestNoisyOracle(target, dist, tau=tau, seed=2)
         got = correlation_weak_learner(oracle, others)
-        for rec in oracle.log:
-            assert abs(rec.answer) <= tau  # truth is 0 for every member
+        for answer in oracle.log:
+            assert abs(answer) <= tau  # truth is 0 for every member
         loss = float(np.dot(dist.weights,
                             np.maximum(0.0, 1.0 - target(dist.points) * got(dist.points))))
         assert loss >= 1.0 - 2 * tau
@@ -195,16 +195,6 @@ class TestAdversarialGame:
             ]:
                 adversarial_game(family, learner, budget=1, tau=0.5, dist=dist)
 
-    def test_transcript_structure(self):
-        n = 6
-        dist = uniform_signs(n)
-        family = parity_family(n)
-        res = adversarial_game(family, make_majority_learner(), budget=2,
-                               tau=0.5, dist=dist)
-        assert "queries" in res.transcript
-        assert res.transcript["loss"] == res.loss
-        assert all(len(q["digest"]) == 16 for q in res.transcript["queries"])
-
 
 class TestCorrelationCountCheck:
     def test_orthogonal_family_bound(self):
@@ -241,22 +231,3 @@ class TestCorrelationCountCheck:
         with pytest.raises(ValueError):
             correlation_count_check(family, np.zeros(dist.n_points), tau=0.01,
                                     dist=dist)
-
-
-def test_zset_roundtrip(tmp_path):
-    from depthlab.sq import load_zset, save_zset
-    Z = hoeffding_zset(48, 16, seed=2)
-    path = tmp_path / "zset.json"
-    save_zset(Z, path)
-    assert np.array_equal(load_zset(path), Z)
-
-
-def test_transcript_json_serializable():
-    import json as _json
-    n = 5
-    dist = uniform_signs(n)
-    family = parity_family(n)
-    res = adversarial_game(family, make_majority_learner(), budget=1, tau=0.5,
-                           dist=dist)
-    blob = _json.dumps(res.transcript)
-    assert "digest" in blob
