@@ -92,22 +92,18 @@ def parity_fn(I, n: int) -> BooleanFn:
     return BooleanFn(n, table)
 
 
-def parity_family(n: int, subsets=None) -> list[BooleanFn]:
-    """Parity functions for the given subsets (default: all 2^n subsets).
+def parity_family(n: int) -> list[BooleanFn]:
+    """All 2^n parity functions; member k is the parity over {t : bit t of k}.
 
-    Subset k in the default order contains coordinate t iff bit t of k is
-    set, so index 0 is the constant +1 parity.
+    Index 0 is the constant +1 parity.  The tables fill one 2^n x 2^n
+    matrix by doubling: rows 2^t .. 2^(t+1)-1 are rows 0 .. 2^t-1 times x_t.
     """
     X = enumerate_signs(n)
-    if subsets is None:
-        subsets = [[t for t in range(n) if (k >> t) & 1] for k in range(2**n)]
-    out = []
-    for I in subsets:
-        table = np.ones(2**n, dtype=np.int8)
-        for t in I:
-            table *= X[:, t]
-        out.append(BooleanFn(n, table))
-    return out
+    tables = np.empty((2**n, 2**n), dtype=np.int8)
+    tables[0] = 1
+    for t in range(n):
+        np.multiply(tables[: 2**t], X[:, t], out=tables[2**t : 2 ** (t + 1)])
+    return [BooleanFn(n, row) for row in tables]
 
 
 def or_parity_fn(z_prime, n: int) -> BooleanFn:

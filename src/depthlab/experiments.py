@@ -158,10 +158,13 @@ class ExperimentConfig:
                 merged[k] = want(v)
             except (TypeError, ValueError, OverflowError) as e:
                 raise ConfigError(f"bad value for {k}: {v!r}") from e
-            # int(20.5) == 20 and int(True) == 1: refuse rather than coerce
+            # int(20.5) == 20, int(True) == 1 and float(True) == 1.0: refuse
+            # rather than coerce
             if want is int and (isinstance(v, bool) or
                                 isinstance(v, float) and merged[k] != v):
                 raise ConfigError(f"{k} must be an integer, got {v!r}")
+            if want is float and isinstance(v, bool):
+                raise ConfigError(f"{k} must be a number, got {v!r}")
         small = sorted(k for k in _SIZE_KEYS & set(merged) if merged[k] < 1)
         if small:
             raise ConfigError(f"population sizes must be >= 1: {small}")
@@ -350,6 +353,9 @@ def _exp_kernel_hardness(p):
     d = len(family)
     rng = np.random.default_rng(derive_seed(p["seed"], "features"))
     if p["feature_kind"] == "parity":
+        if p["features"] > d:
+            raise ConfigError(f"features = {p['features']} exceeds the {d} parities "
+                              f"at n = {n}")
         idx = rng.choice(d, size=p["features"], replace=False)
         psi = kernel.feature_map_from_family([family[i] for i in sorted(idx)])
     elif p["feature_kind"] == "iid":

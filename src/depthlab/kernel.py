@@ -94,21 +94,25 @@ def _solve_batched(Phi: np.ndarray, Y: np.ndarray, weights: np.ndarray,
     """
     m, N = Phi.shape
     d = Y.shape[1]
-    wcol = weights[:, None]
+    wY = weights[:, None] * Y
     W = np.zeros((N, d))
     Wsum = np.zeros((N, d))
     base = B / np.sqrt(N)
     step_norms = np.zeros(d)
     half = max(iters // 2, 1)
     half_losses = None
+    buf = np.empty((m, d))  # margins, then the masked weighted labels
+    active = np.empty((m, d), dtype=bool)
 
     def avg_losses(avg):
         return np.einsum("m,md->d", weights, np.maximum(0.0, 1.0 - Y * (Phi @ avg)))
 
     for t in range(1, iters + 1):
-        margins = Y * (Phi @ W)
-        active = (margins <= 1.0).astype(np.float64)
-        G = -Phi.T @ (wcol * Y * active)
+        np.matmul(Phi, W, out=buf)
+        buf *= Y
+        np.less_equal(buf, 1.0, out=active)
+        np.multiply(wY, active, out=buf)
+        G = -(Phi.T @ buf)
         eta = base / np.sqrt(t)
         W -= eta * G
         norms = np.linalg.norm(W, axis=0)

@@ -1,10 +1,12 @@
 """Statistical-query simulator: oracles, dimension certificates, games.
 
 Queries are callables q(X, y) -> values in [-1,1], evaluated on the whole
-enumerated support at once.  The honest oracle answers the true expectation
-plus seeded uniform noise in [-tau, tau]; the adversarial oracle answers
-every query with its label-agnostic expectation and tracks which family
-members remain consistent, exactly as the lower-bound argument plays it.
+enumerated support at once, or blocks of correlation queries y * h_j(x)
+given as one row of values per h_j.  The honest oracle answers the true
+expectation plus seeded uniform noise in [-tau, tau]; the adversarial
+oracle answers every query with its label-agnostic expectation and records
+what it needs to prune the family afterwards, exactly as the lower-bound
+argument plays it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ __all__ = [
     "make_majority_learner",
 ]
 
-_CHUNK = 512  # row block for family matrix products
+_BLOCK_FLOATS = 2**17  # float64 entries (1 MiB) per family product block: L2 sized
+_GRAM_BLOCK = 512  # family rows per certify_sqdim gram block
 _ZSET_MAX_BATCHES = 64  # resampled batches before hoeffding_zset gives up
 
 
@@ -44,17 +47,22 @@ class QueryBudgetError(RuntimeError):
 
 def family_values(family, dist) -> np.ndarray:
     """(d, m) int8 matrix of family values on the distribution support."""
+    # np.array builds the matrix in one C pass; np.stack costs ~2x as much
     if dist.is_full_enumeration and dist.n_points == family[0].table.shape[0]:
-        return np.stack([f.table for f in family])
+        return np.array([f.table for f in family])
     idx = sign_index(dist.points)
-    return np.stack([f.table[idx] for f in family])
+    return np.array([f.table[idx] for f in family])
 
 
-def _family_matvec(values: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """values @ v computed in float64 row chunks to bound memory."""
-    out = np.empty(values.shape[0])
-    for k in range(0, values.shape[0], _CHUNK):
-        out[k : k + _CHUNK] = values[k : k + _CHUNK].astype(np.float64) @ v
+def _family_product(values: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """values @ V (V a vector or a few columns) in float64 row blocks.
+
+    Exact for +-1 values against dyadic V, whatever the summation order.
+    """
+    out = np.empty(values.shape[:1] + V.shape[1:])
+    rows = max(1, _BLOCK_FLOATS // values.shape[1])
+    for k in range(0, values.shape[0], rows):
+        out[k : k + rows] = values[k : k + rows].astype(np.float64) @ V
     return out
 
 
@@ -88,15 +96,41 @@ class SqOracle:
             raise ValueError(f"query value {hi} outside [-1,1]")
         return plus, minus
 
-    def query(self, q) -> float:
-        if self.budget is not None and len(self.log) >= self.budget:
+    def _spend(self, k: int) -> None:
+        if self.budget is not None and len(self.log) + k > self.budget:
             raise QueryBudgetError(f"budget of {self.budget} queries exhausted")
+
+    def query(self, q) -> float:
+        self._spend(1)
         plus, minus = self._evaluate(q)
         answer = self._answer(plus, minus)
         self.log.append(answer)
         return answer
 
+    def correlations(self, H) -> np.ndarray:
+        """Answer the correlation queries q_j(x, y) = y * H[j, x] as one block.
+
+        Row j of H holds h_j on the support.  The block counts as len(H)
+        queries against the budget and is refused whole if it does not fit.
+        For +-1 rows on dyadic weights the answers and the log equal those
+        of len(H) sequential ``query`` calls bit for bit.
+        """
+        H = np.atleast_2d(H)
+        if H.shape[1] != self.dist.n_points:
+            raise ValueError(f"correlation rows must cover the {self.dist.n_points} "
+                             f"support points, got {H.shape[1]}")
+        self._spend(H.shape[0])
+        hi = max(-float(H.min()), float(H.max())) if H.size else 0.0
+        if hi > 1.0 + 1e-12:
+            raise ValueError(f"query value {hi} outside [-1,1]")
+        answers = self._correlation_answers(H)
+        self.log.extend(answers.tolist())
+        return answers
+
     def _answer(self, plus, minus) -> float:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _correlation_answers(self, H) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
 
@@ -119,6 +153,11 @@ class HonestNoisyOracle(SqOracle):
             self._rng.uniform(-self.tau, self.tau)
         )
 
+    def _correlation_answers(self, H) -> np.ndarray:
+        # a size-k uniform draw consumes the stream as k scalar draws do
+        truth = _family_product(H, self.dist.weights * self._labels)
+        return truth + self._rng.uniform(-self.tau, self.tau, size=H.shape[0])
+
     def true_expectation(self, q) -> float:
         """Exact E[q(x, f(x))]; exposed for tests, never used to answer."""
         plus, minus = self._evaluate(q)
@@ -128,9 +167,11 @@ class HonestNoisyOracle(SqOracle):
 class AdversarialOracle(SqOracle):
     """Answers E over x and a uniform +-1 label, committing to no target.
 
-    After each query the oracle prunes the family members whose true
-    expectation sits farther than d^(-1/3) from the answer; those counts
-    are recorded per query.
+    For each query the oracle records the weighted label-odd part w * gbar
+    of q: E[q(x, f_i(x))] minus the answer equals <f_i, gbar>, so the
+    members a query rules out (those farther than d^(-1/3) from the answer)
+    follow from one family product over all recorded queries, which
+    ``adversarial_game`` takes once the learner is done.
     """
 
     def __init__(self, family, dist, tau: float, budget: int | None = None):
@@ -141,19 +182,18 @@ class AdversarialOracle(SqOracle):
         if tau < d ** (-1.0 / 3.0) - 1e-12:
             raise ValueError("adversarial policy needs tau >= d^(-1/3)")
         self.consistency_radius = d ** (-1.0 / 3.0)
-        self.consistent = np.ones(d, dtype=bool)
-        self.inconsistent_counts: list[int] = []
+        self.weighted_gbars: list[np.ndarray] = []  # w * gbar, in query order
 
     def _answer(self, plus, minus) -> float:
         w = self.dist.weights
-        c_g = float(np.dot(w, 0.5 * (plus + minus)))
-        gbar = 0.5 * (plus - minus)
-        # E[q(x, f_i(x))] - C_g equals the correlation of f_i with gbar
-        corr = _family_matvec(self.values, w * gbar)
-        newly_bad = np.abs(corr) > self.consistency_radius
-        self.inconsistent_counts.append(int(np.count_nonzero(newly_bad)))
-        self.consistent &= ~newly_bad
-        return c_g
+        self.weighted_gbars.append(w * (0.5 * (plus - minus)))
+        return float(np.dot(w, 0.5 * (plus + minus)))
+
+    def _correlation_answers(self, H) -> np.ndarray:
+        # y * h(x) has no label-even part: gbar = h and the answer is 0
+        w = self.dist.weights
+        self.weighted_gbars.extend(w * h for h in np.asarray(H, dtype=np.float64))
+        return np.zeros(H.shape[0])
 
 
 @dataclass(frozen=True)
@@ -189,12 +229,12 @@ def certify_sqdim(family, dist) -> SqDimCertificate:
     use_f32 = uniform and d * m > 2**26 and m < 2**24
     V = values.astype(np.float32 if use_f32 else np.float64)
     mx = 0.0
-    for k in range(0, d, _CHUNK):
+    for k in range(0, d, _GRAM_BLOCK):
         if uniform:
-            block = V[k : k + _CHUNK] @ V.T
+            block = V[k : k + _GRAM_BLOCK] @ V.T
             block = block.astype(np.float64) * float(w[0])
         else:
-            block = (V[k : k + _CHUNK] * w) @ V.T
+            block = (V[k : k + _GRAM_BLOCK] * w) @ V.T
         for r in range(block.shape[0]):
             block[r, k + r] = 0.0
         mx = max(mx, float(np.max(np.abs(block))))
@@ -249,14 +289,24 @@ def make_correlation_query(f: BooleanFn):
     return q
 
 
+def _best_correlated(oracle: SqOracle, members) -> BooleanFn:
+    """Ask every member's correlation in one block; the best |answer| wins.
+
+    Both correlation learners share this body rather than one calling the
+    other, so calls to ``correlation_weak_learner`` stay the weak-learning
+    runs alone (perfbench times and checks exactly those).
+    """
+    answers = oracle.correlations(family_values(members, oracle.dist))
+    return members[int(np.argmax(np.abs(answers)))]
+
+
 def correlation_weak_learner(oracle: SqOracle, family) -> BooleanFn:
     """One correlation query per family member, returning the best |answer|.
 
     Ties break to the lowest index.  The returned member's hinge loss
     against the realized target is at most 1 - (|answer| - tau).
     """
-    answers = np.array([oracle.query(make_correlation_query(f)) for f in family])
-    return family[int(np.argmax(np.abs(answers)))]
+    return _best_correlated(oracle, family)
 
 
 @dataclass
@@ -284,7 +334,9 @@ def adversarial_game(family, learner, budget: int, tau: float, dist) -> GameResu
     return a hypothesis (a BooleanFn, a value array over the support, or
     a callable).  The adversary then picks a family member consistent
     with every answer whose correlation with the clipped hypothesis is
-    below 2/sqrt(d), and returns it with the exact hinge loss.
+    below 2/sqrt(d), and returns it with the exact hinge loss.  The
+    per-query consistency and the hypothesis correlations come from one
+    family product with budget + 1 columns.
 
     A suitable member is guaranteed to exist for certified families when
     budget <= d^(1/3)/8 and tau >= d^(-1/3); outside that regime the
@@ -295,8 +347,10 @@ def adversarial_game(family, learner, budget: int, tau: float, dist) -> GameResu
     h = learner(oracle)
     h_vals = _hypothesis_values(h, dist)
     h_clip = np.clip(h_vals, -1.0, 1.0)
-    corr = _family_matvec(oracle.values, dist.weights * h_clip)
-    ok = oracle.consistent & (corr < 2.0 / np.sqrt(d))
+    columns = oracle.weighted_gbars + [dist.weights * h_clip]
+    corr = _family_product(oracle.values, np.stack(columns, axis=1))
+    ruled_out = np.abs(corr[:, :-1]) > oracle.consistency_radius
+    ok = ~ruled_out.any(axis=1) & (corr[:, -1] < 2.0 / np.sqrt(d))
     if not ok.any():
         raise AssertionError(
             "no consistent family member with low hypothesis correlation; "
@@ -305,7 +359,7 @@ def adversarial_game(family, learner, budget: int, tau: float, dist) -> GameResu
     j = int(np.argmax(ok))
     labels = oracle.values[j].astype(np.float64)
     loss = float(np.dot(dist.weights, np.maximum(0.0, 1.0 - labels * h_vals)))
-    return GameResult(j, loss, list(oracle.inconsistent_counts))
+    return GameResult(j, loss, np.count_nonzero(ruled_out, axis=0).tolist())
 
 
 def correlation_count_check(family, h, tau: float, dist,
@@ -324,7 +378,7 @@ def correlation_count_check(family, h, tau: float, dist,
         raise ValueError("family is not a certified almost-orthogonal set")
     values = family_values(family, dist)
     h_vals = np.clip(_hypothesis_values(h, dist), -1.0, 1.0)
-    corr = _family_matvec(values, dist.weights * h_vals)
+    corr = _family_product(values, dist.weights * h_vals)
     count = int(np.count_nonzero(np.abs(corr) >= tau))
     bound = 2.0 / (tau**2 - 1.0 / d)
     if count > bound:
@@ -338,14 +392,10 @@ def make_correlation_learner(family):
     """Queries member correlations until the budget runs out."""
 
     def learner(oracle: SqOracle):
-        answers = []
-        for f in family:
-            if oracle.remaining_queries == 0:
-                break
-            answers.append(oracle.query(make_correlation_query(f)))
-        if not answers:
-            return family[0]
-        return family[int(np.argmax(np.abs(np.array(answers))))]
+        k = len(family)
+        if oracle.budget is not None:
+            k = min(k, oracle.remaining_queries)
+        return _best_correlated(oracle, family[:k]) if k > 0 else family[0]
 
     return learner
 

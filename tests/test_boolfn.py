@@ -53,6 +53,17 @@ def test_parity_family_indexing():
     assert np.array_equal(fam[0b101](X), X[:, 0] * X[:, 2])
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_parity_family_member_k_is_parity_of_subset_k(n):
+    fam = parity_family(n)
+    assert len(fam) == 2**n
+    for k, f in enumerate(fam):
+        subset = [t for t in range(n) if (k >> t) & 1]
+        assert f.arity == n
+        assert not f.table.flags.writeable
+        assert np.array_equal(f.table, parity_fn(subset, n).table)
+
+
 def test_or_parity_closed_form_matches_enumeration():
     n = 4
     dist = uniform_signs(2 * n)

@@ -40,6 +40,13 @@ def test_defaults_merged_and_typed():
     assert cfg.params["eta"] == 0.1
 
 
+def test_bool_refused_for_float_key():
+    # float(True) == 1.0 would silently run with step 1
+    with pytest.raises(ConfigError):
+        ExperimentConfig("gd-flatline", {"eta": True})
+    assert ExperimentConfig("gd-flatline", {"eta": 1}).params["eta"] == 1.0
+
+
 @pytest.mark.parametrize("experiment,key", [
     ("telgarsky-separation", "count"), ("sq-parity-lower-bound", "seeds"),
     ("sq-weak-learn", "targets"), ("xavier-audit", "trials"),
@@ -175,6 +182,19 @@ class TestCli:
         cfg.write_text(f"experiment = gd-sanity\niters = {value}\n")
         assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")]) == 2
         assert not (tmp_path / "runs").exists()
+
+    def test_bool_for_float_key_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("experiment = gd-sanity\niters = 1\neta = true\n")
+        assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")]) == 2
+        assert "eta" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_more_parity_features_than_parities_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("experiment = kernel-hardness\nn = 4\nfeatures = 17\niters = 1\n")
+        assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")]) == 2
+        assert "features" in capsys.readouterr().err
 
     def test_empty_population_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "e.cfg"

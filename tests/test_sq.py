@@ -7,12 +7,14 @@ from depthlab.sq import (
     AdversarialOracle,
     HonestNoisyOracle,
     QueryBudgetError,
+    SqOracle,
     adversarial_game,
     certify_from_gram,
     certify_sqdim,
     correlation_count_check,
     correlation_weak_learner,
     f_family_gram,
+    family_values,
     hoeffding_zset,
     make_correlation_learner,
     make_correlation_query,
@@ -67,6 +69,50 @@ class TestOracles:
         family, dist = parity10
         with pytest.raises(ValueError):
             AdversarialOracle(family, dist, tau=1e-4)
+
+
+class TestCorrelationBlocks:
+    """oracle.correlations(H) against one query(...) per row."""
+
+    @pytest.mark.parametrize("make", [
+        lambda fam, dist: HonestNoisyOracle(fam[77], dist, tau=0.05, seed=3),
+        lambda fam, dist: AdversarialOracle(fam, dist, tau=0.5),
+    ])
+    def test_block_equals_sequential_queries(self, parity10, make):
+        family, dist = parity10
+        members = [family[j] for j in (0, 77, 5, 1023, 77, 640)]
+        block, seq = make(family, dist), make(family, dist)
+        seq.query(lambda X, y: y)  # a callable query first, on both
+        block.query(lambda X, y: y)
+        answers = block.correlations(family_values(members, dist))
+        expected = [seq.query(make_correlation_query(f)) for f in members]
+        assert answers.tolist() == expected
+        assert block.log == seq.log
+        assert all(type(a) is float for a in block.log)
+        if isinstance(block, AdversarialOracle):
+            assert len(block.weighted_gbars) == len(seq.weighted_gbars) == 7
+            for a, b in zip(block.weighted_gbars, seq.weighted_gbars):
+                assert np.array_equal(a, b)
+
+    def test_overrunning_block_is_refused_whole(self, parity10):
+        family, dist = parity10
+        oracle = HonestNoisyOracle(family[1], dist, tau=0.1, seed=0, budget=3)
+        oracle.correlations(family_values(family[:2], dist))
+        log = list(oracle.log)
+        with pytest.raises(QueryBudgetError):
+            oracle.correlations(family_values(family[2:4], dist))
+        assert oracle.log == log
+        oracle.correlations(family_values(family[2:3], dist))
+        assert oracle.remaining_queries == 0
+
+    def test_block_range_and_width_checked(self, parity10):
+        family, dist = parity10
+        oracle = HonestNoisyOracle(family[1], dist, tau=0.1, seed=0)
+        with pytest.raises(ValueError):
+            oracle.correlations(np.full((2, dist.n_points), 1.5))
+        with pytest.raises(ValueError):
+            oracle.correlations(np.ones((2, dist.n_points - 1)))
+        assert oracle.log == []
 
 
 class TestCertificates:
@@ -194,6 +240,66 @@ class TestAdversarialGame:
                 ("maj", make_majority_learner()),
             ]:
                 adversarial_game(family, learner, budget=1, tau=0.5, dist=dist)
+
+
+class _PruneEachQuery(SqOracle):
+    """Reference adversary: prunes the family right after every query."""
+
+    def __init__(self, family, dist, tau, budget):
+        super().__init__(dist, tau, budget)
+        self.values = np.stack([f.table for f in family]).astype(np.float64)
+        self.radius = len(family) ** (-1.0 / 3.0)
+        self.consistent = np.ones(len(family), dtype=bool)
+        self.counts = []
+
+    def _answer(self, plus, minus):
+        w = self.dist.weights
+        corr = self.values @ (w * (0.5 * (plus - minus)))
+        bad = np.abs(corr) > self.radius
+        self.counts.append(int(np.count_nonzero(bad)))
+        self.consistent &= ~bad
+        return float(np.dot(w, 0.5 * (plus + minus)))
+
+    def correlations(self, H):
+        rows = np.asarray(H, dtype=np.float64)
+        return np.array([self.query(lambda X, y, h=h: y * h) for h in rows])
+
+
+def _reference_game(family, learner, budget, tau, dist):
+    oracle = _PruneEachQuery(family, dist, tau, budget)
+    h = learner(oracle)
+    h_vals = h(dist.points) if isinstance(h, BooleanFn) else np.asarray(h, dtype=np.float64)
+    w = dist.weights
+    corr = oracle.values @ (w * np.clip(h_vals, -1.0, 1.0))
+    ok = oracle.consistent & (corr < 2.0 / np.sqrt(len(family)))
+    j = int(np.argmax(ok))
+    loss = float(np.dot(w, np.maximum(0.0, 1.0 - oracle.values[j] * h_vals)))
+    return j, loss, oracle.counts
+
+
+class TestGameMatchesPerQueryPruning:
+    @pytest.mark.parametrize("name,make", [
+        ("correlation", lambda fam, s: make_correlation_learner(fam)),
+        ("random-query", lambda fam, s: make_random_query_learner(fam, s)),
+        ("majority", lambda fam, s: make_majority_learner()),
+    ])
+    def test_same_choice_loss_and_counts(self, name, make):
+        n = 9
+        dist = uniform_signs(n)
+        family = parity_family(n)
+        d = len(family)
+        seen_counts = set()
+        for budget, tau in [(1, d ** (-1 / 3)), (2, 0.5), (3, d ** (-1 / 3))]:
+            for seed in range(4):
+                res = adversarial_game(family, make(family, seed), budget, tau, dist)
+                j, loss, counts = _reference_game(family, make(family, seed),
+                                                  budget, tau, dist)
+                assert (res.chosen_index, res.loss, res.inconsistent_counts) == (
+                    j, loss, counts)
+                seen_counts.update(counts)
+        assert seen_counts  # every learner asked at least one query
+        if name == "correlation":
+            assert seen_counts == {1}  # each member's query rules out itself
 
 
 class TestCorrelationCountCheck:
