@@ -11,12 +11,14 @@ from pathlib import Path
 from depthlab.experiments import ExperimentConfig, sweep
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--outdir", default="runs/flatline-sweep")
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--quick", action="store_true")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if args.seeds < 1:
+        ap.error(f"--seeds must be >= 1, got {args.seeds}")
 
     iters = 20 if args.quick else 500
     configs = [
@@ -26,10 +28,10 @@ def main():
     ]
     reports = sweep(configs, outdir=args.outdir)
     summary = json.loads((Path(args.outdir) / "summary.json").read_text())
-    decay = summary.get("grad_norm_decay", {})
+    decay = summary.get("grad_norm_decay")
+    fit = f"slope {decay['slope']:.3f}, R^2 {decay['r_squared']:.3f}" if decay else "no fit"
     print(f"{sum(r.passed for r in reports)}/{len(reports)} runs passed")
-    print(f"log mean grad norm vs n: slope {decay.get('slope'):.3f}, "
-          f"R^2 {decay.get('r_squared'):.3f}")
+    print(f"log mean grad norm vs n: {fit}")
 
 
 if __name__ == "__main__":

@@ -11,13 +11,13 @@ from pathlib import Path
 from depthlab.experiments import ExperimentConfig, run
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=14)
     ap.add_argument("--count", type=int, default=100)
     ap.add_argument("--width", type=int, default=32)
     ap.add_argument("--outdir", default="runs/separation")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg = ExperimentConfig("telgarsky-separation", {
         "n": args.n, "count": args.count, "width": args.width,

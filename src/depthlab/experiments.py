@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -188,33 +188,30 @@ class ExperimentReport:
     error: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config": self.config,
-            "claim": self.claim,
-            "metrics": self.metrics,
-            "thresholds": self.thresholds,
-            "passed": self.passed,
-            "artifacts": self.artifacts,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: params -> (metrics, thresholds, passed, series rows)
+# experiment bodies: params -> (metrics, thresholds, passed, series rows).
+# A body with random inputs draws them from its seed and hands them to a
+# _certify_* step; the acceptance suite calls the same step on its own
+# pinned draws.
 
-def _gd_on_wave(p, depth):
-    """Population GD from the seeded init against the 2^n-band wave on a
-    midpoint grid (default 2^(n+4) points); returns the trajectory, the
-    metrics both GD experiments report, and the per-step series."""
+def _init_net(p, depth):
+    return mlp.xavier_init(depth, p["width"], 1, seed=derive_seed(p["seed"], "init"))
+
+
+def _gd_on_wave(p, net):
+    """Population GD from ``net`` against the 2^n-band wave on a midpoint
+    grid (default 2^(n+4) points); returns the trajectory, the metrics both
+    GD experiments report, and the per-step series."""
     n = p["n"]
     grid = p["grid"] if p["grid"] > 0 else 2 ** (n + 4)
-    net = mlp.xavier_init(depth, p["width"], 1, seed=derive_seed(p["seed"], "init"))
     traj = gd.gd_train(net, constructions.telgarsky_target(n),
                        dists.uniform_cube(1, grid=grid),
                        gd.GdConfig(eta=p["eta"], iters=p["iters"]))
     metrics = {
-        "n": n, "depth": depth, "grid_points": grid,
+        "n": n, "depth": net.depth, "grid_points": grid,
         "loss_start_hinge": float(traj.loss[0]),
         "loss_end_hinge": float(traj.loss[-1]),
     }
@@ -225,8 +222,8 @@ def _gd_on_wave(p, depth):
     return traj, metrics, series
 
 
-def _exp_gd_flatline(p):
-    traj, metrics, series = _gd_on_wave(p, p["depth"] if p["depth"] > 0 else p["n"])
+def _certify_gd_flatline(p, net):
+    traj, metrics, series = _gd_on_wave(p, net)
     change = abs(metrics["loss_start_hinge"] - metrics["loss_end_hinge"])
     metrics.update({
         "abs_loss_change_hinge": change,
@@ -237,29 +234,35 @@ def _exp_gd_flatline(p):
     return metrics, {"abs_loss_change_hinge_max": p["flat_tol"]}, change <= p["flat_tol"], series
 
 
-def _exp_gd_sanity(p):
-    _, metrics, series = _gd_on_wave(p, p["depth"])
+def _exp_gd_flatline(p):
+    return _certify_gd_flatline(p, _init_net(p, p["depth"] if p["depth"] > 0 else p["n"]))
+
+
+def _certify_gd_sanity(p, net):
+    _, metrics, series = _gd_on_wave(p, net)
     passed = metrics["loss_end_hinge"] < p["loss_target"]
     return metrics, {"loss_end_hinge_max": p["loss_target"]}, passed, series
 
 
-def _exp_telgarsky_separation(p):
+def _exp_gd_sanity(p):
+    return _certify_gd_sanity(p, _init_net(p, p["depth"]))
+
+
+def _certify_separation(p, nets):
+    """Certify the loss floor of each net (all of one depth and width)."""
     n = p["n"]
-    depth = p["depth"] if p["depth"] > 0 else math.ceil(math.sqrt(n))
-    width = p["width"]
+    depth, width = nets[0].depth, nets[0].width
     bound_width = max(0.0, 1.0 - 2 ** math.sqrt(n) * (2 * width) ** math.sqrt(n) / 2**n)
     series = []
     ok = True
     min_loss = np.inf
-    for i in range(p["count"]):
-        net = mlp.xavier_init(depth, width, 1, seed=derive_seed(p["seed"], f"net{i}"))
+    for net in nets:
         f = pwl.from_mlp_1d(net)
         pieces = pwl.count_pieces(f)
         K = pwl.sign_crossings(f)
         loss = pwl.sign_hinge_loss_vs_fn(f, n)
         lower = (2 ** (n - 1) - K) / 2 ** (n - 1)
-        row_ok = loss >= max(lower, bound_width) and pieces <= pwl.piece_bound(depth, width)
-        ok = ok and row_ok
+        ok = ok and loss >= max(lower, bound_width) and pieces <= pwl.piece_bound(depth, width)
         min_loss = min(min_loss, loss)
         series.append({
             "depth": depth, "width": width, "pieces": pieces,
@@ -267,12 +270,19 @@ def _exp_telgarsky_separation(p):
             "loss": loss, "lower_bound": lower,
         })
     metrics = {
-        "n": n, "depth": depth, "width": width, "nets": p["count"],
+        "n": n, "depth": depth, "width": width, "nets": len(nets),
         "min_sign_hinge_loss": float(min_loss),
         "width_based_lower_bound": bound_width,
         "width_bound_vacuous": bound_width == 0.0,
     }
     return metrics, {"per_net": "loss >= max(lower_bound, width_bound)"}, ok, series
+
+
+def _exp_telgarsky_separation(p):
+    depth = p["depth"] if p["depth"] > 0 else math.ceil(math.sqrt(p["n"]))
+    return _certify_separation(p, [
+        mlp.xavier_init(depth, p["width"], 1, seed=derive_seed(p["seed"], f"net{i}"))
+        for i in range(p["count"])])
 
 
 _LEARNER_FACTORIES = {
@@ -282,37 +292,31 @@ _LEARNER_FACTORIES = {
 }
 
 
-def _exp_sq_parity_lower_bound(p):
+def _certify_sq_games(p, learner_seeds):
+    """One budgeted adversarial game per seed of each (learner, seeds) entry."""
     n = p["n"]
     dist = dists.uniform_signs(n)
     family = boolfn.parity_family(n)
     d = len(family)
     floor_loss = 1.0 - 2.0 / math.sqrt(d)
     count_cap = 4.0 * d ** (2.0 / 3.0)
-    learners = [s.strip() for s in p["learners"].split(",") if s.strip()]
-    bad = set(learners) - set(_LEARNER_FACTORIES)
-    if bad:
-        raise ConfigError(f"unknown learners: {sorted(bad)}")
     series = []
     ok = True
-    for name in learners:
-        for s in range(p["seeds"]):
-            seed = derive_seed(s, f"game-{name}")
+    for name, seeds in learner_seeds:
+        for s, seed in enumerate(seeds):
             learner = _LEARNER_FACTORIES[name](family, seed)
             res = sq.adversarial_game(family, learner, p["budget"], p["tau"], dist)
             worst_count = max(res.inconsistent_counts, default=0)
-            row_ok = res.loss >= floor_loss and worst_count <= count_cap
-            ok = ok and row_ok
+            ok = ok and res.loss >= floor_loss and worst_count <= count_cap
             series.append({
                 "learner": name, "seed": s, "loss": res.loss,
                 "chosen_index": res.chosen_index,
                 "max_inconsistent_per_query": worst_count,
             })
-    losses = [r["loss"] for r in series]
     metrics = {
         "n": n, "family_size": d, "budget": p["budget"], "tau": p["tau"],
         "games": len(series),
-        "min_loss_hinge": min(losses),
+        "min_loss_hinge": min(r["loss"] for r in series),
         "loss_floor": floor_loss,
         "inconsistent_count_cap": count_cap,
         "max_inconsistent_per_query": max(r["max_inconsistent_per_query"] for r in series),
@@ -320,18 +324,26 @@ def _exp_sq_parity_lower_bound(p):
     return metrics, {"loss_min": floor_loss, "inconsistent_max": count_cap}, ok, series
 
 
-def _exp_sq_weak_learn(p):
+def _exp_sq_parity_lower_bound(p):
+    learners = [s.strip() for s in p["learners"].split(",") if s.strip()]
+    bad = set(learners) - set(_LEARNER_FACTORIES)
+    if bad:
+        raise ConfigError(f"unknown learners: {sorted(bad)}")
+    return _certify_sq_games(p, [
+        (name, [derive_seed(s, f"game-{name}") for s in range(p["seeds"])])
+        for name in learners])
+
+
+def _certify_weak_learn(p, draws):
+    """Recover each (target index, oracle seed) draw's target from an honest oracle."""
     n = p["n"]
     dist = dists.uniform_signs(n)
     family = boolfn.parity_family(n)
-    rng = np.random.default_rng(derive_seed(p["seed"], "targets"))
     ok = True
     series = []
-    for t in range(p["targets"]):
-        j = int(rng.integers(len(family)))
+    for t, (j, oracle_seed) in enumerate(draws):
         target = family[j]
-        oracle = sq.HonestNoisyOracle(target, dist, tau=p["tau"],
-                                      seed=derive_seed(p["seed"], f"oracle{t}"))
+        oracle = sq.HonestNoisyOracle(target, dist, tau=p["tau"], seed=oracle_seed)
         got = sq.correlation_weak_learner(oracle, family)
         loss = float(np.dot(dist.weights,
                             np.maximum(0.0, 1.0 - target(dist.points) * got(dist.points))))
@@ -339,11 +351,18 @@ def _exp_sq_weak_learn(p):
         ok = ok and recovered and loss == 0.0
         series.append({"trial": t, "target_index": j, "recovered": recovered, "loss": loss})
     metrics = {
-        "n": n, "tau": p["tau"], "targets": p["targets"],
+        "n": n, "tau": p["tau"], "targets": len(draws),
         "all_recovered": ok,
         "max_loss_hinge": max(r["loss"] for r in series),
     }
     return metrics, {"loss_exact": 0.0}, ok, series
+
+
+def _exp_sq_weak_learn(p):
+    rng = np.random.default_rng(derive_seed(p["seed"], "targets"))
+    return _certify_weak_learn(p, [
+        (int(rng.integers(2 ** p["n"])), derive_seed(p["seed"], f"oracle{t}"))
+        for t in range(p["targets"])])
 
 
 def _exp_kernel_hardness(p):
@@ -383,41 +402,61 @@ def _exp_kernel_hardness(p):
     return metrics, {"average_loss_min": p["threshold"], "grad_identity_err_max": 1e-9}, passed, series
 
 
-def _exp_f_family(p):
-    seed = p["seed"]
-    series = []
+def _depth2_net(rng, n, k):
+    """A random depth-2 net with k hidden units on input pairs in {+-1}^(2n)."""
+    W1 = rng.normal(0.0, 0.3, size=(k, 2 * n))
+    b1 = rng.normal(0.0, 0.3, size=k)
+    W2 = rng.normal(0.0, 0.3, size=(1, k))
+    return mlp.Mlp([(W1, b1), (W2, np.zeros(1))])
+
+
+def _f_family_draws(p):
+    """f-family's seeded draws: the OR-parity selector z', the closed-form
+    pair picks as (n, pick) entries whose halves are crossed, Z and the net."""
+    # sign enumeration of 2n coordinates stops at 24, the 8 pair picks need
+    # 2^n_or >= 8, and hoeffding_zset admits d <= 2^(n/12)
+    for key, lo, hi in (("n_or", 3, 12), ("n_reduction", 1, 12), ("k_reduction", 1, math.inf),
+                        ("d_zset", 1, 2 ** (p["n_zset"] / 12))):
+        if not lo <= p[key] <= hi:
+            raise ConfigError(f"{key} = {p[key]} lies outside {lo}..{hi:g}")
+    if not 0 < p["delta"] < 1:
+        raise ConfigError(f"delta = {p['delta']} lies outside (0, 1)")
+    rng = lambda label: np.random.default_rng(derive_seed(p["seed"], label))
+    return {
+        "z_prime": (rng("zprime").integers(0, 2, p["n_or"]) * 2 - 1).astype(np.int8),
+        "pairs": [(p["n_or"], rng("pairs").choice(2 ** p["n_or"], size=8, replace=False))],
+        "Z": sq.hoeffding_zset(p["n_zset"], p["d_zset"], seed=derive_seed(p["seed"], "zset")),
+        "net2": _depth2_net(rng("depth2"), p["n_reduction"], p["k_reduction"]),
+    }
+
+
+def _certify_f_family(p, z_prime, pairs, Z, net2):
     # exact depth-3 realization on the full pair cube
-    n_or = p["n_or"]
-    rng = np.random.default_rng(derive_seed(seed, "zprime"))
-    z_prime = (rng.integers(0, 2, n_or) * 2 - 1).astype(np.int8)
+    n_or = z_prime.size
     net = constructions.or_parity_net(z_prime, n_or)
     fn = boolfn.or_parity_fn(z_prime, n_or)
     U = boolfn.enumerate_signs(2 * n_or).astype(np.float64)
     or_exact = bool(np.array_equal(mlp.forward_many(net, U), fn(U)))
     # closed-form correlations vs enumeration
-    pair_dist = dists.uniform_signs(2 * n_or)
-    zs = boolfn.enumerate_signs(n_or)
-    pick = np.random.default_rng(derive_seed(seed, "pairs")).choice(2**n_or, size=8, replace=False)
     closed_ok = True
-    for i in pick[:4]:
-        for j in pick[4:]:
-            ip = abs(boolfn.inner_product(boolfn.or_parity_fn(zs[i], n_or),
-                                          boolfn.or_parity_fn(zs[j], n_or), pair_dist))
-            cf = boolfn.or_parity_inner_closed_form(zs[i], zs[j])
-            closed_ok = closed_ok and ip == cf
+    for m, pick in pairs:
+        pair_dist = dists.uniform_signs(2 * m)
+        zs = boolfn.enumerate_signs(m)
+        half = len(pick) // 2
+        for i in pick[:half]:
+            for j in pick[half:]:
+                ip = abs(boolfn.inner_product(boolfn.or_parity_fn(zs[i], m),
+                                              boolfn.or_parity_fn(zs[j], m), pair_dist))
+                cf = boolfn.or_parity_inner_closed_form(zs[i], zs[j])
+                closed_ok = closed_ok and ip == cf
     # selector set with pairwise Hamming >= n/4, certified via the closed form
-    Z = sq.hoeffding_zset(p["n_zset"], p["d_zset"], seed=derive_seed(seed, "zset"))
     H = (p["n_zset"] - Z.astype(np.int64) @ Z.T.astype(np.int64)) // 2
     np.fill_diagonal(H, p["n_zset"])
     min_hamming = int(H.min())
     cert = sq.certify_from_gram(sq.f_family_gram(Z))
     # depth-2 rounding reduction on the full 4^n enumeration
     n_red, k = p["n_reduction"], p["k_reduction"]
-    rng = np.random.default_rng(derive_seed(seed, "depth2"))
-    W1 = rng.normal(0.0, 0.3, size=(k, 2 * n_red))
-    b1 = rng.normal(0.0, 0.3, size=k)
-    W2 = rng.normal(0.0, 0.3, size=(1, k))
-    net2 = mlp.Mlp([(W1, b1), (W2, np.zeros(1))])
+    (W1, b1), (W2, _) = net2.layers
     R = max([float(np.linalg.norm(W2)), float(np.linalg.norm(b1))]
             + [float(np.linalg.norm(W1[i, :n_red])) for i in range(k)]
             + [float(np.linalg.norm(W1[i, n_red:])) for i in range(k)])
@@ -428,11 +467,10 @@ def _exp_f_family(p):
     rounding_err = float(np.max(np.abs(g - ghat)))
     Xs = boolfn.enumerate_signs(n_red).astype(np.float64)
     Psi = red.feature_map(Xs)
-    zall = boolfn.enumerate_signs(n_red).astype(np.float64)
     ident_err = 0.0
     n_x = 2**n_red
     for zi in range(n_x):
-        u = red.selector(zall[zi])
+        u = red.selector(Xs[zi])
         rows = np.arange(n_x) * n_x + zi
         ident_err = max(ident_err, float(np.max(np.abs(Psi @ u - ghat[rows]))))
     checks = {
@@ -458,6 +496,12 @@ def _exp_f_family(p):
     return metrics, {"identity_err_max": 1e-9, "hamming_min": p["n_zset"] / 4.0}, passed, series
 
 
+
+
+def _exp_f_family(p):
+    return _certify_f_family(p, **_f_family_draws(p))
+
+
 _LIPSCHITZ_CASES = [
     ("linear", lambda X: X[:, 0], 1.0, 1.0, 4, 1),
     ("sin6x", lambda X: np.sin(6.0 * X[:, 0]), 6.0, 1.0, 8, 1),
@@ -465,8 +509,8 @@ _LIPSCHITZ_CASES = [
 ]
 
 
-def _exp_lipschitz_approx(p):
-    rng = np.random.default_rng(derive_seed(p["seed"], "mc"))
+def _certify_lipschitz(p, rng):
+    """Monte Carlo L1 error of each case's net, sampling from ``rng``."""
     series = []
     ok = True
     for name, h, L, C, n, d in _LIPSCHITZ_CASES:
@@ -485,6 +529,10 @@ def _exp_lipschitz_approx(p):
                **{f"{r['case']}_l1_error": r["l1_error"] for r in series},
                **{f"{r['case']}_bound": r["bound"] for r in series}}
     return metrics, {"per_case": "l1_error <= bound + 3 sigma"}, ok, series
+
+
+def _exp_lipschitz_approx(p):
+    return _certify_lipschitz(p, np.random.default_rng(derive_seed(p["seed"], "mc")))
 
 
 def _exp_xavier_audit(p):
@@ -525,13 +573,7 @@ def _jsonable(v):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, np.ndarray):
+    if isinstance(v, (np.ndarray, np.generic)):
         return v.tolist()
     return v
 
@@ -542,8 +584,7 @@ def _write_series(path: Path, rows):
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         w.writeheader()
-        for r in rows:
-            w.writerow(r)
+        w.writerows(rows)
 
 
 def run(config: ExperimentConfig, outdir="runs") -> ExperimentReport:
@@ -553,16 +594,16 @@ def run(config: ExperimentConfig, outdir="runs") -> ExperimentReport:
     wall-clock time lives in meta.json, outside the determinism contract.
     """
     t0 = time.time()
-    rundir = Path(outdir) / config.run_name()
-    rundir.mkdir(parents=True, exist_ok=True)
     try:
         metrics, thresholds, passed, series = _BODIES[config.experiment](config.params)
         error = ""
-    except (ConfigError,):
+    except (ConfigError,):  # a config error writes no run directory
         raise
     except Exception as e:  # failed run still produces a report
         metrics, thresholds, passed, series = {}, {}, False, []
         error = f"{type(e).__name__}: {e}"
+    rundir = Path(outdir) / config.run_name()
+    rundir.mkdir(parents=True, exist_ok=True)
     report = ExperimentReport(
         experiment=config.experiment,
         config=dict(config.params),
@@ -589,6 +630,18 @@ def _run_for_pool(args):
         return ExperimentReport(config.experiment, dict(config.params),
                                 CLAIMS.get(config.experiment, {}), {}, {}, False,
                                 [], error=f"{type(e).__name__}: {e}")
+
+
+def _decay_fit(points):
+    """Least-squares line through (n, log mean grad norm) points, with R^2."""
+    ns = np.array([n for n, _ in points], dtype=np.float64)
+    ys = np.array([y for _, y in points])
+    slope, intercept = np.polyfit(ns, ys, 1)
+    pred = slope * ns + intercept
+    ss_res = float(np.sum((ys - pred) ** 2))
+    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
+    return {"slope": float(slope), "intercept": float(intercept),
+            "r_squared": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0, "points": len(points)}
 
 
 def sweep(configs, outdir="runs", workers: int = 1):
@@ -620,24 +673,12 @@ def sweep(configs, outdir="runs", workers: int = 1):
         w = csv.DictWriter(fh, fieldnames=["experiment", "run", "passed", "error",
                                            "params", "metrics"])
         w.writeheader()
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
     summary = {"runs": len(reports), "passed": sum(r.passed for r in reports)}
     flat = [(r.metrics["n"], r.metrics["log_mean_grad_norm"]) for r in reports
             if r.experiment == "gd-flatline" and "log_mean_grad_norm" in r.metrics]
     if len({n for n, _ in flat}) >= 2:
-        ns = np.array([n for n, _ in flat], dtype=np.float64)
-        ys = np.array([y for _, y in flat])
-        slope, intercept = np.polyfit(ns, ys, 1)
-        pred = slope * ns + intercept
-        ss_res = float(np.sum((ys - pred) ** 2))
-        ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
-        summary["grad_norm_decay"] = {
-            "slope": float(slope),
-            "intercept": float(intercept),
-            "r_squared": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
-            "points": len(flat),
-        }
+        summary["grad_norm_decay"] = _decay_fit(flat)
     with open(outpath / "summary.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
     return reports

@@ -1,31 +1,27 @@
 """Acceptance suite: the headline checks at their stated tolerances.
 
 Each criterion prints one pass/fail line (run pytest with -s to see them
-all).  Thresholds are pinned here, not configurable.
+all).  Thresholds are pinned here, not configurable.  A criterion that
+checks an experiment's claim runs that experiment's code in experiments.py:
+its _certify_* step on draws pinned here, or its body where the criterion
+uses the experiment's own draws.
 """
 
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
-from depthlab.boolfn import enumerate_signs, inner_product, or_parity_fn, \
-    or_parity_inner_closed_form, parity_family
-from depthlab.constructions import lipschitz_approx_net, or_parity_net, telgarsky_net, \
-    telgarsky_target
-from depthlab.dists import uniform_cube, uniform_signs
+from depthlab import experiments as ex
+from depthlab.boolfn import parity_family
+from depthlab.constructions import telgarsky_net
+from depthlab.dists import uniform_signs
 from depthlab.experiments import ExperimentConfig, derive_seed, run
-from depthlab.gd import GdConfig, gd_train
-from depthlab.kernel import depth2_to_kernel, feature_map_from_family, hardness_bound, \
-    min_hinge, random_sign_features, verify_linear_hardness
-from depthlab.mlp import Mlp, forward_many, grad_params, xavier_init
+from depthlab.kernel import min_hinge, random_sign_features
+from depthlab.mlp import forward_many, grad_params, xavier_init
 from depthlab.pwl import count_pieces, evaluate, from_mlp_1d, piece_bound, \
-    sign_crossings, sign_hinge_loss_vs_fn
-from depthlab.sq import HonestNoisyOracle, adversarial_game, certify_sqdim, \
-    correlation_count_check, correlation_weak_learner, hoeffding_zset, \
-    make_correlation_learner, make_majority_learner, make_random_query_learner
+    sign_hinge_loss_vs_fn
+from depthlab.sq import certify_sqdim, correlation_count_check
 from conftest import central_fd_hinge_grad, is_smooth_point
 
 
@@ -34,9 +30,8 @@ def report(name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-@pytest.fixture(scope="module")
-def parity12():
-    return parity_family(12), uniform_signs(12)
+def params(experiment, **overrides):
+    return ExperimentConfig(experiment, overrides).params
 
 
 def test_c01_exact_square_wave_realization():
@@ -75,134 +70,92 @@ def test_c03_shallow_loss_lower_bound():
     n = 14
     depth = math.ceil(math.sqrt(n))
     t0 = time.time()
-    violations = 0
-    for seed in range(100):
-        net = xavier_init(depth, 32, 1, seed=seed)
-        f = from_mlp_1d(net)
-        K = sign_crossings(f)
-        if sign_hinge_loss_vs_fn(f, n) < (2 ** (n - 1) - K) / 2 ** (n - 1):
-            violations += 1
+    nets = [xavier_init(depth, 32, 1, seed=seed) for seed in range(100)]
+    _, _, passed, series = ex._certify_separation(params("telgarsky-separation", n=n), nets)
+    violations = sum(r["loss"] < (2 ** (n - 1) - r["crossings"]) / 2 ** (n - 1)
+                     for r in series)
     dt = time.time() - t0
-    assert report("C3 shallow-loss-bound", violations == 0 and dt < 60.0,
+    assert report("C3 shallow-loss-bound", passed and violations == 0 and dt < 60.0,
                   f"{violations} violations in 100 depth-{depth} nets, {dt:.1f}s < 60s")
 
 
 def test_c04_gd_flatline_decay_and_sanity():
     """Deep GD flatlines on the hard wave, gradients decay in n, easy wave trains."""
     t0 = time.time()
-    # flatline at n = 12: depth-12 width-32, eta 0.1, T = 500, grid 2^16
-    n = 12
-    dist = uniform_cube(1, grid=2 ** (n + 4))
-    net = xavier_init(n, 32, 1, seed=derive_seed(0, "init"))
-    traj = gd_train(net, telgarsky_target(n), dist,
-                    GdConfig(eta=0.1, iters=500))
-    change = abs(float(traj.loss[0]) - float(traj.loss[-1]))
+    # flatline at n = 12: depth-12 width-32, eta 0.1, T = 500, grid 2^16 (the
+    # default gd-flatline run)
+    flat, _, _, _ = ex._exp_gd_flatline(
+        params("gd-flatline", n=12, width=32, eta=0.1, iters=500, grid=2**16, seed=0))
+    change = flat["abs_loss_change_hinge"]
     flat_ok = change <= 1e-3
 
     # decay of log mean gradient norm over n in {6,8,10,12}, 5 seeds
     points = []
     for seed in range(5):
         for nn in (6, 8, 10, 12):
-            d2 = uniform_cube(1, grid=2 ** (nn + 4))
-            net2 = xavier_init(nn, 32, 1, seed=derive_seed(seed, f"slope{nn}"))
-            tr = gd_train(net2, telgarsky_target(nn), d2,
-                          GdConfig(eta=0.1, iters=20))
-            points.append((nn, float(np.log(tr.grad_norm.mean()))))
-    ns = np.array([p[0] for p in points], dtype=float)
-    ys = np.array([p[1] for p in points])
-    slope, intercept = np.polyfit(ns, ys, 1)
-    pred = slope * ns + intercept
-    r2 = 1.0 - float(np.sum((ys - pred) ** 2)) / float(np.sum((ys - ys.mean()) ** 2))
+            net = xavier_init(nn, 32, 1, seed=derive_seed(seed, f"slope{nn}"))
+            m, _, _, _ = ex._certify_gd_flatline(
+                params("gd-flatline", n=nn, eta=0.1, iters=20, grid=2 ** (nn + 4)), net)
+            points.append((nn, m["log_mean_grad_norm"]))
+    fit = ex._decay_fit(points)
+    slope, r2 = fit["slope"], fit["r_squared"]
     decay_ok = slope < 0.0 and r2 >= 0.8
 
     # contrast sanity: the same deep pipeline on the 4-band wave learns
-    d_easy = uniform_cube(1, grid=2**6)
-    net3 = xavier_init(12, 32, 1, seed=derive_seed(0, "sanity"))
-    tr3 = gd_train(net3, telgarsky_target(2), d_easy,
-                   GdConfig(eta=0.1, iters=2000))
-    sanity_ok = float(tr3.loss[-1]) < 0.5
+    net = xavier_init(12, 32, 1, seed=derive_seed(0, "sanity"))
+    easy, _, _, _ = ex._certify_gd_sanity(
+        params("gd-sanity", n=2, eta=0.1, iters=2000, grid=2**6), net)
+    sanity_ok = easy["loss_end_hinge"] < 0.5
 
     dt = time.time() - t0
     ok = flat_ok and decay_ok and sanity_ok and dt < 600.0
     assert report(
         "C4 gd-flatline", ok,
         f"|L0-L500| = {change:.2e} <= 1e-3; slope {slope:.2f} < 0 with "
-        f"R^2 {r2:.2f} >= 0.8; sanity loss {float(tr3.loss[-1]):.3f} < 0.5; "
+        f"R^2 {r2:.2f} >= 0.8; sanity loss {easy['loss_end_hinge']:.3f} < 0.5; "
         f"{dt:.0f}s < 600s")
 
 
 def test_c05_lipschitz_approximation():
     """Monte Carlo L1 error under (2C + L sqrt(d))/n^d plus 3 sigma."""
     t0 = time.time()
-    cases = [
-        ("x", lambda X: X[:, 0], 1.0, 1.0, 4, 1),
-        ("sin6x", lambda X: np.sin(6.0 * X[:, 0]), 6.0, 1.0, 8, 1),
-        ("x1x2", lambda X: X[:, 0] * X[:, 1], 2.0, 1.0, 4, 2),
-    ]
-    rng = np.random.default_rng(55)
-    ok = True
-    details = []
-    for name, h, L, C, nn, d in cases:
-        net = lipschitz_approx_net(h, L, C, nn, d)
-        S = rng.random((10**5, d))
-        errs = np.abs(forward_many(net, S) - h(S))
-        est = float(errs.mean())
-        sigma = float(errs.std(ddof=1) / np.sqrt(errs.size))
-        bound = (2 * C + L * np.sqrt(d)) / nn**d
-        ok = ok and est <= bound + 3 * sigma
-        details.append(f"{name} {est:.3f}<={bound:.3f}")
+    _, _, passed, series = ex._certify_lipschitz(params("lipschitz-approx", samples=10**5),
+                                                 np.random.default_rng(55))
+    details = [f"{r['case']} {r['l1_error']:.3f}<={r['bound']:.3f}" for r in series]
     dt = time.time() - t0
-    assert report("C5 lipschitz-approx", ok and dt < 60.0,
+    assert report("C5 lipschitz-approx", passed and dt < 60.0,
                   "; ".join(details) + f"; {dt:.1f}s < 60s")
 
 
-def test_c06_sq_query_lower_bound(parity12):
+def test_c06_sq_query_lower_bound():
     """Budget-2 games at tolerance 1/16: loss >= 1 - 2/sqrt(d) always."""
-    family, dist = parity12
+    family, dist = parity_family(12), uniform_signs(12)
     d = len(family)
     t0 = time.time()
     cert = certify_sqdim(family, dist)
     assert cert.passed and cert.max_abs_inner == 0.0
     floor = 1.0 - 2.0 / math.sqrt(d)
     cap = 4.0 * d ** (2.0 / 3.0)
-    min_loss = np.inf
-    worst_count = 0
-    games = 0
-    for name, factory in [
-        ("correlation", lambda s: make_correlation_learner(family)),
-        ("random-query", lambda s: make_random_query_learner(family, s)),
-        ("majority", lambda s: make_majority_learner()),
-    ]:
-        for seed in range(20):
-            res = adversarial_game(family, factory(seed), budget=2,
-                                   tau=1.0 / 16.0, dist=dist)
-            games += 1
-            min_loss = min(min_loss, res.loss)
-            worst_count = max(worst_count, max(res.inconsistent_counts, default=0))
+    m, _, passed, _ = ex._certify_sq_games(
+        params("sq-parity-lower-bound", n=12, budget=2, tau=1.0 / 16.0),
+        [(name, list(range(20))) for name in ex._LEARNER_FACTORIES])
+    min_loss, worst_count = m["min_loss_hinge"], m["max_inconsistent_per_query"]
     dt = time.time() - t0
-    ok = min_loss >= floor and worst_count <= cap and dt < 300.0
+    ok = passed and min_loss >= floor and worst_count <= cap and dt < 300.0
     assert report("C6 sq-lower-bound", ok,
-                  f"min loss {min_loss:.5f} >= {floor:.5f} over {games} games; "
+                  f"min loss {min_loss:.5f} >= {floor:.5f} over {m['games']} games; "
                   f"max per-query inconsistent {worst_count} <= {cap:.0f}; "
                   f"{dt:.0f}s < 300s")
 
 
-def test_c07_sq_weak_learning(parity12):
+def test_c07_sq_weak_learning():
     """Honest oracle at tau = 1e-3: exact parity recovery, loss 0."""
-    family, dist = parity12
     t0 = time.time()
     rng = np.random.default_rng(derive_seed(0, "c7"))
-    all_ok = True
-    for t in range(50):
-        target = family[int(rng.integers(len(family)))]
-        oracle = HonestNoisyOracle(target, dist, tau=1e-3,
-                                   seed=derive_seed(1, f"c7-{t}"))
-        got = correlation_weak_learner(oracle, family)
-        loss = float(np.dot(dist.weights,
-                            np.maximum(0.0, 1.0 - target(dist.points) * got(dist.points))))
-        all_ok = all_ok and np.array_equal(got.table, target.table) and loss == 0.0
+    draws = [(int(rng.integers(2**12)), derive_seed(1, f"c7-{t}")) for t in range(50)]
+    _, _, passed, _ = ex._certify_weak_learn(params("sq-weak-learn", n=12, tau=1e-3), draws)
     dt = time.time() - t0
-    assert report("C7 sq-weak-learn", all_ok and dt < 60.0,
+    assert report("C7 sq-weak-learn", passed and dt < 60.0,
                   f"50/50 exact recoveries with loss 0.0; {dt:.0f}s < 60s")
 
 
@@ -238,16 +191,14 @@ def grid_search_min(Phi, y, weights, B, resolution=0.05):
 def test_c09_kernel_hardness():
     """Average bounded-norm hinge minimum stays >= 0.9 on the parity family."""
     t0 = time.time()
-    n = 10
-    family = parity_family(n)
-    dist = uniform_signs(n)
-    rng = np.random.default_rng(derive_seed(0, "features"))
-    idx = sorted(rng.choice(len(family), size=64, replace=False))
-    psi = feature_map_from_family([family[i] for i in idx])
-    rep = verify_linear_hardness(psi, 10.0, family, dist, iters=2000)
-    bound = hardness_bound(64, 10.0, len(family))
-    avg_ok = rep.average_loss >= 0.9
-    vacuous_ok = bound == 0.0 and rep.bound_vacuous  # the report states the clamp
+    # n = 10, 64 parity features, B = 10, 2000 solver iterations (the default
+    # kernel-hardness run)
+    m, _, passed, _ = ex._exp_kernel_hardness(params(
+        "kernel-hardness", n=10, features=64, feature_kind="parity", B=10.0, iters=2000,
+        seed=0))
+    avg_ok = passed and m["average_loss_hinge"] >= 0.9
+    bound = m["formula_bound"]
+    vacuous_ok = bound == 0.0 and m["bound_vacuous"]  # the report states the clamp
 
     # solver cross-validation against exhaustive grid search at N <= 3
     crossval_ok = True
@@ -262,66 +213,27 @@ def test_c09_kernel_hardness():
     dt = time.time() - t0
     ok = avg_ok and vacuous_ok and crossval_ok and dt < 600.0
     assert report("C9 kernel-hardness", ok,
-                  f"average loss {rep.average_loss:.4f} >= 0.9 with clamped "
+                  f"average loss {m['average_loss_hinge']:.4f} >= 0.9 with clamped "
                   f"bound {bound}; grid cross-validation within 2e-2; {dt:.0f}s < 600s")
 
 
 def test_c10_or_parity_family():
     """OR-parity nets, closed-form correlations, selector set, rounding."""
     t0 = time.time()
-    # exact depth-3 realization on all 4^6 inputs
-    n = 6
+    # depth-3 net exact on all 4^6 inputs, closed form exact for n in 4..6, selector
+    # set Hamming >= 48/4 (the experiment's own Z), depth-2 rounding on all 4^8 inputs
+    p = params("f-family", n_or=6, n_zset=48, d_zset=16, n_reduction=8, k_reduction=4,
+               delta=0.25)
     rng = np.random.default_rng(derive_seed(0, "c10"))
-    z_prime = (rng.integers(0, 2, n) * 2 - 1).astype(np.int8)
-    net = or_parity_net(z_prime, n)
-    U = enumerate_signs(2 * n).astype(np.float64)
-    or_ok = bool(np.array_equal(forward_many(net, U), or_parity_fn(z_prime, n)(U)))
-
-    # closed form equals enumeration exactly for n <= 6
-    closed_ok = True
-    for nn in (4, 5, 6):
-        dist2 = uniform_signs(2 * nn)
-        zs = enumerate_signs(nn)
-        pick = rng.choice(2**nn, size=6, replace=False)
-        for i in pick[:3]:
-            for j in pick[3:]:
-                ip = abs(inner_product(or_parity_fn(zs[i], nn),
-                                       or_parity_fn(zs[j], nn), dist2))
-                closed_ok = closed_ok and ip == or_parity_inner_closed_form(zs[i], zs[j])
-
-    # selector set: pairwise Hamming >= 48/4
-    Z = hoeffding_zset(48, 16, seed=derive_seed(0, "zset"))
-    H = (48 - Z.astype(np.int64) @ Z.T.astype(np.int64)) // 2
-    np.fill_diagonal(H, 48)
-    zset_ok = int(H.min()) >= 12
-
-    # depth-2 rounding reduction on the full 4^8 enumeration
-    n8, k = 8, 4
-    rng2 = np.random.default_rng(derive_seed(0, "red"))
-    W1 = rng2.normal(0.0, 0.3, size=(k, 2 * n8))
-    b1 = rng2.normal(0.0, 0.3, size=k)
-    W2 = rng2.normal(0.0, 0.3, size=(1, k))
-    net2 = Mlp([(W1, b1), (W2, np.zeros(1))])
-    R = max([float(np.linalg.norm(W2)), float(np.linalg.norm(b1))]
-            + [float(np.linalg.norm(W1[i, :n8])) for i in range(k)]
-            + [float(np.linalg.norm(W1[i, n8:])) for i in range(k)])
-    red = depth2_to_kernel(net2, 0.25, R, n8)
-    Up = enumerate_signs(2 * n8).astype(np.float64)
-    g = forward_many(net2, Up)
-    ghat = forward_many(red.rounded_net, Up)
-    round_ok = float(np.max(np.abs(g - ghat))) <= red.rounding_bound
-    Xs = enumerate_signs(n8).astype(np.float64)
-    Psi = red.feature_map(Xs)
-    ident_err = 0.0
-    n_x = 2**n8
-    for zi in range(n_x):
-        u = red.selector(Xs[zi])
-        rows = np.arange(n_x) * n_x + zi
-        ident_err = max(ident_err, float(np.max(np.abs(Psi @ u - ghat[rows]))))
-    ident_ok = ident_err <= 1e-9
+    z_prime = (rng.integers(0, 2, 6) * 2 - 1).astype(np.int8)
+    pairs = [(nn, rng.choice(2**nn, size=6, replace=False)) for nn in (4, 5, 6)]
+    net2 = ex._depth2_net(np.random.default_rng(derive_seed(0, "red")), 8, 4)
+    draws = {**ex._f_family_draws(p), "z_prime": z_prime, "pairs": pairs, "net2": net2}
+    m, _, passed, _ = ex._certify_f_family(p, **draws)
+    ident_err = m["identity_max_err"]
+    ok = passed and m["zset_min_hamming"] >= 12 and ident_err <= 1e-9
     dt = time.time() - t0
-    ok = or_ok and closed_ok and zset_ok and round_ok and ident_ok and dt < 300.0
-    assert report("C10 or-parity-family", ok,
+    assert report("C10 or-parity-family", ok and dt < 300.0,
                   f"net exact on 4^6; closed form exact for n<=6; Hamming >= 12; "
                   f"identity err {ident_err:.1e} <= 1e-9 and rounding bound hold "
                   f"on 4^8; {dt:.0f}s < 300s")

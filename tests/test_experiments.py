@@ -196,6 +196,15 @@ class TestCli:
         assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")]) == 2
         assert "features" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["d_zset = 20", "d_zset = 0", "n_reduction = 13",
+                                         "n_or = 13", "n_or = 2", "k_reduction = 0", "delta = 0"])
+    def test_f_family_out_of_range_exit_two(self, tmp_path, capsys, setting):
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"experiment = f-family\n{setting}\n")
+        assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")]) == 2
+        assert setting.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_empty_population_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "e.cfg"
         cfg.write_text("experiment = telgarsky-separation\ncount = 0\n")
