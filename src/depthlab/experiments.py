@@ -128,10 +128,11 @@ DEFAULTS = {
 }
 
 
-# keys that count nets, draws, targets or steps; an empty population would
-# pass every per-member check vacuously
-_SIZE_KEYS = {"count", "seeds", "targets", "trials", "probes", "samples", "features",
-              "iters"}
+# lowest accepted values: an empty population would pass every per-member
+# check vacuously, the Monte Carlo 3 sigma needs two samples, and the layers
+# refuse a negative step or norm bound (rho = 0 stands for 1/depth)
+_LOWEST = {"count": 1, "seeds": 1, "targets": 1, "trials": 1, "probes": 1, "features": 1,
+           "iters": 1, "samples": 2, "eta": 0.0, "B": 0.0, "rho": 0.0}
 
 
 def experiment_ids():
@@ -163,11 +164,14 @@ class ExperimentConfig:
             if want is int and (isinstance(v, bool) or
                                 isinstance(v, float) and merged[k] != v):
                 raise ConfigError(f"{k} must be an integer, got {v!r}")
-            if want is float and isinstance(v, bool):
-                raise ConfigError(f"{k} must be a number, got {v!r}")
-        small = sorted(k for k in _SIZE_KEYS & set(merged) if merged[k] < 1)
-        if small:
-            raise ConfigError(f"population sizes must be >= 1: {small}")
+            if want is float and (isinstance(v, bool) or not math.isfinite(merged[k])):
+                raise ConfigError(f"{k} must be a finite number, got {v!r}")
+        low = sorted(k for k in _LOWEST.keys() & merged.keys() if merged[k] < _LOWEST[k])
+        if low:
+            raise ConfigError("values below their minimum: "
+                              + ", ".join(f"{k} = {merged[k]} < {_LOWEST[k]}" for k in low))
+        if "tau" in merged and not 0.0 < merged["tau"] < 1.0:
+            raise ConfigError(f"tau = {merged['tau']} lies outside (0, 1)")
         object.__setattr__(self, "params", merged)
 
     def run_name(self) -> str:
@@ -329,6 +333,11 @@ def _exp_sq_parity_lower_bound(p):
     bad = set(learners) - set(_LEARNER_FACTORIES)
     if bad:
         raise ConfigError(f"unknown learners: {sorted(bad)}")
+    tau_min = (2 ** p["n"]) ** (-1.0 / 3.0)
+    # the adversary's own slack: 4096^(-1/3) rounds to just above 1/16
+    if p["tau"] < tau_min - 1e-12:
+        raise ConfigError(f"tau = {p['tau']} lies below d^(-1/3) = {tau_min:.6g} "
+                          f"for the 2^{p['n']} parities")
     return _certify_sq_games(p, [
         (name, [derive_seed(s, f"game-{name}") for s in range(p["seeds"])])
         for name in learners])

@@ -79,8 +79,7 @@ def gd_train(net: Mlp, target, dist, cfg: GdConfig) -> Trajectory:
     loss[-1] is the loss of the returned net.
     """
     cells = _groups_into_cells(target, dist)
-    theta0 = net.flat_params()
-    theta = theta0.copy()
+    theta = theta0 = net.flat_params()
     T = cfg.iters
     loss = np.empty(T + 1)
     gnorm = np.empty(T + 1)

@@ -80,8 +80,6 @@ class KernelSolveResult:
     B: float
     iters: int
     regret_bound: float          # B sqrt(N) / sqrt(T), worst case
-    final_step_norm: float
-    loss_decrease_last_window: float
 
 
 def _solve_batched(Phi: np.ndarray, Y: np.ndarray, weights: np.ndarray,
@@ -90,7 +88,7 @@ def _solve_batched(Phi: np.ndarray, Y: np.ndarray, weights: np.ndarray,
 
     Phi: (m, N); Y: (m, d) of +-1 labels.  Step eta_t = B/(sqrt(N) sqrt(t)),
     projection onto the B-ball per column, running iterate average.
-    Returns (W_avg, losses, final_step_norms, halfway_losses).
+    Returns (W_avg, losses).
     """
     m, N = Phi.shape
     d = Y.shape[1]
@@ -98,15 +96,8 @@ def _solve_batched(Phi: np.ndarray, Y: np.ndarray, weights: np.ndarray,
     W = np.zeros((N, d))
     Wsum = np.zeros((N, d))
     base = B / np.sqrt(N)
-    step_norms = np.zeros(d)
-    half = max(iters // 2, 1)
-    half_losses = None
     buf = np.empty((m, d))  # margins, then the masked weighted labels
     active = np.empty((m, d), dtype=bool)
-
-    def avg_losses(avg):
-        return np.einsum("m,md->d", weights, np.maximum(0.0, 1.0 - Y * (Phi @ avg)))
-
     for t in range(1, iters + 1):
         np.matmul(Phi, W, out=buf)
         buf *= Y
@@ -119,12 +110,8 @@ def _solve_batched(Phi: np.ndarray, Y: np.ndarray, weights: np.ndarray,
         scale = np.minimum(1.0, B / np.maximum(norms, 1e-300))
         W *= scale
         Wsum += W
-        if t == half:
-            half_losses = avg_losses(Wsum / half)
-        if t == iters:
-            step_norms = eta * np.linalg.norm(G, axis=0)
     Wavg = Wsum / iters
-    return Wavg, avg_losses(Wavg), step_norms, half_losses
+    return Wavg, np.einsum("m,md->d", weights, np.maximum(0.0, 1.0 - Y * (Phi @ Wavg)))
 
 
 def min_hinge(psi: FeatureMap, B: float, target, dist, iters: int = 10**5) -> KernelSolveResult:
@@ -144,19 +131,15 @@ def min_hinge(psi: FeatureMap, B: float, target, dist, iters: int = 10**5) -> Ke
     y = np.asarray(target(X), dtype=np.float64).reshape(-1)
     if B == 0.0:
         loss = float(np.sum(dist.weights))
-        return KernelSolveResult(
-            np.zeros(psi.n_features), loss, B, 0, 0.0, 0.0, 0.0
-        )
+        return KernelSolveResult(np.zeros(psi.n_features), loss, B, 0, 0.0)
     Phi = psi(X)
-    W, losses, steps, half_losses = _solve_batched(Phi, y[:, None], dist.weights, B, iters)
+    W, losses = _solve_batched(Phi, y[:, None], dist.weights, B, iters)
     return KernelSolveResult(
         w=W[:, 0],
         loss=float(losses[0]),
         B=B,
         iters=iters,
         regret_bound=B * np.sqrt(psi.n_features) / np.sqrt(iters),
-        final_step_norm=float(steps[0]),
-        loss_decrease_last_window=float(half_losses[0] - losses[0]),
     )
 
 
@@ -167,7 +150,7 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
         return np.full(len(family), float(np.sum(dist.weights)))
     Phi = psi(X)
     Y = np.stack([np.asarray(f(X), dtype=np.float64) for f in family], axis=1)
-    _, losses, _, _ = _solve_batched(Phi, Y, dist.weights, B, iters)
+    _, losses = _solve_batched(Phi, Y, dist.weights, B, iters)
     return losses
 
 

@@ -1,8 +1,10 @@
 """Dense feedforward ReLU networks: construction, evaluation, backprop.
 
-Networks are plain weight/bias lists with ReLU on every layer except the
-last.  Everything is float64 numpy and deterministic; nets are treated as
-immutable after construction (arrays are frozen read-only).
+Networks are weight/bias lists with ReLU on every layer except the last,
+in float64 numpy.  A net stores its parameters once, as a read-only flat
+vector (layer by layer, W row-major then b); ``layers`` are (W, b) views
+into it.  ``with_flat_params`` keeps the vector it is given, not a copy:
+the caller must not write that vector afterwards.
 """
 
 from __future__ import annotations
@@ -29,10 +31,15 @@ class DimensionError(ValueError):
     """Input or layer shapes do not chain."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
+def _layer_views(layers, theta: np.ndarray):
+    """(W, b) views into the flat vector ``theta``, shaped like ``layers``."""
+    views, k = [], 0
+    for W, b in layers:
+        w = theta[k : k + W.size].reshape(W.shape)
+        k += W.size
+        views.append((w, theta[k : k + b.size]))
+        k += b.size
+    return tuple(views)
 
 
 @dataclass(frozen=True)
@@ -44,28 +51,35 @@ class Mlp:
     """
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...] = field()
+    _theta: np.ndarray = field(repr=False)
 
     def __init__(self, layers):
-        frozen = []
+        layers = [(np.atleast_2d(np.asarray(W, dtype=np.float64)),
+                   np.atleast_1d(np.asarray(b, dtype=np.float64))) for W, b in layers]
         for W, b in layers:
-            W = _freeze(np.atleast_2d(W))
-            b = _freeze(np.atleast_1d(b))
             if W.shape[0] != b.shape[0]:
                 raise DimensionError(f"bias length {b.shape[0]} != rows {W.shape[0]}")
-            frozen.append((W, b))
-        if not frozen:
+        if not layers:
             raise DimensionError("network needs at least one layer")
-        for (W0, _), (W1, _) in zip(frozen, frozen[1:]):
+        for (W0, _), (W1, _) in zip(layers, layers[1:]):
             if W1.shape[1] != W0.shape[0]:
                 raise DimensionError(
                     f"layer out-dim {W0.shape[0]} does not chain into in-dim {W1.shape[1]}"
                 )
-        if frozen[-1][0].shape[0] != 1:
+        if layers[-1][0].shape[0] != 1:
             raise DimensionError("last layer must have a single output")
-        for W, b in frozen:
-            if not (np.isfinite(W).all() and np.isfinite(b).all()):
-                raise ValueError("non-finite parameter values")
-        object.__setattr__(self, "layers", tuple(frozen))
+        theta = np.empty(sum(W.size + b.size for W, b in layers))
+        for (W, b), (w, bb) in zip(layers, _layer_views(layers, theta)):
+            w[...], bb[...] = W, b
+        self._store(layers, theta)
+
+    def _store(self, shapes, theta: np.ndarray) -> None:
+        """Keep ``theta`` read-only as the parameters, laid out like ``shapes``."""
+        if not np.isfinite(theta).all():
+            raise ValueError("non-finite parameter values")
+        theta.flags.writeable = False
+        object.__setattr__(self, "_theta", theta)
+        object.__setattr__(self, "layers", _layer_views(shapes, theta))
 
     @property
     def in_dim(self) -> int:
@@ -82,25 +96,20 @@ class Mlp:
 
     @property
     def n_params(self) -> int:
-        return sum(W.size + b.size for W, b in self.layers)
+        return self._theta.size
 
     def flat_params(self) -> np.ndarray:
-        """Parameters flattened layer by layer, W (row-major) then b."""
-        return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in self.layers])
+        """The stored read-only parameter vector: layer by layer, W (row-major) then b."""
+        return self._theta
 
     def with_flat_params(self, theta: np.ndarray) -> "Mlp":
-        """New net with the same shapes and parameters taken from ``theta``."""
-        theta = np.asarray(theta, dtype=np.float64)
+        """New net with the same shapes, keeping ``theta`` (read-only) as its parameters."""
+        theta = np.ascontiguousarray(theta, dtype=np.float64)
         if theta.shape != (self.n_params,):
             raise DimensionError(f"expected {self.n_params} parameters, got {theta.shape}")
-        out, k = [], 0
-        for W, b in self.layers:
-            w = theta[k : k + W.size].reshape(W.shape)
-            k += W.size
-            bb = theta[k : k + b.size]
-            k += b.size
-            out.append((w, bb))
-        return Mlp(out)
+        net = object.__new__(Mlp)
+        net._store(self.layers, theta.view())
+        return net
 
 
 def forward(net: Mlp, x) -> float:
@@ -147,19 +156,17 @@ def _backward(net: Mlp, acts, masks, dout: np.ndarray) -> np.ndarray:
     subgradient is 1 at exactly zero pre-activation (masks carry
     preact >= 0).
     """
-    grads_W = [None] * len(net.layers)
-    grads_b = [None] * len(net.layers)
+    grad = np.empty(net.n_params)
+    grads = _layer_views(net.layers, grad)
     G = dout[:, None]
     for i in range(len(net.layers) - 1, -1, -1):
-        W, _ = net.layers[i]
-        grads_W[i] = np.matmul(G.T, acts[i])
-        grads_b[i] = G.sum(axis=0)
+        gW, gb = grads[i]
+        np.matmul(G.T, acts[i], out=gW)
+        G.sum(axis=0, out=gb)
         if i > 0:
-            G = np.matmul(G, W)
+            G = np.matmul(G, net.layers[i][0])
             G *= masks[i - 1]
-    return np.concatenate(
-        [np.concatenate([gW.ravel(), gb]) for gW, gb in zip(grads_W, grads_b)]
-    )
+    return grad
 
 
 def hinge(y, yhat):

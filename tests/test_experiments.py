@@ -190,6 +190,26 @@ class TestCli:
         assert "eta" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("experiment,setting", [
+        ("gd-sanity", "eta = NaN"), ("gd-sanity", "eta = Infinity"),
+        ("gd-sanity", "eta = -0.1"), ("gd-sanity", "loss_target = NaN"),
+        ("kernel-hardness", "B = NaN"), ("kernel-hardness", "B = -1.0"),
+        ("sq-weak-learn", "tau = 0"), ("sq-weak-learn", "tau = 1.5"),
+        ("sq-parity-lower-bound", "tau = 1.0"), ("sq-parity-lower-bound", "tau = 0.05"),
+        ("xavier-audit", "rho = -0.5"), ("lipschitz-approx", "samples = 1"),
+    ])
+    def test_out_of_range_value_exit_two(self, tmp_path, capsys, experiment, setting):
+        cfg = tmp_path / "i.cfg"
+        cfg.write_text(f"experiment = {experiment}\n{setting}\n")
+        assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")]) == 2
+        assert setting.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_default_tau_meets_the_adversary_floor(self, tmp_path):
+        # 4096^(-1/3) rounds to just above the default tau = 1/16
+        cfg = ExperimentConfig("sq-parity-lower-bound", {"seeds": 1, "learners": "majority"})
+        assert run(cfg, tmp_path).error == ""
+
     def test_more_parity_features_than_parities_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "g.cfg"
         cfg.write_text("experiment = kernel-hardness\nn = 4\nfeatures = 17\niters = 1\n")

@@ -8,6 +8,7 @@ from depthlab.mlp import (
     forward,
     forward_many,
     grad_params,
+    population_hinge_grad,
     population_hinge_loss,
     xavier_init,
 )
@@ -57,6 +58,44 @@ class TestForward:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             Mlp([(np.array([[np.inf]]), np.array([0.0]))])
+
+
+class TestFlatParams:
+    def test_layout_is_w_row_major_then_b(self):
+        net = Mlp([
+            (np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), np.array([7.0, 8.0, 9.0])),
+            (np.array([[10.0, 11.0, 12.0]]), np.array([13.0])),
+        ])
+        assert np.array_equal(net.flat_params(), np.arange(1.0, 14.0))
+
+    def test_flat_params_is_read_only(self):
+        net = xavier_init(3, 4, 2, seed=0)
+        with pytest.raises(ValueError):
+            net.flat_params()[0] = 1.0
+        with pytest.raises(ValueError):
+            net.layers[0][0][0, 0] = 1.0
+
+    def test_round_trip_is_bit_identical(self):
+        net = xavier_init(4, 8, 1, seed=3)
+        again = net.with_flat_params(net.flat_params())
+        dist = uniform_cube(1, grid=64)
+        target = lambda X: np.where(X[:, 0] > 0.5, 1.0, -1.0)
+        X = dist.points_float()
+        assert np.array_equal(forward_many(net, X), forward_many(again, X))
+        (l0, g0), (l1, g1) = (population_hinge_grad(n, target, dist) for n in (net, again))
+        assert l0 == l1 and np.array_equal(g0, g1)
+
+    def test_wrong_length_raises(self):
+        net = xavier_init(3, 4, 2, seed=0)
+        with pytest.raises(DimensionError):
+            net.with_flat_params(np.zeros(net.n_params + 1))
+
+    def test_nan_raises(self):
+        net = xavier_init(3, 4, 2, seed=0)
+        theta = np.array(net.flat_params())
+        theta[5] = np.nan
+        with pytest.raises(ValueError):
+            net.with_flat_params(theta)
 
 
 class TestGradParams:
