@@ -2,7 +2,9 @@
 
 The canonical enumeration of {+-1}^n is lexicographic with +1 first: index i
 has coordinate t equal to +1 when bit (n-1-t) of i is 0.  Tables are int8
-and always aligned to this order.
+and always aligned to this order.  A single function is a ``BooleanFn``; a
+family of d functions is one (d, 2^n) int8 matrix whose row j is member
+j's table.
 """
 
 from __future__ import annotations
@@ -92,18 +94,22 @@ def parity_fn(I, n: int) -> BooleanFn:
     return BooleanFn(n, table)
 
 
-def parity_family(n: int) -> list[BooleanFn]:
-    """All 2^n parity functions; member k is the parity over {t : bit t of k}.
+def parity_family(n: int) -> np.ndarray:
+    """All 2^n parity tables as one read-only (2^n, 2^n) int8 matrix.
 
-    Index 0 is the constant +1 parity.  The tables fill one 2^n x 2^n
-    matrix by doubling: rows 2^t .. 2^(t+1)-1 are rows 0 .. 2^t-1 times x_t.
+    Row k is the parity over {t : bit t of k}; row 0 is the constant +1
+    parity.  The matrix fills by doubling: rows 2^t .. 2^(t+1)-1 are rows
+    0 .. 2^t-1 times x_t.
     """
     X = enumerate_signs(n)
     tables = np.empty((2**n, 2**n), dtype=np.int8)
     tables[0] = 1
     for t in range(n):
         np.multiply(tables[: 2**t], X[:, t], out=tables[2**t : 2 ** (t + 1)])
-    return [BooleanFn(n, row) for row in tables]
+    if not np.all(np.abs(tables) == 1):
+        raise ValueError("parity tables must be +-1")
+    tables.flags.writeable = False
+    return tables
 
 
 def or_parity_fn(z_prime, n: int) -> BooleanFn:

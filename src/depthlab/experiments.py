@@ -129,10 +129,12 @@ DEFAULTS = {
 
 
 # lowest accepted values: an empty population would pass every per-member
-# check vacuously, the Monte Carlo 3 sigma needs two samples, and the layers
-# refuse a negative step or norm bound (rho = 0 stands for 1/depth)
+# check vacuously, the Monte Carlo 3 sigma needs two samples, the layers
+# refuse a negative step or norm bound, and a net or cube needs one input,
+# unit and coordinate (depth = 0, grid = 0 and rho = 0 stand for defaults)
 _LOWEST = {"count": 1, "seeds": 1, "targets": 1, "trials": 1, "probes": 1, "features": 1,
-           "iters": 1, "samples": 2, "eta": 0.0, "B": 0.0, "rho": 0.0}
+           "iters": 1, "samples": 2, "eta": 0.0, "B": 0.0, "rho": 0.0, "n": 1, "width": 1,
+           "d": 1, "depth": 0, "grid": 0, "budget": 0}
 
 
 def experiment_ids():
@@ -201,8 +203,17 @@ class ExperimentReport:
 # _certify_* step; the acceptance suite calls the same step on its own
 # pinned draws.
 
-def _init_net(p, depth):
-    return mlp.xavier_init(depth, p["width"], 1, seed=derive_seed(p["seed"], "init"))
+def _net_depth(p, derived=0):
+    """The configured depth, or ``derived`` for depth = 0: at least 2 stages."""
+    depth = p["depth"] or derived
+    if depth < 2:
+        raise ConfigError(f"net depth {depth} (from depth = {p['depth']}) is below 2")
+    return depth
+
+
+def _init_net(p, derived=0):
+    return mlp.xavier_init(_net_depth(p, derived), p["width"], 1,
+                           seed=derive_seed(p["seed"], "init"))
 
 
 def _gd_on_wave(p, net):
@@ -239,7 +250,7 @@ def _certify_gd_flatline(p, net):
 
 
 def _exp_gd_flatline(p):
-    return _certify_gd_flatline(p, _init_net(p, p["depth"] if p["depth"] > 0 else p["n"]))
+    return _certify_gd_flatline(p, _init_net(p, p["n"]))
 
 
 def _certify_gd_sanity(p, net):
@@ -249,7 +260,7 @@ def _certify_gd_sanity(p, net):
 
 
 def _exp_gd_sanity(p):
-    return _certify_gd_sanity(p, _init_net(p, p["depth"]))
+    return _certify_gd_sanity(p, _init_net(p))
 
 
 def _certify_separation(p, nets):
@@ -283,7 +294,7 @@ def _certify_separation(p, nets):
 
 
 def _exp_telgarsky_separation(p):
-    depth = p["depth"] if p["depth"] > 0 else math.ceil(math.sqrt(p["n"]))
+    depth = _net_depth(p, math.ceil(math.sqrt(p["n"])))
     return _certify_separation(p, [
         mlp.xavier_init(depth, p["width"], 1, seed=derive_seed(p["seed"], f"net{i}"))
         for i in range(p["count"])])
@@ -331,8 +342,9 @@ def _certify_sq_games(p, learner_seeds):
 def _exp_sq_parity_lower_bound(p):
     learners = [s.strip() for s in p["learners"].split(",") if s.strip()]
     bad = set(learners) - set(_LEARNER_FACTORIES)
-    if bad:
-        raise ConfigError(f"unknown learners: {sorted(bad)}")
+    if bad or not learners:
+        raise ConfigError(f"learners = {p['learners']!r} must name learners from "
+                          f"{sorted(_LEARNER_FACTORIES)}; unknown: {sorted(bad)}")
     tau_min = (2 ** p["n"]) ** (-1.0 / 3.0)
     # the adversary's own slack: 4096^(-1/3) rounds to just above 1/16
     if p["tau"] < tau_min - 1e-12:
@@ -351,7 +363,7 @@ def _certify_weak_learn(p, draws):
     ok = True
     series = []
     for t, (j, oracle_seed) in enumerate(draws):
-        target = family[j]
+        target = boolfn.BooleanFn(n, family[j])
         oracle = sq.HonestNoisyOracle(target, dist, tau=p["tau"], seed=oracle_seed)
         got = sq.correlation_weak_learner(oracle, family)
         loss = float(np.dot(dist.weights,
@@ -385,7 +397,7 @@ def _exp_kernel_hardness(p):
             raise ConfigError(f"features = {p['features']} exceeds the {d} parities "
                               f"at n = {n}")
         idx = rng.choice(d, size=p["features"], replace=False)
-        psi = kernel.feature_map_from_family([family[i] for i in sorted(idx)])
+        psi = kernel.feature_map_from_family(family[np.sort(idx)])
     elif p["feature_kind"] == "iid":
         psi = kernel.random_sign_features(n, p["features"],
                                           seed=derive_seed(p["seed"], "iid-features"))
@@ -505,8 +517,6 @@ def _certify_f_family(p, z_prime, pairs, Z, net2):
     return metrics, {"identity_err_max": 1e-9, "hamming_min": p["n_zset"] / 4.0}, passed, series
 
 
-
-
 def _exp_f_family(p):
     return _certify_f_family(p, **_f_family_draws(p))
 
@@ -545,8 +555,9 @@ def _exp_lipschitz_approx(p):
 
 
 def _exp_xavier_audit(p):
-    rho = p["rho"] if p["rho"] > 0 else 1.0 / p["depth"]
-    factory = lambda s: mlp.xavier_init(p["depth"], p["width"], p["d"], seed=s)
+    depth = _net_depth(p)
+    rho = p["rho"] if p["rho"] > 0 else 1.0 / depth
+    factory = lambda s: mlp.xavier_init(depth, p["width"], p["d"], seed=s)
     rep = audit.audit_l_standard(factory, rho=rho, trials=p["trials"],
                                  probe_count=p["probes"],
                                  seed=derive_seed(p["seed"], "audit"))

@@ -49,28 +49,17 @@ class FeatureMap:
 
 
 def feature_map_from_family(family) -> FeatureMap:
-    """Psi(x) = (f_1(x), ..., f_N(x)) for +-1 member functions."""
-    if not family:
-        raise ValueError("family must be nonempty")
-    tables = np.stack([f.table for f in family]).astype(np.float64)
-
-    def evaluate(X):
-        idx = sign_index(X)
-        return tables[:, idx].T
-
-    return FeatureMap(len(family), evaluate)
+    """Psi(x) = (f_1(x), ..., f_N(x)) for the rows of an (N, 2^n) +-1 table matrix."""
+    tables = np.asarray(family, dtype=np.float64)
+    if tables.ndim != 2 or tables.shape[0] == 0:
+        raise ValueError("family must be a nonempty table matrix")
+    return FeatureMap(tables.shape[0], lambda X: tables[:, sign_index(X)].T)
 
 
 def random_sign_features(n: int, count: int, seed: int) -> FeatureMap:
     """``count`` independent uniform sign tables on {+-1}^n."""
     rng = np.random.default_rng(seed)
-    tables = (rng.integers(0, 2, size=(count, 2**n)) * 2.0 - 1.0)
-
-    def evaluate(X):
-        idx = sign_index(X)
-        return tables[:, idx].T
-
-    return FeatureMap(count, evaluate)
+    return feature_map_from_family(rng.integers(0, 2, size=(count, 2**n)) * 2.0 - 1.0)
 
 
 @dataclass
@@ -143,14 +132,17 @@ def min_hinge(psi: FeatureMap, B: float, target, dist, iters: int = 10**5) -> Ke
     )
 
 
+def _family_labels(family, dist) -> np.ndarray:
+    """(m, d) float64 labels, C-contiguous: column j is table row j on the support."""
+    return np.ascontiguousarray(family[:, sign_index(dist.points)].T, dtype=np.float64)
+
+
 def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000):
-    """Solve min_hinge for every family member simultaneously (shared Phi)."""
-    X = dist.points
+    """Solve min_hinge for every row of a (d, 2^n) table matrix at once (shared Phi)."""
     if B == 0.0:
         return np.full(len(family), float(np.sum(dist.weights)))
-    Phi = psi(X)
-    Y = np.stack([np.asarray(f(X), dtype=np.float64) for f in family], axis=1)
-    _, losses = _solve_batched(Phi, Y, dist.weights, B, iters)
+    Phi = psi(dist.points)
+    _, losses = _solve_batched(Phi, _family_labels(family, dist), dist.weights, B, iters)
     return losses
 
 
@@ -228,9 +220,8 @@ def verify_linear_hardness(psi: FeatureMap, B: float, family, dist,
     d = len(family)
     N = psi.n_features
     bound = hardness_bound(N, B, d)
-    X = dist.points
-    Phi = psi(X)
-    Y = np.stack([np.asarray(f(X), dtype=np.float64) for f in family], axis=1)
+    Phi = psi(dist.points)
+    Y = _family_labels(family, dist)
     lam = np.sqrt(2.0 * np.sqrt(5.0) * N) / (d ** (1.0 / 12.0) * max(B, 1e-12))
     err = _grad_identity_check(Phi, Y, dist.weights, lam, np.random.default_rng(seed))
     avg = float(np.mean(losses))

@@ -1,8 +1,13 @@
 """Statistical-query simulator: oracles, dimension certificates, games.
 
-Queries are callables q(X, y) -> values in [-1,1], evaluated on the whole
-enumerated support at once, or blocks of correlation queries y * h_j(x)
-given as one row of values per h_j.  The honest oracle answers the true
+A family of d functions on {+-1}^n is one (d, 2^n) int8 table matrix
+(``boolfn.parity_family``): row j is member j's table in the canonical
+enumeration, so it lines up with the support of ``uniform_signs(n)`` and
+with no other distribution.  Queries are callables q(X, y) -> values in
+[-1,1], evaluated on the whole enumerated support at once, or blocks of
+correlation queries y * h_j(x) given as one row of values per h_j (rows of
+the family matrix for member correlations).  Learners return hypotheses
+as value rows over the support.  The honest oracle answers the true
 expectation plus seeded uniform noise in [-tau, tau]; the adversarial
 oracle answers every query with its label-agnostic expectation and records
 what it needs to prune the family afterwards, exactly as the lower-bound
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFn, sign_index
+from .boolfn import BooleanFn
 
 __all__ = [
     "QueryBudgetError",
@@ -45,13 +50,14 @@ class QueryBudgetError(RuntimeError):
     """The oracle's query budget is exhausted."""
 
 
-def family_values(family, dist) -> np.ndarray:
-    """(d, m) int8 matrix of family values on the distribution support."""
-    # np.array builds the matrix in one C pass; np.stack costs ~2x as much
-    if dist.is_full_enumeration and dist.n_points == family[0].table.shape[0]:
-        return np.array([f.table for f in family])
-    idx = sign_index(dist.points)
-    return np.array([f.table[idx] for f in family])
+def _on_support(family, dist) -> np.ndarray:
+    """The (d, 2^n) family table matrix, refused unless ``dist`` is its
+    full canonical enumeration (the only support its columns line up with)."""
+    family = np.asarray(family)
+    if family.ndim != 2 or not dist.is_full_enumeration or family.shape[1] != dist.n_points:
+        raise ValueError(f"a family of {family.shape} tables needs the full enumeration "
+                         f"of its 2^n points, not a {dist.kind} support of {dist.n_points}")
+    return family
 
 
 def _family_product(values: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -176,12 +182,10 @@ class AdversarialOracle(SqOracle):
 
     def __init__(self, family, dist, tau: float, budget: int | None = None):
         super().__init__(dist, tau, budget)
-        self.family = list(family)
-        self.values = family_values(self.family, dist)
-        d = len(self.family)
-        if tau < d ** (-1.0 / 3.0) - 1e-12:
+        self.values = _on_support(family, dist)
+        self.consistency_radius = len(self.values) ** (-1.0 / 3.0)
+        if tau < self.consistency_radius - 1e-12:
             raise ValueError("adversarial policy needs tau >= d^(-1/3)")
-        self.consistency_radius = d ** (-1.0 / 3.0)
         self.weighted_gbars: list[np.ndarray] = []  # w * gbar, in query order
 
     def _answer(self, plus, minus) -> float:
@@ -222,7 +226,7 @@ def certify_sqdim(family, dist) -> SqDimCertificate:
     Uniform-weight families with 2^n support use one float32 copy: the
     +-1 product sums are integers below 2^24, so the gram stays exact.
     """
-    values = family_values(family, dist)
+    values = _on_support(family, dist)
     d, m = values.shape
     w = dist.weights
     uniform = bool(np.all(w == w[0]))
@@ -289,14 +293,15 @@ def make_correlation_query(f: BooleanFn):
     return q
 
 
-def _best_correlated(oracle: SqOracle, members) -> BooleanFn:
+def _best_correlated(oracle: SqOracle, members) -> np.ndarray:
     """Ask every member's correlation in one block; the best |answer| wins.
 
     Both correlation learners share this body rather than one calling the
     other, so calls to ``correlation_weak_learner`` stay the weak-learning
     runs alone (perfbench times and checks exactly those).
     """
-    answers = oracle.correlations(family_values(members, oracle.dist))
+    members = _on_support(members, oracle.dist)
+    answers = oracle.correlations(members)
     return members[int(np.argmax(np.abs(answers)))]
 
 
@@ -306,7 +311,7 @@ def correlation_weak_learner(oracle: SqOracle, family) -> BooleanFn:
     Ties break to the lowest index.  The returned member's hinge loss
     against the realized target is at most 1 - (|answer| - tau).
     """
-    return _best_correlated(oracle, family)
+    return BooleanFn(oracle.dist.dim, _best_correlated(oracle, family))
 
 
 @dataclass
@@ -317,10 +322,6 @@ class GameResult:
 
 
 def _hypothesis_values(h, dist) -> np.ndarray:
-    if isinstance(h, BooleanFn):
-        return h(dist.points)
-    if callable(h):
-        return np.asarray(h(dist.points_float()), dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (dist.n_points,):
         raise ValueError("hypothesis array must cover the support")
@@ -331,12 +332,12 @@ def adversarial_game(family, learner, budget: int, tau: float, dist) -> GameResu
     """Play the query-answering adversary against ``learner``.
 
     The learner gets an oracle limited to ``budget`` queries and must
-    return a hypothesis (a BooleanFn, a value array over the support, or
-    a callable).  The adversary then picks a family member consistent
-    with every answer whose correlation with the clipped hypothesis is
-    below 2/sqrt(d), and returns it with the exact hinge loss.  The
-    per-query consistency and the hypothesis correlations come from one
-    family product with budget + 1 columns.
+    return a hypothesis as its values over the support (a family row is
+    one).  The adversary then picks a family member consistent with every
+    answer whose correlation with the clipped hypothesis is below
+    2/sqrt(d), and returns it with the exact hinge loss.  The per-query
+    consistency and the hypothesis correlations come from one family
+    product with budget + 1 columns.
 
     A suitable member is guaranteed to exist for certified families when
     budget <= d^(1/3)/8 and tau >= d^(-1/3); outside that regime the
@@ -369,14 +370,14 @@ def correlation_count_check(family, h, tau: float, dist,
     Requires tau^2 > 1/d and a family with pairwise |inner product| below
     1/d (pass a certificate to skip recomputing the gram).
     """
-    d = len(family)
+    values = _on_support(family, dist)
+    d = len(values)
     if tau**2 <= 1.0 / d:
         raise ValueError("need tau^2 > 1/d")
     if certificate is None:
-        certificate = certify_sqdim(family, dist)
+        certificate = certify_sqdim(values, dist)
     if not certificate.passed or certificate.size != d:
         raise ValueError("family is not a certified almost-orthogonal set")
-    values = family_values(family, dist)
     h_vals = np.clip(_hypothesis_values(h, dist), -1.0, 1.0)
     corr = _family_product(values, dist.weights * h_vals)
     count = int(np.count_nonzero(np.abs(corr) >= tau))
@@ -406,21 +407,11 @@ def make_random_query_learner(family, seed: int):
     def learner(oracle: SqOracle):
         rng = np.random.default_rng(seed)
         m = oracle.dist.n_points
-        answers = []
         while oracle.remaining_queries != 0:
             table = rng.integers(0, 2, size=m) * 2.0 - 1.0
             flip = rng.integers(0, 2)
-
-            def q(X, y, table=table, flip=flip):
-                vals = table.copy()
-                return vals * y if flip else vals
-
-            try:
-                answers.append(oracle.query(q))
-            except QueryBudgetError:
-                break
-        pick = int(rng.integers(len(family)))
-        return family[pick]
+            oracle.query(lambda X, y, table=table, flip=flip: table * y if flip else table)
+        return family[int(rng.integers(len(family)))]
 
     return learner
 

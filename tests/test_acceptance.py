@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from depthlab import experiments as ex
-from depthlab.boolfn import parity_family
+from depthlab.boolfn import BooleanFn, parity_family
 from depthlab.constructions import telgarsky_net
 from depthlab.dists import uniform_signs
 from depthlab.experiments import ExperimentConfig, derive_seed, run
@@ -206,8 +206,8 @@ def test_c09_kernel_hardness():
     dist6 = uniform_signs(6)
     for N in (1, 2, 3):
         psiN = random_sign_features(6, N, seed=300 + N)
-        res = min_hinge(psiN, 1.5, fam6[11], dist6, iters=2 * 10**4)
-        oracle = grid_search_min(psiN(dist6.points), fam6[11](dist6.points),
+        res = min_hinge(psiN, 1.5, BooleanFn(6, fam6[11]), dist6, iters=2 * 10**4)
+        oracle = grid_search_min(psiN(dist6.points), BooleanFn(6, fam6[11])(dist6.points),
                                  dist6.weights, 1.5)
         crossval_ok = crossval_ok and abs(res.loss - oracle) <= 2e-2
     dt = time.time() - t0

@@ -48,20 +48,19 @@ def test_arity_mismatch():
 def test_parity_family_indexing():
     fam = parity_family(3)
     assert len(fam) == 8
-    assert np.all(fam[0].table == 1)  # empty subset: constant +1
+    assert np.all(fam[0] == 1)  # empty subset: constant +1
     X = enumerate_signs(3).astype(np.float64)
-    assert np.array_equal(fam[0b101](X), X[:, 0] * X[:, 2])
+    assert np.array_equal(BooleanFn(3, fam[0b101])(X), X[:, 0] * X[:, 2])
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_parity_family_member_k_is_parity_of_subset_k(n):
     fam = parity_family(n)
-    assert len(fam) == 2**n
-    for k, f in enumerate(fam):
+    assert fam.dtype == np.int8 and fam.shape == (2**n, 2**n)
+    assert not fam.flags.writeable
+    for k, row in enumerate(fam):
         subset = [t for t in range(n) if (k >> t) & 1]
-        assert f.arity == n
-        assert not f.table.flags.writeable
-        assert np.array_equal(f.table, parity_fn(subset, n).table)
+        assert np.array_equal(row, parity_fn(subset, n).table)
 
 
 def test_or_parity_closed_form_matches_enumeration():

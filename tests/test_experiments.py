@@ -197,6 +197,10 @@ class TestCli:
         ("sq-weak-learn", "tau = 0"), ("sq-weak-learn", "tau = 1.5"),
         ("sq-parity-lower-bound", "tau = 1.0"), ("sq-parity-lower-bound", "tau = 0.05"),
         ("xavier-audit", "rho = -0.5"), ("lipschitz-approx", "samples = 1"),
+        ("gd-flatline", "n = 0"), ("gd-flatline", "width = 0"), ("xavier-audit", "d = 0"),
+        ("gd-sanity", "depth = 1"), ("gd-flatline", "n = 1"),
+        ("telgarsky-separation", "depth = -3"), ("gd-sanity", "grid = -5"),
+        ("sq-parity-lower-bound", "budget = -1"), ("sq-parity-lower-bound", "learners = ,"),
     ])
     def test_out_of_range_value_exit_two(self, tmp_path, capsys, experiment, setting):
         cfg = tmp_path / "i.cfg"
@@ -204,6 +208,18 @@ class TestCli:
         assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")]) == 2
         assert setting.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    def test_pinned_sq_game_series(self, tmp_path):
+        # dyadic losses and integer picks: exact on any BLAS
+        cfg = ExperimentConfig("sq-parity-lower-bound", {"n": 9, "seeds": 2, "tau": 0.125})
+        run(cfg, tmp_path)
+        rows = (tmp_path / cfg.run_name() / "series.csv").read_text().splitlines()
+        assert rows == [
+            "learner,seed,loss,chosen_index,max_inconsistent_per_query",
+            "correlation,0,1.0,2,1", "correlation,1,1.0,2,1",
+            "random-query,0,1.0,0,2", "random-query,1,1.0,0,3",
+            "majority,0,1.0,1,1", "majority,1,1.0,1,1",
+        ]
 
     def test_default_tau_meets_the_adversary_floor(self, tmp_path):
         # 4096^(-1/3) rounds to just above the default tau = 1/16

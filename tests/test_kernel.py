@@ -38,21 +38,21 @@ class TestMinHinge:
     def test_zero_ball_loses_exactly_one(self, parity6):
         family, dist = parity6
         psi = feature_map_from_family(family[:4])
-        res = min_hinge(psi, 0.0, family[1], dist)
+        res = min_hinge(psi, 0.0, BooleanFn(6, family[1]), dist)
         assert res.loss == 1.0
         assert np.all(res.w == 0.0)
 
     def test_realizable_direction(self, parity6):
         family, dist = parity6
-        target = family[9]
-        psi = feature_map_from_family([target, family[3], family[5]])
+        target = BooleanFn(6, family[9])
+        psi = feature_map_from_family(family[[9, 3, 5]])
         res = min_hinge(psi, 1.0, target, dist, iters=10**4)
         assert res.loss <= 1e-3
         assert np.linalg.norm(res.w) <= 1.0 + 1e-9
 
     def test_doubling_b_never_hurts(self, parity6):
         family, dist = parity6
-        target = family[21]
+        target = BooleanFn(6, family[21])
         psi = random_sign_features(6, 4, seed=8)
         l1 = min_hinge(psi, 1.0, target, dist, iters=5000).loss
         l2 = min_hinge(psi, 2.0, target, dist, iters=5000).loss
@@ -61,7 +61,7 @@ class TestMinHinge:
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_matches_grid_search(self, N, parity6):
         family, dist = parity6
-        target = family[13]
+        target = BooleanFn(6, family[13])
         psi = random_sign_features(6, N, seed=100 + N)
         B = 1.5
         res = min_hinge(psi, B, target, dist, iters=2 * 10**4)
@@ -73,7 +73,7 @@ class TestMinHinge:
     def test_certificate_fields(self, parity6):
         family, dist = parity6
         psi = feature_map_from_family(family[:4])
-        res = min_hinge(psi, 1.0, family[1], dist, iters=400)
+        res = min_hinge(psi, 1.0, BooleanFn(6, family[1]), dist, iters=400)
         assert res.regret_bound == pytest.approx(1.0 * 2.0 / np.sqrt(400))
         assert res.iters == 400
         assert np.linalg.norm(res.w) <= 1.0 + 1e-9
@@ -83,7 +83,7 @@ class TestMinHinge:
         # interior-point SOCP stands in as the independent oracle
         cvxpy = pytest.importorskip("cvxpy")
         family, dist = parity6
-        target = family[13]
+        target = BooleanFn(6, family[13])
         psi = random_sign_features(6, 8, seed=4)
         B = 5.0
         res = min_hinge(psi, B, target, dist, iters=4 * 10**4)
@@ -98,10 +98,10 @@ class TestMinHinge:
 class TestFeatureMaps:
     def test_singleton_family(self, parity6):
         family, dist = parity6
-        psi = feature_map_from_family([family[7]])
+        psi = feature_map_from_family(family[[7]])
         vals = psi(dist.points)
         assert vals.shape == (64, 1)
-        assert np.array_equal(vals[:, 0], family[7](dist.points))
+        assert np.array_equal(vals[:, 0], BooleanFn(6, family[7])(dist.points))
 
     def test_range_enforced(self):
         bad = FeatureMap(2, lambda X: np.full((len(X), 2), 1.5))
@@ -113,7 +113,7 @@ class TestFeatureMaps:
         family, dist = parity6
         feats = family[:16]
         psi = feature_map_from_family(feats)
-        F = np.stack([f.table for f in feats]).astype(np.float64)
+        F = feats.astype(np.float64)
         rng = np.random.default_rng(3)
         for _ in range(10):
             table = (rng.integers(0, 2, size=64) * 2 - 1).astype(np.int8)
@@ -225,5 +225,5 @@ def test_min_hinge_family_matches_single_solves(parity6):
     psi = feature_map_from_family(family[:6])
     targets = family[:4]
     batched = min_hinge_family(psi, 1.5, targets, dist, iters=3000)
-    singles = [min_hinge(psi, 1.5, t, dist, iters=3000).loss for t in targets]
+    singles = [min_hinge(psi, 1.5, BooleanFn(6, t), dist, iters=3000).loss for t in targets]
     assert np.allclose(batched, singles, atol=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from depthlab.boolfn import BooleanFn, enumerate_signs, inner_product, or_parity_fn, parity_family
-from depthlab.dists import uniform_signs
+from depthlab.dists import induced_pair, uniform_signs
 from depthlab.sq import (
     AdversarialOracle,
     HonestNoisyOracle,
@@ -14,7 +14,6 @@ from depthlab.sq import (
     correlation_count_check,
     correlation_weak_learner,
     f_family_gram,
-    family_values,
     hoeffding_zset,
     make_correlation_learner,
     make_correlation_query,
@@ -31,10 +30,10 @@ def parity10():
 class TestOracles:
     def test_honest_answers_within_tolerance(self, parity10):
         family, dist = parity10
-        target = family[77]
+        target = BooleanFn(10, family[77])
         oracle = HonestNoisyOracle(target, dist, tau=0.05, seed=3)
         for j in (0, 77, 400, 1023):
-            q = make_correlation_query(family[j])
+            q = make_correlation_query(BooleanFn(10, family[j]))
             v = oracle.query(q)
             truth = oracle.true_expectation(q)
             assert abs(v - truth) <= 0.05
@@ -42,8 +41,8 @@ class TestOracles:
 
     def test_budget_exhaustion(self, parity10):
         family, dist = parity10
-        oracle = HonestNoisyOracle(family[1], dist, tau=0.1, seed=0, budget=2)
-        q = make_correlation_query(family[1])
+        oracle = HonestNoisyOracle(BooleanFn(10, family[1]), dist, tau=0.1, seed=0, budget=2)
+        q = make_correlation_query(BooleanFn(10, family[1]))
         oracle.query(q)
         oracle.query(q)
         with pytest.raises(QueryBudgetError):
@@ -51,7 +50,7 @@ class TestOracles:
 
     def test_out_of_range_query_rejected(self, parity10):
         family, dist = parity10
-        oracle = HonestNoisyOracle(family[0], dist, tau=0.1, seed=0)
+        oracle = HonestNoisyOracle(BooleanFn(10, family[0]), dist, tau=0.1, seed=0)
         with pytest.raises(ValueError):
             oracle.query(lambda X, y: 2.0 * y)
 
@@ -75,17 +74,17 @@ class TestCorrelationBlocks:
     """oracle.correlations(H) against one query(...) per row."""
 
     @pytest.mark.parametrize("make", [
-        lambda fam, dist: HonestNoisyOracle(fam[77], dist, tau=0.05, seed=3),
+        lambda fam, dist: HonestNoisyOracle(BooleanFn(10, fam[77]), dist, tau=0.05, seed=3),
         lambda fam, dist: AdversarialOracle(fam, dist, tau=0.5),
     ])
     def test_block_equals_sequential_queries(self, parity10, make):
         family, dist = parity10
-        members = [family[j] for j in (0, 77, 5, 1023, 77, 640)]
+        members = family[[0, 77, 5, 1023, 77, 640]]
         block, seq = make(family, dist), make(family, dist)
         seq.query(lambda X, y: y)  # a callable query first, on both
         block.query(lambda X, y: y)
-        answers = block.correlations(family_values(members, dist))
-        expected = [seq.query(make_correlation_query(f)) for f in members]
+        answers = block.correlations(members)
+        expected = [seq.query(make_correlation_query(BooleanFn(10, f))) for f in members]
         assert answers.tolist() == expected
         assert block.log == seq.log
         assert all(type(a) is float for a in block.log)
@@ -96,23 +95,41 @@ class TestCorrelationBlocks:
 
     def test_overrunning_block_is_refused_whole(self, parity10):
         family, dist = parity10
-        oracle = HonestNoisyOracle(family[1], dist, tau=0.1, seed=0, budget=3)
-        oracle.correlations(family_values(family[:2], dist))
+        oracle = HonestNoisyOracle(BooleanFn(10, family[1]), dist, tau=0.1, seed=0, budget=3)
+        oracle.correlations(family[:2])
         log = list(oracle.log)
         with pytest.raises(QueryBudgetError):
-            oracle.correlations(family_values(family[2:4], dist))
+            oracle.correlations(family[2:4])
         assert oracle.log == log
-        oracle.correlations(family_values(family[2:3], dist))
+        oracle.correlations(family[2:3])
         assert oracle.remaining_queries == 0
 
     def test_block_range_and_width_checked(self, parity10):
         family, dist = parity10
-        oracle = HonestNoisyOracle(family[1], dist, tau=0.1, seed=0)
+        oracle = HonestNoisyOracle(BooleanFn(10, family[1]), dist, tau=0.1, seed=0)
         with pytest.raises(ValueError):
             oracle.correlations(np.full((2, dist.n_points), 1.5))
         with pytest.raises(ValueError):
             oracle.correlations(np.ones((2, dist.n_points - 1)))
         assert oracle.log == []
+
+
+class TestFamilySupport:
+    """A family's table columns line up only with its full enumeration."""
+
+    def test_family_off_its_enumeration_refused(self, parity10):
+        family, _ = parity10
+        # 2^8 x 4 = 1024 pair points: the width matches, the order does not
+        pairs = induced_pair(8, enumerate_signs(8)[:4])
+        assert pairs.n_points == family.shape[1]
+        with pytest.raises(ValueError):
+            certify_sqdim(family, pairs)
+        with pytest.raises(ValueError):
+            AdversarialOracle(family, pairs, tau=0.5)
+        with pytest.raises(ValueError):
+            correlation_count_check(family, np.zeros(pairs.n_points), tau=0.5, dist=pairs)
+        with pytest.raises(ValueError):
+            certify_sqdim(family, uniform_signs(9))
 
 
 class TestCertificates:
@@ -133,7 +150,7 @@ class TestCertificates:
 
     def test_duplicate_family_fails(self):
         fam = parity_family(4)
-        cert = certify_sqdim([fam[3], fam[3]], uniform_signs(4))
+        cert = certify_sqdim(fam[[3, 3]], uniform_signs(4))
         assert not cert.passed
         assert cert.max_abs_inner == 1.0
 
@@ -175,7 +192,7 @@ class TestHoeffdingZset:
 class TestWeakLearner:
     def test_recovers_planted_parity(self, parity10):
         family, dist = parity10
-        target = family[0b1000]  # the single-coordinate parity on bit 3
+        target = BooleanFn(10, family[0b1000])  # the single-coordinate parity on bit 3
         oracle = HonestNoisyOracle(target, dist, tau=1e-3, seed=1)
         got = correlation_weak_learner(oracle, family)
         assert np.array_equal(got.table, target.table)
@@ -183,16 +200,16 @@ class TestWeakLearner:
 
     def test_family_of_one(self, parity10):
         family, dist = parity10
-        oracle = HonestNoisyOracle(family[9], dist, tau=0.5, seed=0)
-        got = correlation_weak_learner(oracle, [family[4]])
-        assert got is family[4]
+        oracle = HonestNoisyOracle(BooleanFn(10, family[9]), dist, tau=0.5, seed=0)
+        got = correlation_weak_learner(oracle, family[4:5])
+        assert np.array_equal(got.table, family[4])
 
     def test_orthogonal_target_answers_stay_small(self):
         n = 8
         dist = uniform_signs(n)
         family = parity_family(n)
-        target = family[255]
-        others = [f for i, f in enumerate(family) if i != 255][:64]
+        target = BooleanFn(n, family[255])
+        others = family[np.arange(len(family)) != 255][:64]
         tau = 1e-3
         oracle = HonestNoisyOracle(target, dist, tau=tau, seed=2)
         got = correlation_weak_learner(oracle, others)
@@ -247,7 +264,7 @@ class _PruneEachQuery(SqOracle):
 
     def __init__(self, family, dist, tau, budget):
         super().__init__(dist, tau, budget)
-        self.values = np.stack([f.table for f in family]).astype(np.float64)
+        self.values = family.astype(np.float64)
         self.radius = len(family) ** (-1.0 / 3.0)
         self.consistent = np.ones(len(family), dtype=bool)
         self.counts = []
@@ -268,7 +285,7 @@ class _PruneEachQuery(SqOracle):
 def _reference_game(family, learner, budget, tau, dist):
     oracle = _PruneEachQuery(family, dist, tau, budget)
     h = learner(oracle)
-    h_vals = h(dist.points) if isinstance(h, BooleanFn) else np.asarray(h, dtype=np.float64)
+    h_vals = np.asarray(h, dtype=np.float64)
     w = dist.weights
     corr = oracle.values @ (w * np.clip(h_vals, -1.0, 1.0))
     ok = oracle.consistent & (corr < 2.0 / np.sqrt(len(family)))
@@ -309,7 +326,7 @@ class TestCorrelationCountCheck:
         dist = uniform_signs(n)
         family = parity_family(n)[:100]
         cert = certify_sqdim(family, dist)
-        h = family[0](dist.points)
+        h = family[0]
         count = correlation_count_check(family, h, tau=0.5, dist=dist, certificate=cert)
         assert 1 <= count <= 8
 
@@ -318,7 +335,7 @@ class TestCorrelationCountCheck:
         dist = uniform_signs(n)
         family = parity_family(n)[:32]
         cert = certify_sqdim(family, dist)
-        count = correlation_count_check(family, family[0](dist.points), tau=0.9,
+        count = correlation_count_check(family, family[0], tau=0.9,
                                         dist=dist, certificate=cert)
         assert count >= 1
 
