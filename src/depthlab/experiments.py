@@ -294,6 +294,9 @@ def _certify_separation(p, nets):
 
 
 def _exp_telgarsky_separation(p):
+    if p["n"] > pwl.MAX_WAVE_N:
+        raise ConfigError(f"n = {p['n']} exceeds {pwl.MAX_WAVE_N}: the 2^n-band edges "
+                          "of the wave stop being exact in float64")
     depth = _net_depth(p, math.ceil(math.sqrt(p["n"])))
     return _certify_separation(p, [
         mlp.xavier_init(depth, p["width"], 1, seed=derive_seed(p["seed"], f"net{i}"))

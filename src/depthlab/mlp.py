@@ -228,20 +228,28 @@ def population_hinge_grad(net: Mlp, target, dist):
     return loss, grad
 
 
-def xavier_init(depth: int, width: int, in_dim: int, seed: int) -> Mlp:
-    """Gaussian init: each weight entry ~ N(0, 1/fan_in), biases zero.
+def xavier_init(depth: int, width: int, in_dim: int, seed: int, bias_std: float = 0.0) -> Mlp:
+    """Gaussian init: each weight entry ~ N(0, 1/fan_in), each bias ~
+    N(0, bias_std^2/fan_in) (zero for the default bias_std = 0).
 
     ``depth`` counts affine stages; the hidden stages all have ``width``
-    units and the final stage has a single output.
+    units and the final stage has a single output.  A zero-bias net is
+    positively homogeneous, so on a 1-D input in [0,1] it is one linear
+    piece; bias_std = 1 gives nets with many pieces there.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
     if width < 1 or in_dim < 1:
         raise ValueError("width and in_dim must be >= 1")
+    if not bias_std >= 0.0:
+        raise ValueError("bias_std must be >= 0")
     rng = np.random.default_rng(seed)
     dims = [in_dim] + [width] * (depth - 1) + [1]
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         W = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in))
-        layers.append((W, np.zeros(fan_out)))
+        b = np.zeros(fan_out)
+        if bias_std:  # no draw at 0, so zero-bias nets keep their weights
+            b = rng.normal(0.0, bias_std / np.sqrt(fan_in), size=fan_out)
+        layers.append((W, b))
     return Mlp(layers)

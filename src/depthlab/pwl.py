@@ -7,15 +7,24 @@ as breakpoints plus (cells x width) slope and intercept matrices.  An affine
 layer is one matrix product; a ReLU adds, in one vectorized pass, every
 root that falls strictly inside a cell, then zeroes the entries that are
 negative on their cell; a breakpoint is dropped when every unit is collinear
-across it.  All hinge-loss integrals against the dyadic square wave are
-computed in closed form per cell, and ``grid_cells`` uses the same cells
-to group a 1-D quadrature grid for the population hinge gradient.
+across it.
+
+The hinge-loss integrals against the 2^n-band square wave f_n are closed
+form per cell of f: the integral of f_n over [0, x] is a triangle wave
+whose value at x follows from 2^n x, which is exact in float64, so the
+bands are never enumerated and the cost is O(cells) for every n up to
+MAX_WAVE_N = 52.  The sign loss is summed exactly and rounded once.  The
+zero split of f that the sign certificates read is computed once per
+function (``PwlFunction.sign_runs``).  ``grid_cells`` uses the same
+symbolic cells, cut at the band edges as well, to group a 1-D quadrature
+grid for the population hinge gradient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +49,7 @@ MERGE_TOL = 1e-12   # collinearity tolerance on (slope, intercept)
 CONTINUITY_TOL = 1e-9
 PIECE_CAP = 2**22   # refinement resource cap
 KINK_TOL = 1e-9     # grid points this close to a kink or +-1 crossing are rows of their own
+MAX_WAVE_N = 52     # the 2^n-band edges of [0,1] are exact in float64 up to here
 
 
 class PieceCapError(RuntimeError):
@@ -77,6 +87,23 @@ class PwlFunction:
     @property
     def n_pieces(self) -> int:
         return self.slopes.shape[0]
+
+    @cached_property
+    def sign_runs(self):
+        """(edges, signs): the maximal intervals on which sign(f) is
+        constant, with sign(0) = +1, and the int8 sign on each.  Computed
+        once per function from the zero split of f, so the crossing count
+        and the sign loss of one certificate share it."""
+        b, s, c = _split_at_level(self.lo, self.hi, self.breaks, self.slopes,
+                                  self.intercepts, 0.0)
+        edges = _edges(self.lo, self.hi, b)
+        signs = np.where(s * (0.5 * (edges[:-1] + edges[1:])) + c >= 0.0, 1, -1).astype(np.int8)
+        flips = np.flatnonzero(np.diff(signs))
+        edges = np.concatenate([edges[:1], edges[1 + flips], edges[-1:]])
+        signs = signs[np.concatenate([[0], flips + 1])]
+        edges.flags.writeable = False
+        signs.flags.writeable = False
+        return edges, signs
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -228,82 +255,90 @@ def piece_bound(depth: int, width: int) -> int:
     return 2 ** (depth - 1) * width**depth
 
 
-def _cells_with_signs(f: PwlFunction):
-    """Refine at zero crossings; per-cell sign with sign(0) = +1."""
-    b, s, c = _split_at_level(f.lo, f.hi, f.breaks, f.slopes, f.intercepts, 0.0)
-    edges = _edges(f.lo, f.hi, b)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    vals = s * mids + c
-    return edges, np.where(vals >= 0.0, 1, -1)
-
-
 def sign_crossings(f: PwlFunction) -> int:
     """Number of jumps of x -> sign(f(x)), with sign(0) = +1.
 
     Each transversal zero counts once; a flat zero interval counts once
     per sign flip at its ends.
     """
-    _, signs = _cells_with_signs(f)
-    return int(np.count_nonzero(np.diff(signs)))
+    return f.sign_runs[1].size - 1
 
 
-def _square_wave_on_mids(mids: np.ndarray, n: int) -> np.ndarray:
-    cells = np.floor(mids * 2**n).astype(np.int64)
-    return np.where(cells % 2 == 0, 1.0, -1.0)
+def _check_wave(f: PwlFunction, n: int):
+    if f.lo > 0.0 or f.hi < 1.0:
+        raise ValueError("function domain must contain [0,1]")
+    if not 1 <= n <= MAX_WAVE_N:
+        raise ValueError(f"n = {n} lies outside 1..{MAX_WAVE_N}, where the 2^n-band "
+                         "edges are exact in float64")
+    _check_cap(f.n_pieces)
+
+
+def _band_position(x, n):
+    """(k, r, k odd) for each x clipped to [0,1]: the band k = floor(2^n x)
+    and the part r = 2^n x - k of it covered.  2^n x, k and r are exact in
+    float64, and 2^n W(x) = r (k even) or 1 - r (k odd) for W(x) the
+    integral of f_n over [0, x], the triangle wave of height 2^-n."""
+    r, k = np.modf(np.clip(x, 0.0, 1.0) * 2.0**n)
+    return k, r, k % 2 == 1
 
 
 def exact_hinge_loss_vs_fn(f: PwlFunction, n: int) -> float:
-    """Closed-form integral of max(0, 1 - f_n(x) f(x)) over [0,1].
+    """Closed-form integral of max(0, 1 - f_n(x) f(x)) over [0,1], for n <= 52.
 
-    The integrand is affine on the common refinement of f's breakpoints,
-    the 2^n dyadic band edges, and the crossings of f with the levels
-    +-1, so the midpoint value integrates each cell exactly.
+    f is refined at its crossings of +-1, so on each cell f is affine and
+    the hinge is active on a fixed subset of {f_n = +1} and {f_n = -1}.
+    With 1[f_n = +-1] = (1 +- f_n)/2, a cell [a, b] needs, besides its
+    width, only the integrals of f_n and f_n f: with W(x) = integral_0^x
+    f_n these are W(b) - W(a) and, by parts about the midpoint m,
+    f(m)(W(b) - W(a)) + f'((b - a)(W(a) + W(b))/2 - V(b) + V(a)), where
+    V(x) = integral_0^x W is closed form as well.  The cost is O(cells),
+    whatever n.
     """
-    if f.lo > 0.0 or f.hi < 1.0:
-        raise ValueError("function domain must contain [0,1]")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_cap(2**n + f.n_pieces)
+    _check_wave(f, n)
     b, s, c = f.breaks, f.slopes, f.intercepts
     for level in (1.0, -1.0):
         b, s, c = _split_at_level(f.lo, f.hi, b, s, c, level)
-    cuts = _band_cuts(b, n)
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    widths = np.diff(cuts)
-    src = np.searchsorted(b, mids, side="right")
-    vals = s[src] * mids + c[src]
-    wave = _square_wave_on_mids(mids, n)
-    integrand = np.maximum(0.0, 1.0 - wave * vals)
-    return float(np.dot(widths, integrand))
+    edges = np.clip(_edges(f.lo, f.hi, b), 0.0, 1.0)
+    N = 2.0**n
+    k, r, odd = _band_position(edges, n)
+    W = np.where(odd, 1.0 - r, r) / N
+    # 2 N^2 V = k + r^2 (k even) or k + r(2 - r) (k odd); differenced in
+    # its integer and fractional parts, so no band count swamps a partial band
+    dV = (np.diff(k) + np.diff(np.where(odd, r * (2.0 - r), r * r))) / (2.0 * N * N)
+    width = np.diff(edges)
+    fm = s * (0.5 * (edges[:-1] + edges[1:])) + c
+    dW = np.diff(W)
+    wave_f = fm * dW + s * (0.5 * width * (W[:-1] + W[1:]) - dV)
+    # the hinge is 1 - f on {f_n = +1} where f < 1 (flag u) and 1 + f on
+    # {f_n = -1} where f > -1 (flag d): ((u + d)(1 - f_n f) + (u - d)(f_n - f))/2
+    u = (fm < 1.0).astype(np.float64)
+    d = (fm > -1.0).astype(np.float64)
+    per_cell = (u + d) * (width - wave_f) + (u - d) * (dW - width * fm)
+    return float(0.5 * per_cell.sum())
 
 
 def sign_hinge_loss_vs_fn(f: PwlFunction, n: int) -> float:
-    """Hinge loss of the symbolic sign of f against the square wave.
+    """Hinge loss of the symbolic sign of f against the square wave, for n <= 52.
 
-    sign(f) takes values +-1 (sign(0) = +1), so the loss is exactly twice
-    the measure where sign(f) disagrees with the wave.  The sign is
-    composed symbolically; no discontinuous function is materialized.  The
-    measure is summed exactly and rounded once, so a dyadic lower bound on
-    the loss holds with no tolerance.
+    sign(f) takes values +-1 (sign(0) = +1), so the loss is 1 minus the
+    integral of sign(f) f_n; on an interval of constant sign (``sign_runs``)
+    that integral is the sign times the rise of W(x) = integral_0^x
+    f_n, the triangle wave of height 2^-n (W(x) = x - 2 M(x), for M(x) the
+    measure of {f_n = -1} in [0, x]).  Scaled by 2^n, W at a run's edge
+    is r or 1 - r for the edge's position r in its band, so 2^n times the loss
+    is a sum of small integers and +-r terms, each exact in float64.  It is
+    summed exactly and rounded once, so a dyadic lower bound on the loss
+    holds with no tolerance.  The cost is O(runs), whatever n.
     """
-    if f.lo > 0.0 or f.hi < 1.0:
-        raise ValueError("function domain must contain [0,1]")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_cap(2**n + f.n_pieces)
-    edges, signs = _cells_with_signs(f)
-    cuts = _band_cuts(edges, n)
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    cell = np.searchsorted(edges[1:-1], mids, side="right")
-    disagree = (signs[cell] != _square_wave_on_mids(mids, n)).astype(np.int8)
-    # interior endpoints of a run of disagreeing cells cancel: the measure is
-    # the sum of run ends minus run starts.  Scaled by 2^n, the band edges
-    # among them are small integers that np.sum adds exactly; fsum adds the
-    # few others, which come from f's own cells.
-    jump = np.diff(disagree, prepend=0, append=0)
-    ends = np.concatenate([cuts[jump < 0], -cuts[jump > 0]]) * 2.0**n
-    whole = ends == np.floor(ends)
-    return 2.0 * math.fsum([ends[whole].sum(), *ends[~whole]]) / 2**n
+    _check_wave(f, n)
+    edges, signs = f.sign_runs
+    # each edge's weight on W: the sign on its left minus the one on its
+    # right (0 past either end)
+    coef = -np.diff(signs.astype(np.int64), prepend=0, append=0)
+    _, r, odd = _band_position(edges, n)
+    frac = np.where(odd, coef, -coef) * r  # coef is +-1 or +-2: exact
+    whole = 2**n - int(coef[odd].sum())
+    return math.fsum([whole, *frac[frac != 0.0]]) / 2**n
 
 
 def restrict_to_line(net: Mlp, y) -> Mlp:

@@ -402,9 +402,14 @@ def make_correlation_learner(family):
 
 
 def make_random_query_learner(family, seed: int):
-    """Spends the budget on random sign queries, then guesses a member."""
+    """Spends the budget on random sign queries, then guesses a member.
+
+    The oracle must have a budget: without one the learner would query forever.
+    """
 
     def learner(oracle: SqOracle):
+        if oracle.budget is None:
+            raise ValueError("the random-query learner needs an oracle with a query budget")
         rng = np.random.default_rng(seed)
         m = oracle.dist.n_points
         while oracle.remaining_queries != 0:

@@ -290,3 +290,20 @@ def test_c11_numerics(rng, tmp_path):
     assert report("C11 numerics", ok,
                   f"FD rel err {worst_rel:.1e} <= 1e-5; dense err {worst_eval:.1e} "
                   f"<= 1e-9; reports byte-identical; {dt:.0f}s")
+
+
+def test_c12_separation_with_content():
+    """100 biased depth-ceil(sqrt(52)) width-32 nets at n = 52, where the
+    width bound 1 - (4k)^sqrt(n)/2^n is not vacuous: every net meets it."""
+    n = 52
+    depth = math.ceil(math.sqrt(n))
+    t0 = time.time()
+    nets = [xavier_init(depth, 32, 1, seed=seed, bias_std=1.0) for seed in range(100)]
+    m, _, passed, series = ex._certify_separation(params("telgarsky-separation", n=n), nets)
+    pieces = [r["pieces"] for r in series]
+    dt = time.time() - t0
+    ok = passed and not m["width_bound_vacuous"] and np.median(pieces) > 1
+    assert report("C12 separation-at-n52", ok and dt < 60.0,
+                  f"width bound {m['width_based_lower_bound']:.4f} > 0; min loss "
+                  f"{m['min_sign_hinge_loss']!r} over 100 depth-{depth} nets with "
+                  f"{min(pieces)}/{int(np.median(pieces))}/{max(pieces)} pieces; {dt:.1f}s < 60s")

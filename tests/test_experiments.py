@@ -201,6 +201,7 @@ class TestCli:
         ("gd-sanity", "depth = 1"), ("gd-flatline", "n = 1"),
         ("telgarsky-separation", "depth = -3"), ("gd-sanity", "grid = -5"),
         ("sq-parity-lower-bound", "budget = -1"), ("sq-parity-lower-bound", "learners = ,"),
+        ("telgarsky-separation", "n = 53"),
     ])
     def test_out_of_range_value_exit_two(self, tmp_path, capsys, experiment, setting):
         cfg = tmp_path / "i.cfg"
@@ -255,6 +256,13 @@ class TestCli:
         code = cli_main(["sweep", str(d), "--outdir", str(tmp_path / "runs")])
         assert code == 0
         assert (tmp_path / "runs" / "summary.csv").exists()
+
+
+def test_separation_runs_at_n_52(tmp_path):
+    # the largest n whose band edges are exact; there the width bound has content
+    rep = run(ExperimentConfig("telgarsky-separation", {"n": 52, "count": 3}), tmp_path)
+    assert rep.error == "" and rep.passed
+    assert rep.metrics["width_based_lower_bound"] > 0.65
 
 
 def test_certification_csv_record_format(tmp_path):

@@ -201,3 +201,16 @@ class TestXavierInit:
     def test_biases_zero(self):
         net = xavier_init(3, 8, 2, seed=0)
         assert all(np.all(b == 0.0) for _, b in net.layers)
+
+    def test_bias_std_draws_bias_after_weights(self):
+        # bias_std = 1: each layer draws W, then b ~ N(0, 1/fan_in), from one stream
+        rng = np.random.default_rng(4)
+        dims = [2, 16, 16, 1]
+        want = [(rng.normal(0.0, 1.0 / np.sqrt(fi), size=(fo, fi)),
+                 rng.normal(0.0, 1.0 / np.sqrt(fi), size=fo))
+                for fi, fo in zip(dims[:-1], dims[1:])]
+        net = xavier_init(3, 16, 2, seed=4, bias_std=1.0)
+        assert all(np.array_equal(W, Wn) and np.array_equal(b, bn)
+                   for (W, b), (Wn, bn) in zip(want, net.layers))
+        with pytest.raises(ValueError):
+            xavier_init(3, 16, 2, seed=4, bias_std=-1.0)

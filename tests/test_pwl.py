@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,13 +49,7 @@ def constant_pwl(v, lo=0.0, hi=1.0):
 def biased_net(depth, width, seed):
     """Weights and biases both N(0, 1/fan_in): with biases a net on [0,1]
     is no longer positively homogeneous, so it can have more than one piece."""
-    rng = np.random.default_rng(seed)
-    dims = [1] + [width] * (depth - 1) + [1]
-    return Mlp([
-        (rng.normal(0.0, 1.0 / np.sqrt(fi), size=(fo, fi)),
-         rng.normal(0.0, 1.0 / np.sqrt(fi), size=fo))
-        for fi, fo in zip(dims[:-1], dims[1:])
-    ])
+    return xavier_init(depth, width, 1, seed, bias_std=1.0)
 
 
 # (depth, width, pieces, crossings) of biased_net(depth, width, 1000 * depth
@@ -217,9 +214,128 @@ class TestHingeLoss:
         with pytest.raises(ValueError):
             exact_hinge_loss_vs_fn(f, 2)
 
-    def test_refinement_cap(self):
-        with pytest.raises(PieceCapError):
-            exact_hinge_loss_vs_fn(constant_pwl(0.0), 23)
+    def test_refinement_cap(self, monkeypatch):
+        # the cap bounds f's own cells; the 2^n bands cost nothing
+        f = from_mlp_1d(telgarsky_net(10))
+        monkeypatch.setattr(pwl, "PIECE_CAP", 64)
+        for integral in (exact_hinge_loss_vs_fn, sign_hinge_loss_vs_fn):
+            with pytest.raises(PieceCapError):
+                integral(f, 4)
+
+    def test_n_outside_1_to_52_refused(self):
+        # past 2^52 bands the band edges are no longer exact in float64
+        for integral in (exact_hinge_loss_vs_fn, sign_hinge_loss_vs_fn):
+            assert integral(constant_pwl(0.5), 52) == 1.0
+            for n in (0, 53):
+                with pytest.raises(ValueError):
+                    integral(constant_pwl(0.5), n)
+
+
+def band_cut_sign_loss(f, n):
+    """The sign loss as computed before the closed form: f's zero split
+    merged with all 2^n + 1 band edges, the disagreement read at the
+    midpoint of each resulting cell and summed exactly over its runs."""
+    b, s, c = pwl._split_at_level(f.lo, f.hi, f.breaks, f.slopes, f.intercepts, 0.0)
+    edges = pwl._edges(f.lo, f.hi, b)
+    signs = np.where(s * (0.5 * (edges[:-1] + edges[1:])) + c >= 0.0, 1, -1)
+    cuts = pwl._band_cuts(edges, n)
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    cell = np.searchsorted(edges[1:-1], mids, side="right")
+    disagree = (signs[cell] != telgarsky_target(n)(mids[:, None])).astype(np.int8)
+    jump = np.diff(disagree, prepend=0, append=0)
+    ends = np.concatenate([cuts[jump < 0], -cuts[jump > 0]]) * 2.0**n
+    whole = ends == np.floor(ends)
+    return 2.0 * math.fsum([ends[whole].sum(), *ends[~whole]]) / 2**n
+
+
+def band_cut_hinge_loss(f, n):
+    """The hinge integral as computed before the closed form: the midpoint
+    rule on f's cells refined at +-1 and at all 2^n + 1 band edges."""
+    b, s, c = f.breaks, f.slopes, f.intercepts
+    for level in (1.0, -1.0):
+        b, s, c = pwl._split_at_level(f.lo, f.hi, b, s, c, level)
+    cuts = pwl._band_cuts(b, n)
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    src = np.searchsorted(b, mids, side="right")
+    wave = telgarsky_target(n)(mids[:, None])
+    return float(np.dot(np.diff(cuts), np.maximum(0.0, 1.0 - wave * (s[src] * mids + c[src]))))
+
+
+def fraction_sign_loss(f, n):
+    """The sign loss in exact rationals, rounded once: twice the measure of
+    {sign(f) != f_n}, from 2^n M(x) = floor(k/2) + r [k odd], M(x) the
+    measure of {f_n = -1} in [0, x], k = floor(2^n x) and r = 2^n x - k."""
+    N = 2**n
+
+    def scaled(x):
+        return Fraction(min(max(float(x), 0.0), 1.0)) * N
+
+    def M(x):
+        X = scaled(x)
+        k = math.floor(X)
+        return k // 2 + (X - k) * (k % 2)
+
+    edges, signs = f.sign_runs
+    total = Fraction(0)
+    for a, b, sign in zip(edges[:-1], edges[1:], signs):
+        minus = M(b) - M(a)
+        total += minus if sign > 0 else scaled(b) - scaled(a) - minus
+    return float(2 * total / N)
+
+
+class TestBandFreeIntegrals:
+    """The closed-form integrals against their band-cut predecessors and
+    an exact rational reference."""
+
+    def test_sign_loss_equals_band_cuts_bit_for_bit(self):
+        for depth in (4, 12):
+            for seed in range(6):
+                f = from_mlp_1d(biased_net(depth, 32, 7000 + 100 * depth + seed))
+                for n in range(8, 21):
+                    assert sign_hinge_loss_vs_fn(f, n) == band_cut_sign_loss(f, n)
+        for m in range(4, 17):
+            f = from_mlp_1d(telgarsky_net(m))
+            for n in sorted({m - 1, m, m + 1, 16}):
+                assert sign_hinge_loss_vs_fn(f, n) == band_cut_sign_loss(f, n)
+
+    def test_sign_loss_equals_exact_rationals(self):
+        for seed in range(10):
+            f = from_mlp_1d(biased_net(8, 32, 8000 + seed))
+            assert count_pieces(f) > 1
+            for n in (30, 52):
+                assert sign_hinge_loss_vs_fn(f, n) == fraction_sign_loss(f, n)
+        # 1000 sign flips at jittered points: a float sum of their band
+        # positions drifts from the exact sum by more than the result's ulp
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = (np.arange(1000) + 0.5 + 0.8 * (rng.random(1000) - 0.5)) / 1000
+            x = np.concatenate([[0.0], x, [1.0]])
+            v = np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0) * (0.5 + rng.random(x.size))
+            s = np.diff(v) / np.diff(x)
+            f = PwlFunction(0.0, 1.0, x[1:-1], s, v[:-1] - s * x[:-1])
+            assert sign_crossings(f) == 1001
+            for n in (1, 5, 30, 52):
+                assert sign_hinge_loss_vs_fn(f, n) == fraction_sign_loss(f, n)
+
+    def test_hinge_matches_band_cuts(self):
+        nets = [stretched(biased_net(depth, 32, 9000 + depth)) for depth in (4, 8, 12)]
+        nets += [biased_net(4, 32, 9001), xavier_init(3, 4, 1, seed=0), telgarsky_net(6)]
+        for net in nets:
+            f = from_mlp_1d(net)
+            for n in (1, 4, 10, 16):
+                assert exact_hinge_loss_vs_fn(f, n) == pytest.approx(
+                    band_cut_hinge_loss(f, n), rel=0.0, abs=1e-12)
+
+    def test_one_zero_split_per_function(self, monkeypatch):
+        f = from_mlp_1d(biased_net(4, 32, 11))
+        calls = []
+        split = pwl._split_at_level
+        monkeypatch.setattr(pwl, "_split_at_level", lambda *a: calls.append(a) or split(*a))
+        K = sign_crossings(f)
+        sign_hinge_loss_vs_fn(f, 14)
+        sign_hinge_loss_vs_fn(f, 52)
+        assert sign_crossings(f) == K
+        assert len(calls) == 1
 
 
 def stretched(net):

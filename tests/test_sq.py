@@ -242,6 +242,12 @@ class TestAdversarialGame:
         assert res.loss >= 1.0 - 2.0 / np.sqrt(len(family))
         assert res.inconsistent_counts == []
 
+    def test_random_query_learner_needs_a_budget(self):
+        oracle = AdversarialOracle(parity_family(4), uniform_signs(4), tau=0.5)
+        with pytest.raises(ValueError, match="budget"):
+            make_random_query_learner(parity_family(4), 0)(oracle)
+        assert oracle.log == []
+
     def test_never_asserts_across_seeds(self):
         # the consistent low-correlation member always exists
         n = 9
