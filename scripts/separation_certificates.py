@@ -6,9 +6,10 @@ Runs the separation experiment and prints the certification records
 
 import argparse
 import csv
+import sys
 from pathlib import Path
 
-from depthlab.experiments import ExperimentConfig, run
+from depthlab.experiments import ConfigError, ExperimentConfig, run
 
 
 def main(argv=None):
@@ -19,10 +20,14 @@ def main(argv=None):
     ap.add_argument("--outdir", default="runs/separation")
     args = ap.parse_args(argv)
 
-    cfg = ExperimentConfig("telgarsky-separation", {
-        "n": args.n, "count": args.count, "width": args.width,
-    })
-    rep = run(cfg, outdir=args.outdir)
+    try:
+        cfg = ExperimentConfig("telgarsky-separation", {
+            "n": args.n, "count": args.count, "width": args.width,
+        })
+        rep = run(cfg, outdir=args.outdir)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        sys.exit(2)
     series = Path(args.outdir) / cfg.run_name() / "series.csv"
     with open(series) as fh:
         rows = list(csv.DictReader(fh))

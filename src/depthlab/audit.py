@@ -47,7 +47,9 @@ class LStandardReport:
 def param_lipschitz_ratio(net_a: Mlp, net_b: Mlp, x) -> float:
     """|g_a(x) - g_b(x)| / ||theta_a - theta_b|| for one probe pair."""
     num = abs(forward(net_a, x) - forward(net_b, x))
-    den = np.linalg.norm(net_a.flat_params() - net_b.flat_params())
+    diff = net_a.flat_params() - net_b.flat_params()
+    # numpy's own sum, not BLAS's: its bits do not depend on the thread count
+    den = np.sqrt(np.add.reduce(diff * diff))
     if den == 0.0:
         raise ValueError("probe points coincide")
     return num / den

@@ -106,8 +106,6 @@ def parity_family(n: int) -> np.ndarray:
     tables[0] = 1
     for t in range(n):
         np.multiply(tables[: 2**t], X[:, t], out=tables[2**t : 2 ** (t + 1)])
-    if not np.all(np.abs(tables) == 1):
-        raise ValueError("parity tables must be +-1")
     tables.flags.writeable = False
     return tables
 
@@ -142,16 +140,17 @@ def or_parity_inner_closed_form(z1, z2) -> float:
 
 
 def inner_product(f: BooleanFn, g: BooleanFn, dist) -> float:
-    """Signed expectation E[f(x) g(x)] under an enumerable distribution.
+    """Signed expectation E[f(x) g(x)] under the full enumeration of {+-1}^n.
 
-    Exact for sign enumerations (the sum of +-1 products is an integer and
-    the uniform weight is dyadic).
+    Exact: the sum of +-1 products is an integer and the uniform weight is
+    dyadic.  Any other support is refused, since the tables line up with
+    no other.
     """
     if f.arity != g.arity:
         raise ValueError(f"arity mismatch: {f.arity} vs {g.arity}")
-    if dist.n_points == f.table.shape[0] and dist.is_full_enumeration:
-        prod = f.table.astype(np.float64) * g.table
-        return float(np.dot(dist.weights, prod))
-    idx = sign_index(dist.points)
-    prod = f.table[idx].astype(np.float64) * g.table[idx]
+    if not dist.is_full_enumeration or dist.n_points != f.table.shape[0]:
+        raise ValueError(f"tables of arity {f.arity} need the full enumeration of "
+                         f"their 2^{f.arity} points, not a {dist.kind} support "
+                         f"of {dist.n_points}")
+    prod = f.table.astype(np.float64) * g.table
     return float(np.dot(dist.weights, prod))

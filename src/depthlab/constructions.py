@@ -1,9 +1,8 @@
 """Exact hand-built targets and ReLU realizations.
 
 Contains the high-frequency square-wave target and its deep width-2
-realization by iterated tent maps, soft cube indicators, a gridded
-Lipschitz approximator, and exact parity / OR-parity networks on sign
-inputs.
+realization by iterated tent maps, a gridded Lipschitz approximator built
+from soft cell indicators, and exact OR-parity networks on sign inputs.
 """
 
 from __future__ import annotations
@@ -16,13 +15,9 @@ from .mlp import Mlp
 
 __all__ = [
     "TelgarskyTarget",
-    "telgarsky_eval",
     "telgarsky_target",
     "telgarsky_net",
-    "Box",
-    "cube_indicator_net",
     "lipschitz_approx_net",
-    "parity_net",
     "or_parity_net",
 ]
 
@@ -31,37 +26,31 @@ LIPSCHITZ_NET_CELL_CAP = 2**16  # resource cap on n^d grid cells
 
 @dataclass(frozen=True)
 class TelgarskyTarget:
-    """Square wave on the first coordinate: 2^n alternating bands of width 2^-n.
+    """Square wave on [0,1]: 2^n alternating bands of width 2^-n.
 
     Value is +1 on the band [2t/2^n, (2t+1)/2^n) -- left endpoints
-    inclusive, so the sign at x_1 is +1 iff floor(x_1 * 2^n) is even.
+    inclusive, so the sign at x is +1 iff floor(x * 2^n) is even.
     """
 
     n: int
-    d: int = 1
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be >= 1")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.d:
-            raise ValueError(f"expected dimension {self.d}, got {X.shape[1]}")
+        if X.shape[1] != 1:
+            raise ValueError(f"expected dimension 1, got {X.shape[1]}")
         if (X < 0).any() or (X > 1).any():
-            raise ValueError("inputs must lie in [0,1]^d")
+            raise ValueError("inputs must lie in [0,1]")
         cells = np.floor(X[:, 0] * 2**self.n).astype(np.int64)
-        # x_1 == 1.0 falls in the closing band, which has even index 2^n
+        # x == 1.0 falls in the closing band, which has even index 2^n
         return np.where(cells % 2 == 0, 1.0, -1.0)
 
 
-def telgarsky_target(n: int, d: int = 1) -> TelgarskyTarget:
-    return TelgarskyTarget(n, d)
-
-
-def telgarsky_eval(t: TelgarskyTarget, x) -> float:
-    """The square-wave value at a single point."""
-    return float(t(np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :])[0])
+def telgarsky_target(n: int) -> TelgarskyTarget:
+    return TelgarskyTarget(n)
 
 
 def telgarsky_net(n: int) -> Mlp:
@@ -85,51 +74,6 @@ def telgarsky_net(n: int) -> Mlp:
     layers.append((np.array([[2.0, -4.0]]), np.array([0.0])))
     layers.append((np.array([[1.0]]), np.array([-0.5])))
     return Mlp(layers)
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box with a margin band of width gamma inside each face."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    gamma: float
-
-    def __init__(self, lo, hi, gamma: float):
-        lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("lo/hi must be vectors of equal length")
-        if not np.all(lo < hi):
-            raise ValueError("need lo < hi in every coordinate")
-        if not (0 < gamma < np.min((hi - lo) / 2)):
-            raise ValueError("gamma must be positive and below half the box side")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "gamma", float(gamma))
-
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
-
-def cube_indicator_net(box: Box) -> Mlp:
-    """Soft indicator of a box: 1 on the gamma-shrunk box, 0 outside it.
-
-    relu(1 - (1/gamma) sum_i relu(a_i + gamma - x_i)
-           - (1/gamma) sum_i relu(x_i - b_i + gamma)),
-    a 3-stage net of width 2d with values in [0,1] everywhere.
-    """
-    d = box.dim
-    W1 = np.vstack([-np.eye(d), np.eye(d)])
-    b1 = np.concatenate([box.lo + box.gamma, -box.hi + box.gamma])
-    W2 = np.full((1, 2 * d), -1.0 / box.gamma)
-    b2 = np.array([1.0])
-    W3 = np.array([[1.0]])
-    b3 = np.array([0.0])
-    return Mlp([(W1, b1), (W2, b2), (W3, b3)])
 
 
 def lipschitz_approx_net(h, L: float, C: float, n: int, d: int) -> Mlp:
@@ -190,29 +134,6 @@ def _staircase_layers(k: int):
     slopes[1:-1] = (vals[1:] - vals[:-1]) / 2.0
     coeffs = slopes[1:] - slopes[:-1]
     return s, vals[0], coeffs
-
-
-def parity_net(I, n: int) -> Mlp:
-    """One-hidden-layer net computing the parity over I exactly on {+-1}^n.
-
-    The hidden layer applies |I|+1 ReLU hats to s = sum_{i in I} x_i; the
-    interpolating staircase matches the parity at every reachable s, and
-    all arithmetic on sign inputs is integer-valued, so the net is exact
-    on all 2^n points.
-    """
-    I = sorted(set(I))
-    if not I:
-        raise ValueError("subset must be nonempty")
-    if any(t < 0 or t >= n for t in I):
-        raise ValueError("subset out of range")
-    k = len(I)
-    s, v0, coeffs = _staircase_layers(k)
-    W1 = np.zeros((k + 1, n))
-    W1[:, I] = 1.0
-    b1 = -s
-    W2 = coeffs[None, :]
-    b2 = np.array([v0])
-    return Mlp([(W1, b1), (W2, b2)])
 
 
 def or_parity_net(z_prime, n: int) -> Mlp:

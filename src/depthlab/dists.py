@@ -1,9 +1,9 @@
 """Input distributions as explicit (points, weights) supports.
 
-Three variants: uniform on [0,1]^d (midpoint quadrature grid in 1-D, seeded
-Monte Carlo for d >= 2), exhaustive enumeration of {+-1}^n, and the induced
-pair distribution on {+-1}^n x {z-set}.  All weights are explicit so every
-expectation in the lab is a plain weighted sum.
+Three variants: uniform on [0,1] (a midpoint quadrature grid), exhaustive
+enumeration of {+-1}^n, and the induced pair distribution on
+{+-1}^n x {z-set}.  All weights are explicit so every expectation in the
+lab is a plain weighted sum.
 """
 
 from __future__ import annotations
@@ -63,28 +63,17 @@ class InputDistribution:
         return cached
 
 
-def uniform_cube(d: int, *, grid: int | None = None, samples: int | None = None,
-                 seed: int | None = None) -> InputDistribution:
-    """Uniform on [0,1]^d.
+def uniform_cube(grid: int) -> InputDistribution:
+    """Uniform on [0,1] as the fixed midpoint quadrature grid of ``grid`` points.
 
-    In 1-D pass ``grid`` for the fixed midpoint quadrature grid; for d >= 2
-    pass ``samples`` and ``seed`` for Monte Carlo.  The grid is midpoint so
-    dyadic breakpoints of square-wave targets are never sampled exactly.
+    The grid is midpoint so dyadic breakpoints of square-wave targets are
+    never sampled exactly.
     """
-    if d == 1 and grid is not None:
-        if grid < 1:
-            raise ValueError("grid must be >= 1")
-        pts = ((np.arange(grid) + 0.5) / grid)[:, None]
-        w = np.full(grid, 1.0 / grid)
-        return InputDistribution("uniform_cube", pts, w, {"d": 1, "grid": grid})
-    if samples is None or seed is None:
-        raise ValueError("Monte Carlo variant needs samples and seed")
-    rng = np.random.default_rng(seed)
-    pts = rng.random((samples, d))
-    w = np.full(samples, 1.0 / samples)
-    return InputDistribution(
-        "uniform_cube", pts, w, {"d": d, "samples": samples, "seed": seed}
-    )
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
+    pts = ((np.arange(grid) + 0.5) / grid)[:, None]
+    w = np.full(grid, 1.0 / grid)
+    return InputDistribution("uniform_cube", pts, w, {"grid": grid})
 
 
 def uniform_signs(n: int) -> InputDistribution:

@@ -223,7 +223,7 @@ def _gd_on_wave(p, net):
     n = p["n"]
     grid = p["grid"] if p["grid"] > 0 else 2 ** (n + 4)
     traj = gd.gd_train(net, constructions.telgarsky_target(n),
-                       dists.uniform_cube(1, grid=grid),
+                       dists.uniform_cube(grid=grid),
                        gd.GdConfig(eta=p["eta"], iters=p["iters"]))
     metrics = {
         "n": n, "depth": net.depth, "grid_points": grid,

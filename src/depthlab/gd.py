@@ -1,8 +1,8 @@
 """Population-gradient descent on the hinge loss, with full trajectories.
 
 The gradient at each step is the distribution-weighted average of per-point
-hinge subgradients (exact on enumerated supports, quadrature/Monte Carlo on
-the cube).  A run records loss, gradient norm and parameter distance at
+hinge subgradients (exact on enumerated supports, midpoint quadrature on
+[0,1]).  A run records loss, gradient norm and parameter distance at
 every iterate.
 
 Against the 1-D square wave on a midpoint grid of at least CELL_MIN_GRID
@@ -64,7 +64,7 @@ class Trajectory:
 
 
 def _groups_into_cells(target, dist) -> bool:
-    if not (isinstance(target, TelgarskyTarget) and target.d == 1
+    if not (isinstance(target, TelgarskyTarget)
             and dist.kind == "uniform_cube" and "grid" in dist.meta):
         return False
     m = dist.meta["grid"]
@@ -94,8 +94,11 @@ def gd_train(net: Mlp, target, dist, cfg: GdConfig) -> Trajectory:
                     f"non-finite loss or gradient at iteration {t} (loss={l})"
                 )
             loss[t] = l
-            gnorm[t] = np.linalg.norm(g)
-            pdist[t] = np.linalg.norm(theta - theta0)
+            # numpy's own sum: np.linalg.norm's BLAS dot sums in an order
+            # that changes with the BLAS thread count
+            d_theta = theta - theta0
+            gnorm[t] = np.sqrt(np.add.reduce(g * g))
+            pdist[t] = np.sqrt(np.add.reduce(d_theta * d_theta))
             if t < T:
                 if cfg.eta != 0.0:
                     theta = theta - cfg.eta * g

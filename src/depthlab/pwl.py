@@ -40,7 +40,6 @@ __all__ = [
     "sign_crossings",
     "exact_hinge_loss_vs_fn",
     "sign_hinge_loss_vs_fn",
-    "restrict_to_line",
     "piece_bound",
     "evaluate",
 ]
@@ -208,7 +207,7 @@ def from_mlp_1d(net: Mlp, lo: float = 0.0, hi: float = 1.0) -> PwlFunction:
 
 
 def grid_cells(net: Mlp, n: int, dist: InputDistribution) -> InputDistribution:
-    """The midpoint grid of ``uniform_cube(1, grid=m)`` grouped into cells
+    """The midpoint grid of ``uniform_cube(grid=m)`` grouped into cells
     for the hinge gradient of ``net`` against the 2^n-band square wave.
 
     The cuts are every hidden layer's breaks, the crossings of the net's
@@ -339,20 +338,3 @@ def sign_hinge_loss_vs_fn(f: PwlFunction, n: int) -> float:
     frac = np.where(odd, coef, -coef) * r  # coef is +-1 or +-2: exact
     whole = 2**n - int(coef[odd].sum())
     return math.fsum([whole, *frac[frac != 0.0]]) / 2**n
-
-
-def restrict_to_line(net: Mlp, y) -> Mlp:
-    """Freeze the first d-1 coordinates at y, leaving a 1-input net.
-
-    The frozen part of the first layer folds into its bias, so
-    forward(restricted, x) == forward(net, (y, x)) exactly and widths are
-    unchanged.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    d = net.in_dim
-    if y.shape != (d - 1,):
-        raise DimensionError(f"expected frozen vector of length {d - 1}, got {y.shape}")
-    W1, b1 = net.layers[0]
-    newW = W1[:, -1:].copy()
-    newb = b1 + W1[:, :-1] @ y
-    return Mlp([(newW, newb)] + list(net.layers[1:]))

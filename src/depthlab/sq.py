@@ -150,24 +150,14 @@ class HonestNoisyOracle(SqOracle):
         self._labels = target(dist.points)
         self._rng = np.random.default_rng(seed)
 
-    def _true_from_parts(self, plus, minus):
-        vals = np.where(self._labels > 0, plus, minus)
-        return float(np.dot(self.dist.weights, vals))
-
     def _answer(self, plus, minus) -> float:
-        return self._true_from_parts(plus, minus) + float(
-            self._rng.uniform(-self.tau, self.tau)
-        )
+        truth = float(np.dot(self.dist.weights, np.where(self._labels > 0, plus, minus)))
+        return truth + float(self._rng.uniform(-self.tau, self.tau))
 
     def _correlation_answers(self, H) -> np.ndarray:
         # a size-k uniform draw consumes the stream as k scalar draws do
         truth = _family_product(H, self.dist.weights * self._labels)
         return truth + self._rng.uniform(-self.tau, self.tau, size=H.shape[0])
-
-    def true_expectation(self, q) -> float:
-        """Exact E[q(x, f(x))]; exposed for tests, never used to answer."""
-        plus, minus = self._evaluate(q)
-        return self._true_from_parts(plus, minus)
 
 
 class AdversarialOracle(SqOracle):
@@ -223,22 +213,16 @@ def certify_from_gram(abs_gram: np.ndarray) -> SqDimCertificate:
 def certify_sqdim(family, dist) -> SqDimCertificate:
     """All pairwise |<f_i, f_j>| by enumeration; pass iff all < 1/d.
 
-    Uniform-weight families with 2^n support use one float32 copy: the
-    +-1 product sums are integers below 2^24, so the gram stays exact.
+    The full enumeration has uniform weight 2^-n, so each inner product is
+    an integer sum of +-1 products times that weight: the gram is exact.
     """
     values = _on_support(family, dist)
-    d, m = values.shape
-    w = dist.weights
-    uniform = bool(np.all(w == w[0]))
-    use_f32 = uniform and d * m > 2**26 and m < 2**24
-    V = values.astype(np.float32 if use_f32 else np.float64)
+    d = len(values)
+    V = values.astype(np.float64)
+    w = float(dist.weights[0])
     mx = 0.0
     for k in range(0, d, _GRAM_BLOCK):
-        if uniform:
-            block = V[k : k + _GRAM_BLOCK] @ V.T
-            block = block.astype(np.float64) * float(w[0])
-        else:
-            block = (V[k : k + _GRAM_BLOCK] * w) @ V.T
+        block = (V[k : k + _GRAM_BLOCK] @ V.T) * w
         for r in range(block.shape[0]):
             block[r, k + r] = 0.0
         mx = max(mx, float(np.max(np.abs(block))))
@@ -278,19 +262,6 @@ def hoeffding_zset(n: int, d: int, seed: int) -> np.ndarray:
     raise RuntimeError(
         f"no admissible batch of {d} vectors after {_ZSET_MAX_BATCHES} resamples"
     )
-
-
-def make_correlation_query(f: BooleanFn):
-    cache = {}
-
-    def q(X, y):
-        key = id(X)
-        if key not in cache:
-            cache.clear()
-            cache[key] = f(X)
-        return y * cache[key]
-
-    return q
 
 
 def _best_correlated(oracle: SqOracle, members) -> np.ndarray:

@@ -11,7 +11,7 @@ from depthlab.boolfn import (
     parity_fn,
     sign_index,
 )
-from depthlab.dists import uniform_signs
+from depthlab.dists import induced_pair, uniform_signs
 
 
 def test_enumeration_order_and_index_roundtrip():
@@ -45,6 +45,13 @@ def test_arity_mismatch():
         inner_product(parity_fn([0], 4), parity_fn([0], 5), uniform_signs(4))
 
 
+def test_inner_product_needs_the_full_enumeration():
+    n = 3
+    f = or_parity_fn(np.ones(n, dtype=np.int8), n)
+    with pytest.raises(ValueError):
+        inner_product(f, f, induced_pair(n, enumerate_signs(n)[:2]))
+
+
 def test_parity_family_indexing():
     fam = parity_family(3)
     assert len(fam) == 8
@@ -53,14 +60,19 @@ def test_parity_family_indexing():
     assert np.array_equal(BooleanFn(3, fam[0b101])(X), X[:, 0] * X[:, 2])
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", [*range(1, 9), 12])
 def test_parity_family_member_k_is_parity_of_subset_k(n):
     fam = parity_family(n)
     assert fam.dtype == np.int8 and fam.shape == (2**n, 2**n)
     assert not fam.flags.writeable
-    for k, row in enumerate(fam):
+    assert np.all(np.abs(fam) == 1)
+    rows = range(2**n)
+    if n > 8:  # every row costs a parity_fn build: check the ends and a seeded sample
+        rng = np.random.default_rng(n)
+        rows = [0, 1, 2 ** (n - 1), 2**n - 1, *rng.integers(2**n, size=60).tolist()]
+    for k in rows:
         subset = [t for t in range(n) if (k >> t) & 1]
-        assert np.array_equal(row, parity_fn(subset, n).table)
+        assert np.array_equal(fam[k], parity_fn(subset, n).table)
 
 
 def test_or_parity_closed_form_matches_enumeration():

@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from depthlab.constructions import (
-    Box,
     LIPSCHITZ_NET_CELL_CAP,
-    cube_indicator_net,
     lipschitz_approx_net,
     or_parity_net,
-    parity_net,
-    telgarsky_eval,
     telgarsky_net,
     telgarsky_target,
 )
@@ -19,18 +15,18 @@ from depthlab.mlp import forward, forward_many
 
 class TestTelgarskyTarget:
     def test_band_examples(self):
-        assert telgarsky_eval(telgarsky_target(1), [0.25]) == 1.0
-        assert telgarsky_eval(telgarsky_target(2), [0.3]) == -1.0
-        assert telgarsky_eval(telgarsky_target(2), [0.6]) == 1.0
+        assert telgarsky_target(1)(np.array([[0.25]]))[0] == 1.0
+        assert telgarsky_target(2)(np.array([[0.3]]))[0] == -1.0
+        assert telgarsky_target(2)(np.array([[0.6]]))[0] == 1.0
 
     def test_left_closed_convention(self):
         t = telgarsky_target(2)
-        assert telgarsky_eval(t, [0.25]) == -1.0  # left endpoint of band 1
-        assert telgarsky_eval(t, [0.5]) == 1.0
+        assert t(np.array([[0.25]]))[0] == -1.0  # left endpoint of band 1
+        assert t(np.array([[0.5]]))[0] == 1.0
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            telgarsky_eval(telgarsky_target(2), [1.5])
+            telgarsky_target(2)(np.array([[1.5]]))
 
     @given(n=st.integers(1, 16), t=st.integers(0, 2**15))
     @settings(max_examples=200, deadline=None)
@@ -38,7 +34,7 @@ class TestTelgarskyTarget:
         if t >= 2**n:
             t = t % 2**n
         x = (2 * t + 1) / 2 ** (n + 1)
-        assert telgarsky_eval(telgarsky_target(n), [x]) == (-1.0) ** t
+        assert telgarsky_target(n)(np.array([[x]]))[0] == (-1.0) ** t
 
 
 class TestTelgarskyNet:
@@ -70,32 +66,35 @@ class TestTelgarskyNet:
 
 
 class TestCubeIndicator:
-    def test_inside_shrunk_box(self):
-        net = cube_indicator_net(Box([0.0, 0.0], [1.0, 1.0], 0.1))
-        assert forward(net, [0.5, 0.5]) == 1.0
+    """The soft cell indicator inside lipschitz_approx_net: with C = 1 and h
+    equal to 1 at cell (0, 0)'s centre and 0 at the other centres, the net
+    outputs that cell's indicator (cells of side 1/2, margin gamma = 2^-4)."""
 
-    def test_outside_box(self):
-        net = cube_indicator_net(Box([0.0, 0.0], [1.0, 1.0], 0.1))
-        assert forward(net, [1.5, 0.5]) == 0.0
+    GAMMA = 2.0**-4
 
-    def test_margin_band_interpolates(self):
-        net = cube_indicator_net(Box([0.0, 0.0], [1.0, 1.0], 0.1))
-        v = forward(net, [0.05, 0.5])
-        assert 0.0 <= v <= 1.0
+    @pytest.fixture(scope="class")
+    def net(self):
+        h = lambda X: np.all(X == 0.25, axis=1).astype(np.float64)
+        return lipschitz_approx_net(h, 1.0, 1.0, 2, 2)
 
-    def test_range_on_probe_grid(self):
-        # 1e4 probes covering inside, outside, and the boundary band
-        net = cube_indicator_net(Box([0.2, 0.2], [0.8, 0.8], 0.05))
+    def test_inside_shrunk_box(self, net):
+        g = np.linspace(self.GAMMA, 0.5 - self.GAMMA, 40)
+        X = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        assert np.all(forward_many(net, X) == 1.0)
+
+    def test_outside_box(self, net):
+        for x in ([0.75, 0.25], [0.25, 0.75], [0.75, 0.75], [0.5, 0.25], [1.5, 0.5]):
+            assert forward(net, x) == 0.0
+
+    def test_margin_band_interpolates(self, net):
+        assert 0.0 < forward(net, [0.03, 0.25]) < 1.0
+
+    def test_range_on_probe_grid(self, net):
+        # 1e4 probes covering the cell, its margin band, the other cells and beyond
         g = np.linspace(-0.2, 1.2, 100)
         X = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
         out = forward_many(net, X)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
-
-    def test_box_validation(self):
-        with pytest.raises(ValueError):
-            Box([0.0], [0.0], 0.1)
-        with pytest.raises(ValueError):
-            Box([0.0], [1.0], 0.6)
 
 
 class TestLipschitzApprox:
@@ -122,27 +121,6 @@ class TestLipschitzApprox:
         n = int(np.ceil((LIPSCHITZ_NET_CELL_CAP + 1) ** 0.5))
         with pytest.raises(ValueError):
             lipschitz_approx_net(lambda X: np.zeros(len(X)), 1.0, 1.0, n, 2)
-
-
-class TestParityNet:
-    def test_product_of_ones(self):
-        net = parity_net([0, 1], 4)
-        assert forward(net, [1.0, 1.0, 1.0, 1.0]) == 1.0
-        assert forward(net, [1.0, -1.0, 1.0, 1.0]) == -1.0
-
-    def test_exhaustive_n10(self, rng):
-        n = 10
-        I = sorted(rng.choice(n, size=5, replace=False).tolist())
-        net = parity_net(I, n)
-        X = enumerate_signs(n).astype(np.float64)
-        assert np.array_equal(forward_many(net, X), np.prod(X[:, I], axis=1))
-
-    def test_unit_count(self):
-        assert parity_net([0, 2, 3], 6).layers[0][0].shape[0] == 4
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError):
-            parity_net([], 4)
 
 
 class TestOrParityNet:

@@ -6,8 +6,7 @@ from depthlab.dists import InputDistribution, induced_pair, uniform_cube, unifor
 
 
 def test_weights_sum_to_one_within_tolerance():
-    for dist in (uniform_cube(1, grid=37), uniform_signs(7),
-                 uniform_cube(3, samples=501, seed=1)):
+    for dist in (uniform_cube(grid=37), uniform_signs(7)):
         assert abs(dist.weights.sum() - 1.0) <= 1e-12
 
 
@@ -18,15 +17,10 @@ def test_bad_weights_rejected():
 
 
 def test_grid_is_midpoint_rule():
-    dist = uniform_cube(1, grid=8)
+    dist = uniform_cube(grid=8)
     assert np.array_equal(dist.points[:, 0], (np.arange(8) + 0.5) / 8)
     # dyadic band edges are never support points
     assert not np.isin(dist.points[:, 0], np.arange(9) / 8).any()
-
-
-def test_monte_carlo_needs_seed():
-    with pytest.raises(ValueError):
-        uniform_cube(2, samples=100)
 
 
 def test_sign_enumeration_lists_each_point_once():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +23,7 @@ def sign_target(X):
 
 
 def test_zero_step_is_identity():
-    dist = uniform_cube(1, grid=32)
+    dist = uniform_cube(grid=32)
     net = xavier_init(3, 8, 1, seed=2)
     traj = gd_train(net, lambda X: np.ones(len(X)), dist, GdConfig(eta=0.0, iters=5))
     # one record per iterate, the initial one included
@@ -52,7 +57,7 @@ def test_separable_affine_reaches_low_loss():
 
 def test_divergence_aborts_with_diagnostic():
     net = xavier_init(3, 8, 1, seed=0)
-    dist = uniform_cube(1, grid=16)
+    dist = uniform_cube(grid=16)
     target = lambda X: np.ones(len(X))
     with pytest.raises(GdDivergence):
         gd_train(net, target, dist, GdConfig(eta=1e300, iters=50))
@@ -72,7 +77,7 @@ def dense_reference(net, target, dist, cfg):
     for t in range(cfg.iters + 1):
         l, g = population_hinge_grad(net.with_flat_params(theta), target, dist)
         loss.append(l)
-        gnorm.append(np.linalg.norm(g))
+        gnorm.append(np.sqrt(np.add.reduce(g * g)))  # gd_train's fixed-order norm
         theta = theta - cfg.eta * g
     return np.array(loss), np.array(gnorm)
 
@@ -95,7 +100,7 @@ def rows_fed(monkeypatch):
 ])
 def test_dense_fallback_is_bit_identical(monkeypatch, target, grid):
     rows = rows_fed(monkeypatch)
-    dist = uniform_cube(1, grid=grid)
+    dist = uniform_cube(grid=grid)
     net = xavier_init(6, 16, 1, seed=3)
     cfg = GdConfig(eta=0.1, iters=8)
     traj = gd_train(net, target, dist, cfg)
@@ -111,7 +116,7 @@ def assert_cells_track_dense(monkeypatch, n, iters):
     1e-11 relative.  Wrapping the wave in a lambda forces the dense path."""
     rows = rows_fed(monkeypatch)
     grid = 2 ** (n + 4)
-    dist = uniform_cube(1, grid=grid)
+    dist = uniform_cube(grid=grid)
     net = xavier_init(n, 32, 1, seed=n)
     target = telgarsky_target(n)
     cfg = GdConfig(eta=0.1, iters=iters)
@@ -129,3 +134,29 @@ def test_cells_track_dense_trajectory(monkeypatch):
 @pytest.mark.slow
 def test_cells_track_dense_trajectory_n12(monkeypatch):
     assert_cells_track_dense(monkeypatch, 12, 100)
+
+
+_FLATLINE_RUN = """
+import sys
+from depthlab.experiments import ExperimentConfig, run
+cfg = ExperimentConfig("gd-flatline", {"n": 12, "iters": 5})
+run(cfg, outdir=sys.argv[1])
+print(cfg.run_name())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for 2 BLAS threads")
+def test_flatline_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """gd-flatline at n = 12 (depth 12, width 32: 10,657 parameters, enough
+    for OpenBLAS to split a dot product) writes the same bytes whether BLAS
+    runs on one thread or two."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outdir = tmp_path / f"threads-{threads}"
+        name = subprocess.run([sys.executable, "-c", _FLATLINE_RUN, str(outdir)], env=env,
+                              check=True, capture_output=True, text=True).stdout.strip()
+        outputs.append([(outdir / name / f).read_bytes() for f in ("report.json", "series.csv")])
+    assert outputs[0] == outputs[1]

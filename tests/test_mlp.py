@@ -78,7 +78,7 @@ class TestFlatParams:
     def test_round_trip_is_bit_identical(self):
         net = xavier_init(4, 8, 1, seed=3)
         again = net.with_flat_params(net.flat_params())
-        dist = uniform_cube(1, grid=64)
+        dist = uniform_cube(grid=64)
         target = lambda X: np.where(X[:, 0] > 0.5, 1.0, -1.0)
         X = dist.points_float()
         assert np.array_equal(forward_many(net, X), forward_many(again, X))
@@ -166,7 +166,7 @@ class TestPopulationLoss:
     @given(seed=st.integers(0, 10**6), depth=st.integers(2, 4), width=st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
     def test_loss_in_range(self, seed, depth, width):
-        dist = uniform_cube(1, grid=64)
+        dist = uniform_cube(grid=64)
         net = xavier_init(depth, width, 1, seed=seed)
         target = lambda X: np.where(X[:, 0] > 0.5, 1.0, -1.0)
         loss = population_hinge_loss(net, target, dist)

@@ -1,0 +1,46 @@
+"""The depthlab names that the benchmark in perfbench/ wraps or calls exist.
+
+perfbench's own smoke test finds a missing name too, but it runs every
+workload and takes about half a minute; these checks read perfbench
+without running it.
+"""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # worker imports its siblings by bare name
+    for name in ("worker", "tracing", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    return importlib.import_module("worker")
+
+
+def test_every_traced_attribute_is_defined_on_its_owner(worker):
+    spans = worker.layer_spans(worker.tracing.Tracer())
+    assert spans
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in spans
+               if attr not in vars(owner)]
+    assert not missing
+
+
+@pytest.mark.parametrize("source", ["worker.py", "workloads.py"])
+def test_every_depthlab_attribute_used_resolves(source):
+    tree = ast.parse((PERFBENCH / source).read_text())
+    modules = {alias.asname or alias.name: importlib.import_module(f"depthlab.{alias.name}")
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "depthlab"
+               for alias in node.names}
+    assert modules
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    missing = sorted(f"{m}.{attr}" for m, attr in used if not hasattr(modules[m], attr))
+    assert not missing

@@ -19,7 +19,6 @@ from depthlab.pwl import (
     from_mlp_1d,
     grid_cells,
     piece_bound,
-    restrict_to_line,
     sign_crossings,
     sign_hinge_loss_vs_fn,
 )
@@ -164,7 +163,7 @@ class TestHingeLoss:
     def test_matches_quadrature_oracle(self, rng):
         # midpoint quadrature at 2^20 points as the independent check
         n = 4
-        dist = uniform_cube(1, grid=2**20)
+        dist = uniform_cube(grid=2**20)
         X = dist.points_float()
         wave = telgarsky_target(n)(X)
         for seed in range(5):
@@ -341,7 +340,7 @@ class TestBandFreeIntegrals:
 def stretched(net):
     """The net with its output mapped affinely onto [-1.5, 1.5] over [0,1]
     (on a 256-point grid), so that it crosses both -1 and +1."""
-    f = forward_many(net, uniform_cube(1, grid=256).points)
+    f = forward_many(net, uniform_cube(grid=256).points)
     k = 3.0 / (f.max() - f.min())
     *hidden, (W, b) = net.layers
     return Mlp(hidden + [(k * W, k * (b - f.min()) - 1.5)])
@@ -354,7 +353,7 @@ class TestGridCells:
 
     def assert_matches_grid(self, net, n, grid=None):
         # the default grid, 2^(n+4) points, holds 16 points per band
-        dist = uniform_cube(1, grid=grid or 2 ** (n + 4))
+        dist = uniform_cube(grid=grid or 2 ** (n + 4))
         target = telgarsky_target(n)
         cells = grid_cells(net, n, dist)
         assert cells.n_points <= dist.n_points
@@ -375,7 +374,7 @@ class TestGridCells:
     def test_trained_nets(self, n):
         grid = 2 ** (n + 4)
         net = xavier_init(n, 32, 1, seed=n)
-        net = gd_train(net, telgarsky_target(n), uniform_cube(1, grid=grid),
+        net = gd_train(net, telgarsky_target(n), uniform_cube(grid=grid),
                        GdConfig(eta=0.1, iters=20)).final_net
         self.assert_matches_grid(net, n)
 
@@ -415,38 +414,12 @@ class TestGridCells:
     def test_grid_point_on_band_edge(self):
         # on a 1000-point grid x_62 = 0.0625 = 256/4096 is a band edge of
         # the 2^12-band wave: its row must stay in the band it opens
-        dist = uniform_cube(1, grid=1000)
+        dist = uniform_cube(grid=1000)
         assert dist.points[62, 0] == 0.0625
         cells = self.assert_matches_grid(stretched(biased_net(4, 32, 5)), 12, 1000)
         row = cells.points[:, 0] == 0.0625
         assert np.count_nonzero(row) == 1
         assert telgarsky_target(12)(cells.points[row])[0] == 1.0
-
-
-class TestRestrictToLine:
-    def test_unused_coordinate(self, rng):
-        # net ignores coordinate 0: any frozen y gives the same slice
-        W1 = np.array([[0.0, 1.0], [0.0, -2.0]])
-        net = Mlp([(W1, np.array([0.1, 0.2])), (np.array([[1.0, 1.0]]), np.array([0.0]))])
-        restricted = restrict_to_line(net, [123.0])
-        xs = rng.random(100)
-        full = forward_many(net, np.stack([np.full(100, 123.0), xs], axis=1))
-        assert np.array_equal(forward_many(restricted, xs[:, None]), full)
-
-    def test_random_net_exact(self, rng):
-        net = xavier_init(3, 6, 3, seed=5)
-        y = rng.random(2)
-        restricted = restrict_to_line(net, y)
-        xs = rng.random(1000)
-        X = np.concatenate([np.tile(y, (1000, 1)), xs[:, None]], axis=1)
-        err = np.abs(forward_many(restricted, xs[:, None]) - forward_many(net, X))
-        assert np.max(err) <= 1e-12
-
-    def test_width_unchanged(self):
-        net = xavier_init(4, 7, 3, seed=1)
-        restricted = restrict_to_line(net, [0.3, 0.4])
-        assert restricted.width == net.width
-        assert restricted.depth == net.depth
 
 
 class TestValidationAndSerialization:

@@ -30,3 +30,11 @@ def test_flatline_sweep_rejects_zero_seeds(tmp_path, capsys):
 def test_separation_certificates(tmp_path, capsys):
     load("separation_certificates").main(["--count", "2", "--outdir", str(tmp_path)])
     assert capsys.readouterr().out.startswith("PASS: 2 nets at n=14")
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "53"), ("--count", "0")])
+def test_separation_certificates_bad_config_exits_2(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        load("separation_certificates").main([flag, value, "--outdir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("config error:") and err.count("\n") == 1

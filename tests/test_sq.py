@@ -16,10 +16,15 @@ from depthlab.sq import (
     f_family_gram,
     hoeffding_zset,
     make_correlation_learner,
-    make_correlation_query,
     make_majority_learner,
     make_random_query_learner,
 )
+
+
+def make_correlation_query(f: BooleanFn):
+    """The correlation query y * f(x) asked on its own: the sequential
+    reference for ``SqOracle.correlations``."""
+    return lambda X, y: y * f(X)
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +37,10 @@ class TestOracles:
         family, dist = parity10
         target = BooleanFn(10, family[77])
         oracle = HonestNoisyOracle(target, dist, tau=0.05, seed=3)
+        labels = target(dist.points)
         for j in (0, 77, 400, 1023):
-            q = make_correlation_query(BooleanFn(10, family[j]))
-            v = oracle.query(q)
-            truth = oracle.true_expectation(q)
+            v = oracle.query(make_correlation_query(BooleanFn(10, family[j])))
+            truth = np.dot(dist.weights, labels * family[j])
             assert abs(v - truth) <= 0.05
         assert oracle.queries_used == 4
 
