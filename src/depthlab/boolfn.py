@@ -17,6 +17,7 @@ __all__ = [
     "BooleanFn",
     "enumerate_signs",
     "sign_index",
+    "on_support",
     "parity_fn",
     "parity_family",
     "or_parity_fn",
@@ -34,28 +35,22 @@ def enumerate_signs(n: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int8)
 
 
-_index_cache: dict = {}
-
-
 def sign_index(X: np.ndarray) -> np.ndarray:
-    """Canonical enumeration index of each +-1 row of X.
-
-    Read-only arrays (frozen distribution supports) are memoized by
-    identity, which makes repeated truth-table lookups on the same
-    support cheap.
-    """
+    """Canonical enumeration index of each +-1 row of X."""
     X = np.asarray(X)
-    cached = _index_cache.get(id(X))
-    if cached is not None and cached[0] is X:
-        return cached[1]
     n = X.shape[1]
     bits = (X < 0).astype(np.int64)
-    idx = bits @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
-    if not X.flags.writeable:
-        if len(_index_cache) > 8:
-            _index_cache.clear()
-        _index_cache[id(X)] = (X, idx)
-    return idx
+    return bits @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+def on_support(tables, dist) -> np.ndarray:
+    """The (d, 2^n) table matrix, refused unless ``dist`` is its full
+    canonical enumeration (the only support its columns line up with)."""
+    tables = np.asarray(tables)
+    if tables.ndim != 2 or not dist.is_full_enumeration or tables.shape[1] != dist.n_points:
+        raise ValueError(f"a family of {tables.shape} tables needs the full enumeration "
+                         f"of its 2^n points, not a {dist.kind} support of {dist.n_points}")
+    return tables
 
 
 @dataclass(frozen=True)
@@ -148,9 +143,5 @@ def inner_product(f: BooleanFn, g: BooleanFn, dist) -> float:
     """
     if f.arity != g.arity:
         raise ValueError(f"arity mismatch: {f.arity} vs {g.arity}")
-    if not dist.is_full_enumeration or dist.n_points != f.table.shape[0]:
-        raise ValueError(f"tables of arity {f.arity} need the full enumeration of "
-                         f"their 2^{f.arity} points, not a {dist.kind} support "
-                         f"of {dist.n_points}")
-    prod = f.table.astype(np.float64) * g.table
-    return float(np.dot(dist.weights, prod))
+    f_vals, g_vals = on_support([f.table, g.table], dist)
+    return float(np.dot(dist.weights, f_vals.astype(np.float64) * g_vals))

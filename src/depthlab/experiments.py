@@ -221,6 +221,9 @@ def _gd_on_wave(p, net):
     grid (default 2^(n+4) points); returns the trajectory, the metrics both
     GD experiments report, and the per-step series."""
     n = p["n"]
+    if 0 < p["grid"] < 2**n:
+        raise ConfigError(f"grid = {p['grid']} has fewer points than the 2^{n} bands "
+                          "of the wave")
     grid = p["grid"] if p["grid"] > 0 else 2 ** (n + 4)
     traj = gd.gd_train(net, constructions.telgarsky_target(n),
                        dists.uniform_cube(grid=grid),
@@ -310,6 +313,12 @@ _LEARNER_FACTORIES = {
 }
 
 
+def _check_enum_n(p):
+    if p["n"] > dists.MAX_ENUM_BITS:
+        raise ConfigError(f"n = {p['n']} exceeds {dists.MAX_ENUM_BITS}, the cap on "
+                          "enumerating {+-1}^n")
+
+
 def _certify_sq_games(p, learner_seeds):
     """One budgeted adversarial game per seed of each (learner, seeds) entry."""
     n = p["n"]
@@ -343,6 +352,7 @@ def _certify_sq_games(p, learner_seeds):
 
 
 def _exp_sq_parity_lower_bound(p):
+    _check_enum_n(p)
     learners = [s.strip() for s in p["learners"].split(",") if s.strip()]
     bad = set(learners) - set(_LEARNER_FACTORIES)
     if bad or not learners:
@@ -383,6 +393,7 @@ def _certify_weak_learn(p, draws):
 
 
 def _exp_sq_weak_learn(p):
+    _check_enum_n(p)
     rng = np.random.default_rng(derive_seed(p["seed"], "targets"))
     return _certify_weak_learn(p, [
         (int(rng.integers(2 ** p["n"])), derive_seed(p["seed"], f"oracle{t}"))
@@ -390,6 +401,7 @@ def _exp_sq_weak_learn(p):
 
 
 def _exp_kernel_hardness(p):
+    _check_enum_n(p)
     n = p["n"]
     dist = dists.uniform_signs(n)
     family = boolfn.parity_family(n)

@@ -1,10 +1,10 @@
 """Bounded-norm kernel classes: feature maps and hinge minimization.
 
 The hypothesis class is {x -> <Psi(x), w> : ||w|| <= B} for a feature map
-Psi with components in [-1,1].  Minimization over an enumerated support is
-projected averaged subgradient descent on the exact finite-sum objective;
-the certificate records the achieved loss alongside the worst-case regret
-bound B*sqrt(N)/sqrt(T) rather than pretending tightness.
+Psi with components in [-1,1].  Minimization is projected averaged
+subgradient descent on the exact finite-sum objective over the full
+enumeration, one column per target of a (d, 2^n) table matrix; it returns
+the averaged iterates with their losses, which upper-bound the minima.
 """
 
 from __future__ import annotations
@@ -13,15 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolfn import sign_index
+from .boolfn import on_support, sign_index
 from .mlp import Mlp
 
 __all__ = [
     "FeatureMap",
-    "KernelSolveResult",
     "feature_map_from_family",
     "random_sign_features",
-    "min_hinge",
     "min_hinge_family",
     "hardness_bound",
     "hardness_bound_variants",
@@ -62,25 +60,32 @@ def random_sign_features(n: int, count: int, seed: int) -> FeatureMap:
     return feature_map_from_family(rng.integers(0, 2, size=(count, 2**n)) * 2.0 - 1.0)
 
 
-@dataclass
-class KernelSolveResult:
-    w: np.ndarray
-    loss: float
-    B: float
-    iters: int
-    regret_bound: float          # B sqrt(N) / sqrt(T), worst case
+def _family_labels(family, dist) -> np.ndarray:
+    """(m, d) float64 labels, C-contiguous: column j is table row j on the support."""
+    return np.ascontiguousarray(on_support(family, dist).T, dtype=np.float64)
 
 
-def _solve_batched(Phi: np.ndarray, Y: np.ndarray, weights: np.ndarray,
-                   B: float, iters: int):
-    """Projected averaged subgradient descent, all targets as columns.
+def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000):
+    """Minimize the exact population hinge loss over the B-ball for every
+    row of a (d, 2^n) table matrix at once, sharing Phi = psi(support).
 
-    Phi: (m, N); Y: (m, d) of +-1 labels.  Step eta_t = B/(sqrt(N) sqrt(t)),
-    projection onto the B-ball per column, running iterate average.
-    Returns (W_avg, losses).
+    Projected averaged subgradient descent, all targets as columns: step
+    eta_t = B/(sqrt(N) sqrt(t)), projection onto the B-ball per column,
+    running iterate average.  Returns (W, losses), W the (N, d) averaged
+    iterates and losses their hinge losses.  B = 0 short-circuits to the
+    zero predictor with loss exactly 1.
     """
-    m, N = Phi.shape
-    d = Y.shape[1]
+    if B < 0:
+        raise ValueError("B must be >= 0")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    Y = _family_labels(family, dist)
+    m, d = Y.shape
+    N = psi.n_features
+    weights = dist.weights
+    if B == 0.0:
+        return np.zeros((N, d)), np.full(d, float(np.sum(weights)))
+    Phi = psi(dist.points)
     wY = weights[:, None] * Y
     W = np.zeros((N, d))
     Wsum = np.zeros((N, d))
@@ -103,49 +108,6 @@ def _solve_batched(Phi: np.ndarray, Y: np.ndarray, weights: np.ndarray,
     return Wavg, np.einsum("m,md->d", weights, np.maximum(0.0, 1.0 - Y * (Phi @ Wavg)))
 
 
-def min_hinge(psi: FeatureMap, B: float, target, dist, iters: int = 10**5) -> KernelSolveResult:
-    """Minimize the exact population hinge loss over the B-ball.
-
-    ``target`` is a BooleanFn or any callable mapping support points to
-    +-1 labels.  B = 0 short-circuits to the zero predictor with loss
-    exactly 1.
-    """
-    if B < 0:
-        raise ValueError("B must be >= 0")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    if dist.n_points == 0:
-        raise ValueError("empty distribution support")
-    X = dist.points
-    y = np.asarray(target(X), dtype=np.float64).reshape(-1)
-    if B == 0.0:
-        loss = float(np.sum(dist.weights))
-        return KernelSolveResult(np.zeros(psi.n_features), loss, B, 0, 0.0)
-    Phi = psi(X)
-    W, losses = _solve_batched(Phi, y[:, None], dist.weights, B, iters)
-    return KernelSolveResult(
-        w=W[:, 0],
-        loss=float(losses[0]),
-        B=B,
-        iters=iters,
-        regret_bound=B * np.sqrt(psi.n_features) / np.sqrt(iters),
-    )
-
-
-def _family_labels(family, dist) -> np.ndarray:
-    """(m, d) float64 labels, C-contiguous: column j is table row j on the support."""
-    return np.ascontiguousarray(family[:, sign_index(dist.points)].T, dtype=np.float64)
-
-
-def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000):
-    """Solve min_hinge for every row of a (d, 2^n) table matrix at once (shared Phi)."""
-    if B == 0.0:
-        return np.full(len(family), float(np.sum(dist.weights)))
-    Phi = psi(dist.points)
-    _, losses = _solve_batched(Phi, _family_labels(family, dist), dist.weights, B, iters)
-    return losses
-
-
 def hardness_bound(N: int, B: float, d: int) -> float:
     """max(0, 1 - sqrt(2 sqrt(5) N) B / d^(1/12)): the proof-end constant."""
     if N < 1 or d < 1 or B < 0:
@@ -164,17 +126,12 @@ def hardness_bound_variants(N: int, B: float, d: int) -> dict:
 
 @dataclass
 class LinearHardnessReport:
-    n_features: int
-    B: float
-    family_size: int
     losses: np.ndarray
     average_loss: float
     bound: float
     bound_variants: dict
     bound_vacuous: bool
-    slack: float
     grad_identity_max_err: float
-    solver_iters: int
 
 
 def _grad_identity_check(Phi, Y, weights, lam, rng, pairs=20) -> float:
@@ -216,7 +173,7 @@ def verify_linear_hardness(psi: FeatureMap, B: float, family, dist,
     runs the regularized-objective gradient-at-zero identity check on 20
     random (feature, member) pairs.
     """
-    losses = min_hinge_family(psi, B, family, dist, iters)
+    _, losses = min_hinge_family(psi, B, family, dist, iters)
     d = len(family)
     N = psi.n_features
     bound = hardness_bound(N, B, d)
@@ -224,19 +181,13 @@ def verify_linear_hardness(psi: FeatureMap, B: float, family, dist,
     Y = _family_labels(family, dist)
     lam = np.sqrt(2.0 * np.sqrt(5.0) * N) / (d ** (1.0 / 12.0) * max(B, 1e-12))
     err = _grad_identity_check(Phi, Y, dist.weights, lam, np.random.default_rng(seed))
-    avg = float(np.mean(losses))
     return LinearHardnessReport(
-        n_features=N,
-        B=B,
-        family_size=d,
-        losses=np.asarray(losses),
-        average_loss=avg,
+        losses=losses,
+        average_loss=float(np.mean(losses)),
         bound=bound,
         bound_variants=hardness_bound_variants(N, B, d),
         bound_vacuous=bound == 0.0,
-        slack=avg - bound,
         grad_identity_max_err=err,
-        solver_iters=iters,
     )
 
 

@@ -134,22 +134,6 @@ def _merge(b, s, c):
     return b[~same], s[rows], c[rows]
 
 
-def _union_sorted(a, b):
-    """Sorted union of two sorted arrays, duplicates dropped, in linear time."""
-    u = np.concatenate([a, b])
-    u.sort(kind="stable")  # timsort: one merge of the two runs
-    keep = np.empty(u.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(u[1:], u[:-1], out=keep[1:])
-    return u[keep]
-
-
-def _band_cuts(b, n):
-    """0, 1, the 2^n-band edges of [0,1] and the points of sorted b inside [0,1], sorted."""
-    inside = b[np.searchsorted(b, 0.0):np.searchsorted(b, 1.0, side="right")]
-    return _union_sorted(np.arange(2**n + 1) / float(2**n), inside)
-
-
 def _check_cap(n):
     if n > PIECE_CAP:
         raise PieceCapError(f"{n} pieces exceeds the cap {PIECE_CAP}")
@@ -226,13 +210,13 @@ def grid_cells(net: Mlp, n: int, dist: InputDistribution) -> InputDistribution:
     b, S, C = _propagate(net, 0.0, 1.0, hidden)
     for level in (1.0, -1.0):
         b, S, C = _split_at_level(0.0, 1.0, b, S, C, level)
-    kinks = b
-    for h in hidden:
-        kinks = _union_sorted(kinks, h)
+    # every break lies strictly inside (0, 1), so no cut needs clipping to it
+    kinks = np.unique(np.concatenate([b, *hidden]))
     # a cell's first grid point is the first one at or past its cut, so a
     # point on a band edge opens the band the wave assigns it to
     bounds = np.unique(np.concatenate([
-        np.searchsorted(x, _band_cuts(kinks, n)),
+        np.searchsorted(x, np.arange(2**n + 1) / float(2**n)),
+        np.searchsorted(x, kinks),
         np.searchsorted(x, kinks - KINK_TOL),
         np.searchsorted(x, kinks + KINK_TOL, side="right"),
     ]))

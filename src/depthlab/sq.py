@@ -6,11 +6,14 @@ enumeration, so it lines up with the support of ``uniform_signs(n)`` and
 with no other distribution.  Queries are callables q(X, y) -> values in
 [-1,1], evaluated on the whole enumerated support at once, or blocks of
 correlation queries y * h_j(x) given as one row of values per h_j (rows of
-the family matrix for member correlations).  Learners return hypotheses
-as value rows over the support.  The honest oracle answers the true
-expectation plus seeded uniform noise in [-tau, tau]; the adversarial
-oracle answers every query with its label-agnostic expectation and records
-what it needs to prune the family afterwards, exactly as the lower-bound
+the family matrix for member correlations).  Since y = +-1, every query is
+even(x) + y * odd(x), and each oracle answers rows of these two parts
+through one hook, ``_answers(even, odd)``; a correlation block is its odd
+rows alone.  Learners return hypotheses as value rows over the support.
+The honest oracle answers the true expectation plus seeded uniform noise
+in [-tau, tau]; the adversarial oracle answers every query with its
+label-even part (the expectation under a uniform label) and records the
+odd part to prune the family afterwards, exactly as the lower-bound
 argument plays it.
 """
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFn
+from .boolfn import BooleanFn, on_support
 
 __all__ = [
     "QueryBudgetError",
@@ -48,16 +51,6 @@ _ZSET_MAX_BATCHES = 64  # resampled batches before hoeffding_zset gives up
 
 class QueryBudgetError(RuntimeError):
     """The oracle's query budget is exhausted."""
-
-
-def _on_support(family, dist) -> np.ndarray:
-    """The (d, 2^n) family table matrix, refused unless ``dist`` is its
-    full canonical enumeration (the only support its columns line up with)."""
-    family = np.asarray(family)
-    if family.ndim != 2 or not dist.is_full_enumeration or family.shape[1] != dist.n_points:
-        raise ValueError(f"a family of {family.shape} tables needs the full enumeration "
-                         f"of its 2^n points, not a {dist.kind} support of {dist.n_points}")
-    return family
 
 
 def _family_product(values: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -94,32 +87,28 @@ class SqOracle:
     def remaining_queries(self) -> int | None:
         return None if self.budget is None else self.budget - len(self.log)
 
-    def _evaluate(self, q):
-        plus = np.asarray(q(self._X, self._ones), dtype=np.float64)
-        minus = np.asarray(q(self._X, -self._ones), dtype=np.float64)
-        hi = max(np.max(np.abs(plus)), np.max(np.abs(minus)))
-        if hi > 1.0 + 1e-12:
-            raise ValueError(f"query value {hi} outside [-1,1]")
-        return plus, minus
-
     def _spend(self, k: int) -> None:
         if self.budget is not None and len(self.log) + k > self.budget:
             raise QueryBudgetError(f"budget of {self.budget} queries exhausted")
 
     def query(self, q) -> float:
+        """Answer q(X, y), split into its label-even and label-odd parts."""
         self._spend(1)
-        plus, minus = self._evaluate(q)
-        answer = self._answer(plus, minus)
-        self.log.append(answer)
-        return answer
+        values = np.empty((2, self.dist.n_points))
+        values[0] = q(self._X, self._ones)
+        values[1] = q(self._X, -self._ones)
+        even = 0.5 * (values[0] + values[1])
+        odd = 0.5 * (values[0] - values[1])
+        return float(self._log_answers(np.max(np.abs(values)), even[None], odd[None])[0])
 
     def correlations(self, H) -> np.ndarray:
         """Answer the correlation queries q_j(x, y) = y * H[j, x] as one block.
 
-        Row j of H holds h_j on the support.  The block counts as len(H)
-        queries against the budget and is refused whole if it does not fit.
-        For +-1 rows on dyadic weights the answers and the log equal those
-        of len(H) sequential ``query`` calls bit for bit.
+        Row j of H holds h_j on the support, the odd part of q_j.  The
+        block counts as len(H) queries against the budget and is refused
+        whole if it does not fit.  For +-1 rows on dyadic weights the
+        answers and the log equal those of len(H) sequential ``query``
+        calls bit for bit.
         """
         H = np.atleast_2d(H)
         if H.shape[1] != self.dist.n_points:
@@ -127,16 +116,17 @@ class SqOracle:
                              f"support points, got {H.shape[1]}")
         self._spend(H.shape[0])
         hi = max(-float(H.min()), float(H.max())) if H.size else 0.0
+        return self._log_answers(hi, None, H)
+
+    def _log_answers(self, hi, even, odd) -> np.ndarray:
         if hi > 1.0 + 1e-12:
             raise ValueError(f"query value {hi} outside [-1,1]")
-        answers = self._correlation_answers(H)
+        answers = self._answers(even, odd)
         self.log.extend(answers.tolist())
         return answers
 
-    def _answer(self, plus, minus) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _correlation_answers(self, H) -> np.ndarray:  # pragma: no cover - abstract
+    def _answers(self, even, odd) -> np.ndarray:  # pragma: no cover - abstract
+        """One answer per (k, m) row of ``odd``; ``even`` is alike, or None for 0."""
         raise NotImplementedError
 
 
@@ -150,44 +140,37 @@ class HonestNoisyOracle(SqOracle):
         self._labels = target(dist.points)
         self._rng = np.random.default_rng(seed)
 
-    def _answer(self, plus, minus) -> float:
-        truth = float(np.dot(self.dist.weights, np.where(self._labels > 0, plus, minus)))
-        return truth + float(self._rng.uniform(-self.tau, self.tau))
-
-    def _correlation_answers(self, H) -> np.ndarray:
+    def _answers(self, even, odd) -> np.ndarray:
+        truth = _family_product(odd, self.dist.weights * self._labels)
+        if even is not None:
+            truth += _family_product(even, self.dist.weights)
         # a size-k uniform draw consumes the stream as k scalar draws do
-        truth = _family_product(H, self.dist.weights * self._labels)
-        return truth + self._rng.uniform(-self.tau, self.tau, size=H.shape[0])
+        return truth + self._rng.uniform(-self.tau, self.tau, size=len(odd))
 
 
 class AdversarialOracle(SqOracle):
     """Answers E over x and a uniform +-1 label, committing to no target.
 
-    For each query the oracle records the weighted label-odd part w * gbar
-    of q: E[q(x, f_i(x))] minus the answer equals <f_i, gbar>, so the
-    members a query rules out (those farther than d^(-1/3) from the answer)
-    follow from one family product over all recorded queries, which
+    That expectation is the query's label-even part.  For each query the
+    oracle records the weighted label-odd part w * gbar of q: E[q(x,
+    f_i(x))] minus the answer equals <f_i, gbar>, so the members a query
+    rules out (those farther than d^(-1/3) from the answer) follow from
+    one family product over all recorded queries, which
     ``adversarial_game`` takes once the learner is done.
     """
 
     def __init__(self, family, dist, tau: float, budget: int | None = None):
         super().__init__(dist, tau, budget)
-        self.values = _on_support(family, dist)
+        self.values = on_support(family, dist)
         self.consistency_radius = len(self.values) ** (-1.0 / 3.0)
         if tau < self.consistency_radius - 1e-12:
             raise ValueError("adversarial policy needs tau >= d^(-1/3)")
         self.weighted_gbars: list[np.ndarray] = []  # w * gbar, in query order
 
-    def _answer(self, plus, minus) -> float:
+    def _answers(self, even, odd) -> np.ndarray:
         w = self.dist.weights
-        self.weighted_gbars.append(w * (0.5 * (plus - minus)))
-        return float(np.dot(w, 0.5 * (plus + minus)))
-
-    def _correlation_answers(self, H) -> np.ndarray:
-        # y * h(x) has no label-even part: gbar = h and the answer is 0
-        w = self.dist.weights
-        self.weighted_gbars.extend(w * h for h in np.asarray(H, dtype=np.float64))
-        return np.zeros(H.shape[0])
+        self.weighted_gbars.extend(w * g for g in np.asarray(odd, dtype=np.float64))
+        return np.zeros(len(odd)) if even is None else _family_product(even, w)
 
 
 @dataclass(frozen=True)
@@ -216,7 +199,7 @@ def certify_sqdim(family, dist) -> SqDimCertificate:
     The full enumeration has uniform weight 2^-n, so each inner product is
     an integer sum of +-1 products times that weight: the gram is exact.
     """
-    values = _on_support(family, dist)
+    values = on_support(family, dist)
     d = len(values)
     V = values.astype(np.float64)
     w = float(dist.weights[0])
@@ -271,7 +254,7 @@ def _best_correlated(oracle: SqOracle, members) -> np.ndarray:
     other, so calls to ``correlation_weak_learner`` stay the weak-learning
     runs alone (perfbench times and checks exactly those).
     """
-    members = _on_support(members, oracle.dist)
+    members = on_support(members, oracle.dist)
     answers = oracle.correlations(members)
     return members[int(np.argmax(np.abs(answers)))]
 
@@ -341,7 +324,7 @@ def correlation_count_check(family, h, tau: float, dist,
     Requires tau^2 > 1/d and a family with pairwise |inner product| below
     1/d (pass a certificate to skip recomputing the gram).
     """
-    values = _on_support(family, dist)
+    values = on_support(family, dist)
     d = len(values)
     if tau**2 <= 1.0 / d:
         raise ValueError("need tau^2 > 1/d")

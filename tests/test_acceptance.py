@@ -17,7 +17,7 @@ from depthlab.boolfn import BooleanFn, parity_family
 from depthlab.constructions import telgarsky_net
 from depthlab.dists import uniform_signs
 from depthlab.experiments import ExperimentConfig, derive_seed, run
-from depthlab.kernel import min_hinge, random_sign_features
+from depthlab.kernel import min_hinge_family, random_sign_features
 from depthlab.mlp import forward_many, grad_params, xavier_init
 from depthlab.pwl import count_pieces, evaluate, from_mlp_1d, piece_bound, \
     sign_hinge_loss_vs_fn
@@ -206,10 +206,11 @@ def test_c09_kernel_hardness():
     dist6 = uniform_signs(6)
     for N in (1, 2, 3):
         psiN = random_sign_features(6, N, seed=300 + N)
-        res = min_hinge(psiN, 1.5, BooleanFn(6, fam6[11]), dist6, iters=2 * 10**4)
+        W, losses = min_hinge_family(psiN, 1.5, fam6[11:12], dist6, iters=2 * 10**4)
         oracle = grid_search_min(psiN(dist6.points), BooleanFn(6, fam6[11])(dist6.points),
                                  dist6.weights, 1.5)
-        crossval_ok = crossval_ok and abs(res.loss - oracle) <= 2e-2
+        crossval_ok = (crossval_ok and abs(losses[0] - oracle) <= 2e-2
+                       and np.linalg.norm(W[:, 0]) <= 1.5 + 1e-9)
     dt = time.time() - t0
     ok = avg_ok and vacuous_ok and crossval_ok and dt < 600.0
     assert report("C9 kernel-hardness", ok,

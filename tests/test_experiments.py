@@ -201,7 +201,9 @@ class TestCli:
         ("gd-sanity", "depth = 1"), ("gd-flatline", "n = 1"),
         ("telgarsky-separation", "depth = -3"), ("gd-sanity", "grid = -5"),
         ("sq-parity-lower-bound", "budget = -1"), ("sq-parity-lower-bound", "learners = ,"),
-        ("telgarsky-separation", "n = 53"),
+        ("telgarsky-separation", "n = 53"), ("sq-weak-learn", "n = 21"),
+        ("sq-parity-lower-bound", "n = 21"), ("kernel-hardness", "n = 21"),
+        ("gd-sanity", "grid = 2"),
     ])
     def test_out_of_range_value_exit_two(self, tmp_path, capsys, experiment, setting):
         cfg = tmp_path / "i.cfg"

@@ -1,8 +1,9 @@
-"""The depthlab names that the benchmark in perfbench/ wraps or calls exist.
+"""The depthlab names that the benchmark in perfbench/ wraps or calls exist,
+and its traced spans still read their arguments.
 
-perfbench's own smoke test finds a missing name too, but it runs every
-workload and takes about half a minute; these checks read perfbench
-without running it.
+perfbench's own smoke test finds a missing name or argument too, but it
+runs every workload and takes about half a minute; these checks read
+perfbench, or trace a few tiny runs, without running it.
 """
 
 import ast
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from depthlab.experiments import ExperimentConfig, run
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,3 +47,23 @@ def test_every_depthlab_attribute_used_resolves(source):
             and node.value.id in modules}
     missing = sorted(f"{m}.{attr}" for m, attr in used if not hasattr(modules[m], attr))
     assert not missing
+
+
+TRACED_RUNS = [
+    ("gd-flatline", {"n": 2, "width": 4, "iters": 2}),
+    ("kernel-hardness", {"n": 4, "features": 4, "iters": 2}),
+    ("sq-weak-learn", {"n": 4, "targets": 1}),
+    ("sq-parity-lower-bound", {"n": 9, "tau": 0.125, "seeds": 1}),
+]
+
+
+def test_traced_runs_record_their_spans(worker, tmp_path):
+    # a span whose attrs no longer bind the call's arguments fails the run,
+    # and a moved call site leaves its span unrecorded
+    tracer = worker.tracing.Tracer()
+    with worker.tracing.patched(worker.layer_spans(tracer)):
+        reports = [run(ExperimentConfig(e, p), tmp_path) for e, p in TRACED_RUNS]
+    assert [r.error for r in reports] == [""] * len(TRACED_RUNS)
+    recorded = {s.name for s in tracer.spans}
+    assert {"kernel.solve", "mlp.population_hinge_grad", "gd.gd_train",
+            "sq.adversarial_game"} <= recorded

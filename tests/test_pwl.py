@@ -230,6 +230,12 @@ class TestHingeLoss:
                     integral(constant_pwl(0.5), n)
 
 
+def _band_cuts(b, n):
+    """0, 1, the 2^n-band edges of [0,1] and the points of b inside [0,1], sorted."""
+    return np.unique(np.concatenate([np.arange(2**n + 1) / float(2**n),
+                                     b[(b >= 0.0) & (b <= 1.0)]]))
+
+
 def band_cut_sign_loss(f, n):
     """The sign loss as computed before the closed form: f's zero split
     merged with all 2^n + 1 band edges, the disagreement read at the
@@ -237,7 +243,7 @@ def band_cut_sign_loss(f, n):
     b, s, c = pwl._split_at_level(f.lo, f.hi, f.breaks, f.slopes, f.intercepts, 0.0)
     edges = pwl._edges(f.lo, f.hi, b)
     signs = np.where(s * (0.5 * (edges[:-1] + edges[1:])) + c >= 0.0, 1, -1)
-    cuts = pwl._band_cuts(edges, n)
+    cuts = _band_cuts(edges, n)
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     cell = np.searchsorted(edges[1:-1], mids, side="right")
     disagree = (signs[cell] != telgarsky_target(n)(mids[:, None])).astype(np.int8)
@@ -253,7 +259,7 @@ def band_cut_hinge_loss(f, n):
     b, s, c = f.breaks, f.slopes, f.intercepts
     for level in (1.0, -1.0):
         b, s, c = pwl._split_at_level(f.lo, f.hi, b, s, c, level)
-    cuts = pwl._band_cuts(b, n)
+    cuts = _band_cuts(b, n)
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     src = np.searchsorted(b, mids, side="right")
     wave = telgarsky_target(n)(mids[:, None])

@@ -3,6 +3,7 @@ import pytest
 
 from depthlab.boolfn import BooleanFn, enumerate_signs, inner_product, or_parity_fn, parity_family
 from depthlab.dists import induced_pair, uniform_signs
+from depthlab.kernel import feature_map_from_family, min_hinge_family, verify_linear_hardness
 from depthlab.sq import (
     AdversarialOracle,
     HonestNoisyOracle,
@@ -135,6 +136,16 @@ class TestFamilySupport:
             correlation_count_check(family, np.zeros(pairs.n_points), tau=0.5, dist=pairs)
         with pytest.raises(ValueError):
             certify_sqdim(family, uniform_signs(9))
+
+    def test_kernel_family_off_its_enumeration_refused(self, parity10):
+        # the family is checked before the features are evaluated on the pairs
+        family, _ = parity10
+        pairs = induced_pair(8, enumerate_signs(8)[:4])
+        psi = feature_map_from_family(family[:4])
+        with pytest.raises(ValueError):
+            min_hinge_family(psi, 1.0, family[:8], pairs, iters=1)
+        with pytest.raises(ValueError):
+            verify_linear_hardness(psi, 1.0, family[:8], pairs, iters=1)
 
 
 class TestCertificates:
@@ -280,17 +291,13 @@ class _PruneEachQuery(SqOracle):
         self.consistent = np.ones(len(family), dtype=bool)
         self.counts = []
 
-    def _answer(self, plus, minus):
+    def _answers(self, even, odd):
         w = self.dist.weights
-        corr = self.values @ (w * (0.5 * (plus - minus)))
-        bad = np.abs(corr) > self.radius
-        self.counts.append(int(np.count_nonzero(bad)))
-        self.consistent &= ~bad
-        return float(np.dot(w, 0.5 * (plus + minus)))
-
-    def correlations(self, H):
-        rows = np.asarray(H, dtype=np.float64)
-        return np.array([self.query(lambda X, y, h=h: y * h) for h in rows])
+        for g in odd:
+            bad = np.abs(self.values @ (w * g)) > self.radius
+            self.counts.append(int(np.count_nonzero(bad)))
+            self.consistent &= ~bad
+        return np.zeros(len(odd)) if even is None else even @ w
 
 
 def _reference_game(family, learner, budget, tau, dist):
