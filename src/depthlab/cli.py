@@ -14,7 +14,6 @@ from pathlib import Path
 from .experiments import (
     CLAIMS,
     ConfigError,
-    ExperimentConfig,
     experiment_ids,
     parse_config_file,
     run,
@@ -23,14 +22,14 @@ from .experiments import (
 )
 
 
-def _apply_overrides(config: ExperimentConfig, pairs) -> ExperimentConfig:
-    params = dict(config.params)
+def _overrides(pairs) -> dict:
+    params = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         params[key.strip()] = _parse_value(value.strip())
-    return ExperimentConfig(config.experiment, params)
+    return params
 
 
 def main(argv=None) -> int:
@@ -60,7 +59,7 @@ def main(argv=None) -> int:
                 print(f"{eid:24s} {claim['name']}: {claim['statement']}")
             return 0
         if args.command == "run":
-            config = _apply_overrides(parse_config_file(args.config), args.set)
+            config = parse_config_file(args.config, _overrides(args.set))
             report = run(config, outdir=args.outdir)
             print(json.dumps(report.to_dict(), sort_keys=True, indent=1))
             return 0 if report.passed else 1

@@ -53,14 +53,8 @@ class InputDistribution:
         return self.points.shape[1]
 
     def points_float(self) -> np.ndarray:
-        if self.points.dtype == np.float64:
-            return self.points
-        cached = self.meta.get("_points_float")
-        if cached is None:
-            cached = self.points.astype(np.float64)
-            cached.flags.writeable = False
-            self.meta["_points_float"] = cached
-        return cached
+        """The points as float64: the points themselves on a float grid, else a copy."""
+        return np.asarray(self.points, dtype=np.float64)
 
 
 def uniform_cube(grid: int) -> InputDistribution:

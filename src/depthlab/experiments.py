@@ -26,7 +26,8 @@ __all__ = ["ExperimentConfig", "ExperimentReport", "ConfigError", "run", "sweep"
 
 
 class ConfigError(ValueError):
-    """Unknown experiment id, unknown key, or malformed value."""
+    """Unknown experiment id, unknown key, malformed value, or a value the
+    experiment cannot run with: raised when the config is built."""
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -141,6 +142,49 @@ def experiment_ids():
     return sorted(DEFAULTS)
 
 
+def _check_values(e, p):
+    """Refuse the values experiment ``e`` cannot run with, before it runs."""
+    if e == "telgarsky-separation" and p["n"] > pwl.MAX_WAVE_N:
+        raise ConfigError(f"n = {p['n']} exceeds {pwl.MAX_WAVE_N}: the 2^n-band edges "
+                          "of the wave stop being exact in float64")
+    if e in ("sq-parity-lower-bound", "sq-weak-learn", "kernel-hardness") \
+            and p["n"] > dists.MAX_ENUM_BITS:
+        raise ConfigError(f"n = {p['n']} exceeds {dists.MAX_ENUM_BITS}, the cap on "
+                          "enumerating {+-1}^n")
+    if e in _DEPTH_AT_ZERO and _net_depth(e, p) < 2:
+        raise ConfigError(f"net depth {_net_depth(e, p)} (from depth = {p['depth']}) "
+                          "is below 2")
+    if e in ("gd-flatline", "gd-sanity") and 0 < p["grid"] < 2 ** p["n"]:
+        raise ConfigError(f"grid = {p['grid']} has fewer points than the 2^{p['n']} bands "
+                          "of the wave")
+    if e == "sq-parity-lower-bound":
+        bad = set(_learners(p)) - set(_LEARNER_FACTORIES)
+        if bad or not _learners(p):
+            raise ConfigError(f"learners = {p['learners']!r} must name learners from "
+                              f"{sorted(_LEARNER_FACTORIES)}; unknown: {sorted(bad)}")
+        tau_min = (2 ** p["n"]) ** (-1.0 / 3.0)
+        # the adversary's own slack: 4096^(-1/3) rounds to just above 1/16
+        if p["tau"] < tau_min - 1e-12:
+            raise ConfigError(f"tau = {p['tau']} lies below d^(-1/3) = {tau_min:.6g} "
+                              f"for the 2^{p['n']} parities")
+    if e == "kernel-hardness" and p["feature_kind"] not in ("parity", "iid"):
+        raise ConfigError(f"unknown feature_kind {p['feature_kind']!r}")
+    if e == "kernel-hardness" and p["feature_kind"] == "parity" and p["features"] > 2 ** p["n"]:
+        raise ConfigError(f"features = {p['features']} exceeds the {2 ** p['n']} parities "
+                          f"at n = {p['n']}")
+    if e == "f-family":
+        # sign enumeration of 2n coordinates stops at 24, the 8 pair picks need
+        # 2^n_or >= 8, and hoeffding_zset admits d <= 2^(n/12) (capped at
+        # 2^1000 so that the bound stays a float)
+        for key, lo, hi in (("n_or", 3, 12), ("n_reduction", 1, 12),
+                            ("k_reduction", 1, math.inf),
+                            ("d_zset", 1, 2 ** min(p["n_zset"] / 12, 1000))):
+            if not lo <= p[key] <= hi:
+                raise ConfigError(f"{key} = {p[key]} lies outside {lo}..{hi:g}")
+        if not 0 < p["delta"] < 1:
+            raise ConfigError(f"delta = {p['delta']} lies outside (0, 1)")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -174,6 +218,7 @@ class ExperimentConfig:
                               + ", ".join(f"{k} = {merged[k]} < {_LOWEST[k]}" for k in low))
         if "tau" in merged and not 0.0 < merged["tau"] < 1.0:
             raise ConfigError(f"tau = {merged['tau']} lies outside (0, 1)")
+        _check_values(self.experiment, merged)
         object.__setattr__(self, "params", merged)
 
     def run_name(self) -> str:
@@ -203,16 +248,19 @@ class ExperimentReport:
 # _certify_* step; the acceptance suite calls the same step on its own
 # pinned draws.
 
-def _net_depth(p, derived=0):
-    """The configured depth, or ``derived`` for depth = 0: at least 2 stages."""
-    depth = p["depth"] or derived
-    if depth < 2:
-        raise ConfigError(f"net depth {depth} (from depth = {p['depth']}) is below 2")
-    return depth
+# the net depth that depth = 0 stands for in each experiment with a net
+_DEPTH_AT_ZERO = {"gd-flatline": lambda p: p["n"], "gd-sanity": lambda p: 0,
+                  "telgarsky-separation": lambda p: math.ceil(math.sqrt(p["n"])),
+                  "xavier-audit": lambda p: 0}
 
 
-def _init_net(p, derived=0):
-    return mlp.xavier_init(_net_depth(p, derived), p["width"], 1,
+def _net_depth(e, p):
+    """Experiment ``e``'s net depth: the configured one, else its derived one."""
+    return p["depth"] or _DEPTH_AT_ZERO[e](p)
+
+
+def _init_net(e, p):
+    return mlp.xavier_init(_net_depth(e, p), p["width"], 1,
                            seed=derive_seed(p["seed"], "init"))
 
 
@@ -221,9 +269,6 @@ def _gd_on_wave(p, net):
     grid (default 2^(n+4) points); returns the trajectory, the metrics both
     GD experiments report, and the per-step series."""
     n = p["n"]
-    if 0 < p["grid"] < 2**n:
-        raise ConfigError(f"grid = {p['grid']} has fewer points than the 2^{n} bands "
-                          "of the wave")
     grid = p["grid"] if p["grid"] > 0 else 2 ** (n + 4)
     traj = gd.gd_train(net, constructions.telgarsky_target(n),
                        dists.uniform_cube(grid=grid),
@@ -253,7 +298,7 @@ def _certify_gd_flatline(p, net):
 
 
 def _exp_gd_flatline(p):
-    return _certify_gd_flatline(p, _init_net(p, p["n"]))
+    return _certify_gd_flatline(p, _init_net("gd-flatline", p))
 
 
 def _certify_gd_sanity(p, net):
@@ -263,7 +308,7 @@ def _certify_gd_sanity(p, net):
 
 
 def _exp_gd_sanity(p):
-    return _certify_gd_sanity(p, _init_net(p))
+    return _certify_gd_sanity(p, _init_net("gd-sanity", p))
 
 
 def _certify_separation(p, nets):
@@ -297,10 +342,7 @@ def _certify_separation(p, nets):
 
 
 def _exp_telgarsky_separation(p):
-    if p["n"] > pwl.MAX_WAVE_N:
-        raise ConfigError(f"n = {p['n']} exceeds {pwl.MAX_WAVE_N}: the 2^n-band edges "
-                          "of the wave stop being exact in float64")
-    depth = _net_depth(p, math.ceil(math.sqrt(p["n"])))
+    depth = _net_depth("telgarsky-separation", p)
     return _certify_separation(p, [
         mlp.xavier_init(depth, p["width"], 1, seed=derive_seed(p["seed"], f"net{i}"))
         for i in range(p["count"])])
@@ -313,10 +355,8 @@ _LEARNER_FACTORIES = {
 }
 
 
-def _check_enum_n(p):
-    if p["n"] > dists.MAX_ENUM_BITS:
-        raise ConfigError(f"n = {p['n']} exceeds {dists.MAX_ENUM_BITS}, the cap on "
-                          "enumerating {+-1}^n")
+def _learners(p):
+    return [s.strip() for s in p["learners"].split(",") if s.strip()]
 
 
 def _certify_sq_games(p, learner_seeds):
@@ -352,20 +392,9 @@ def _certify_sq_games(p, learner_seeds):
 
 
 def _exp_sq_parity_lower_bound(p):
-    _check_enum_n(p)
-    learners = [s.strip() for s in p["learners"].split(",") if s.strip()]
-    bad = set(learners) - set(_LEARNER_FACTORIES)
-    if bad or not learners:
-        raise ConfigError(f"learners = {p['learners']!r} must name learners from "
-                          f"{sorted(_LEARNER_FACTORIES)}; unknown: {sorted(bad)}")
-    tau_min = (2 ** p["n"]) ** (-1.0 / 3.0)
-    # the adversary's own slack: 4096^(-1/3) rounds to just above 1/16
-    if p["tau"] < tau_min - 1e-12:
-        raise ConfigError(f"tau = {p['tau']} lies below d^(-1/3) = {tau_min:.6g} "
-                          f"for the 2^{p['n']} parities")
     return _certify_sq_games(p, [
         (name, [derive_seed(s, f"game-{name}") for s in range(p["seeds"])])
-        for name in learners])
+        for name in _learners(p)])
 
 
 def _certify_weak_learn(p, draws):
@@ -393,7 +422,6 @@ def _certify_weak_learn(p, draws):
 
 
 def _exp_sq_weak_learn(p):
-    _check_enum_n(p)
     rng = np.random.default_rng(derive_seed(p["seed"], "targets"))
     return _certify_weak_learn(p, [
         (int(rng.integers(2 ** p["n"])), derive_seed(p["seed"], f"oracle{t}"))
@@ -401,23 +429,17 @@ def _exp_sq_weak_learn(p):
 
 
 def _exp_kernel_hardness(p):
-    _check_enum_n(p)
     n = p["n"]
     dist = dists.uniform_signs(n)
     family = boolfn.parity_family(n)
     d = len(family)
     rng = np.random.default_rng(derive_seed(p["seed"], "features"))
     if p["feature_kind"] == "parity":
-        if p["features"] > d:
-            raise ConfigError(f"features = {p['features']} exceeds the {d} parities "
-                              f"at n = {n}")
         idx = rng.choice(d, size=p["features"], replace=False)
         psi = kernel.feature_map_from_family(family[np.sort(idx)])
-    elif p["feature_kind"] == "iid":
+    else:
         psi = kernel.random_sign_features(n, p["features"],
                                           seed=derive_seed(p["seed"], "iid-features"))
-    else:
-        raise ConfigError(f"unknown feature_kind {p['feature_kind']!r}")
     report = kernel.verify_linear_hardness(psi, p["B"], family, dist,
                                            iters=p["iters"],
                                            seed=derive_seed(p["seed"], "fd"))
@@ -449,14 +471,6 @@ def _depth2_net(rng, n, k):
 def _f_family_draws(p):
     """f-family's seeded draws: the OR-parity selector z', the closed-form
     pair picks as (n, pick) entries whose halves are crossed, Z and the net."""
-    # sign enumeration of 2n coordinates stops at 24, the 8 pair picks need
-    # 2^n_or >= 8, and hoeffding_zset admits d <= 2^(n/12)
-    for key, lo, hi in (("n_or", 3, 12), ("n_reduction", 1, 12), ("k_reduction", 1, math.inf),
-                        ("d_zset", 1, 2 ** (p["n_zset"] / 12))):
-        if not lo <= p[key] <= hi:
-            raise ConfigError(f"{key} = {p[key]} lies outside {lo}..{hi:g}")
-    if not 0 < p["delta"] < 1:
-        raise ConfigError(f"delta = {p['delta']} lies outside (0, 1)")
     rng = lambda label: np.random.default_rng(derive_seed(p["seed"], label))
     return {
         "z_prime": (rng("zprime").integers(0, 2, p["n_or"]) * 2 - 1).astype(np.int8),
@@ -570,7 +584,7 @@ def _exp_lipschitz_approx(p):
 
 
 def _exp_xavier_audit(p):
-    depth = _net_depth(p)
+    depth = _net_depth("xavier-audit", p)
     rho = p["rho"] if p["rho"] > 0 else 1.0 / depth
     factory = lambda s: mlp.xavier_init(depth, p["width"], p["d"], seed=s)
     rep = audit.audit_l_standard(factory, rho=rho, trials=p["trials"],
@@ -632,8 +646,6 @@ def run(config: ExperimentConfig, outdir="runs") -> ExperimentReport:
     try:
         metrics, thresholds, passed, series = _BODIES[config.experiment](config.params)
         error = ""
-    except (ConfigError,):  # a config error writes no run directory
-        raise
     except Exception as e:  # failed run still produces a report
         metrics, thresholds, passed, series = {}, {}, False, []
         error = f"{type(e).__name__}: {e}"
@@ -719,8 +731,12 @@ def sweep(configs, outdir="runs", workers: int = 1):
     return reports
 
 
-def parse_config_file(path) -> ExperimentConfig:
-    """Flat key = value lines; '#' starts a comment; 'experiment' is required."""
+def parse_config_file(path, overrides=None) -> ExperimentConfig:
+    """Flat key = value lines; '#' starts a comment; 'experiment' is required.
+
+    ``overrides`` (key -> value) replace the file's values before the
+    config is built and checked, so they can repair a refused value.
+    """
     params = {}
     experiment = None
     for line in Path(path).read_text().splitlines():
@@ -736,7 +752,7 @@ def parse_config_file(path) -> ExperimentConfig:
             params[key] = _parse_value(value)
     if experiment is None:
         raise ConfigError("config file must set 'experiment'")
-    return ExperimentConfig(experiment, params)
+    return ExperimentConfig(experiment, {**params, **(overrides or {})})
 
 
 def _parse_value(s: str):

@@ -4,7 +4,9 @@ Networks are weight/bias lists with ReLU on every layer except the last,
 in float64 numpy.  A net stores its parameters once, as a read-only flat
 vector (layer by layer, W row-major then b); ``layers`` are (W, b) views
 into it.  ``with_flat_params`` keeps the vector it is given, not a copy:
-the caller must not write that vector afterwards.
+the caller must not write that vector afterwards.  The hinge subgradient
+has one entry, ``population_hinge_grad``; at a single point (x, y) it is
+that function on the one-point support {x} with weight 1 and label y.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ __all__ = [
     "DimensionError",
     "forward",
     "forward_many",
-    "grad_params",
     "output_grad_params",
     "hinge",
     "population_hinge_loss",
@@ -174,20 +175,6 @@ def hinge(y, yhat):
     return np.maximum(0.0, 1.0 - np.asarray(y) * np.asarray(yhat))
 
 
-def grad_params(net: Mlp, x, y: float) -> np.ndarray:
-    """Subgradient of hinge(y, forward(net, x)) in the flat parameters.
-
-    Conventions at kinks: ReLU derivative 1 at zero pre-activation, hinge
-    derivative -y at margin exactly 1.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    acts, masks, out = _forward_trace(net, x[None, :])
-    margin = y * out[0]
-    if margin > 1.0:
-        return np.zeros(net.n_params)
-    return _backward(net, acts, masks, np.array([-float(y)]))
-
-
 def output_grad_params(net: Mlp, x) -> np.ndarray:
     """Gradient of the network output itself w.r.t. the flat parameters."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -216,7 +203,8 @@ def population_hinge_grad(net: Mlp, target, dist):
     """Population hinge loss and its flat subgradient over ``dist``.
 
     Returns (loss, grad).  The gradient is the weight-averaged per-sample
-    hinge subgradient, with the same kink conventions as ``grad_params``.
+    hinge subgradient.  Conventions at kinks: ReLU derivative 1 at zero
+    pre-activation, hinge derivative -y at margin exactly 1.
     """
     X = dist.points_float()
     y = np.asarray(target(X), dtype=np.float64)

@@ -3,18 +3,18 @@
 A family of d functions on {+-1}^n is one (d, 2^n) int8 table matrix
 (``boolfn.parity_family``): row j is member j's table in the canonical
 enumeration, so it lines up with the support of ``uniform_signs(n)`` and
-with no other distribution.  Queries are callables q(X, y) -> values in
-[-1,1], evaluated on the whole enumerated support at once, or blocks of
-correlation queries y * h_j(x) given as one row of values per h_j (rows of
-the family matrix for member correlations).  Since y = +-1, every query is
-even(x) + y * odd(x), and each oracle answers rows of these two parts
-through one hook, ``_answers(even, odd)``; a correlation block is its odd
-rows alone.  Learners return hypotheses as value rows over the support.
-The honest oracle answers the true expectation plus seeded uniform noise
-in [-tau, tau]; the adversarial oracle answers every query with its
-label-even part (the expectation under a uniform label) and records the
-odd part to prune the family afterwards, exactly as the lower-bound
-argument plays it.
+with no other distribution.  Since y = +-1, a bounded query q(x, y) on
+that support is exactly two rows, q = even(x) + y * odd(x), and
+``SqOracle.query(odd, even)`` is the one entry: it answers a block of k
+queries given as (k, m) rows, and a block with no even part is k
+correlation queries y * odd_j(x) (rows of the family matrix for member
+correlations).  Each oracle answers the rows through one hook,
+``_answers(even, odd)``.  Learners return hypotheses as value rows over
+the support.  The honest oracle answers the true expectation plus seeded
+uniform noise in [-tau, tau]; the adversarial oracle answers every query
+with its label-even part (the expectation under a uniform label) and
+records the odd part to prune the family afterwards, exactly as the
+lower-bound argument plays it.
 """
 
 from __future__ import annotations
@@ -75,9 +75,6 @@ class SqOracle:
         self.tau = tau
         self.budget = budget
         self.log: list[float] = []  # answers in query order
-        self._X = dist.points_float()
-        self._ones = np.ones(dist.n_points)
-        self._ones.flags.writeable = False
 
     @property
     def queries_used(self) -> int:
@@ -87,38 +84,25 @@ class SqOracle:
     def remaining_queries(self) -> int | None:
         return None if self.budget is None else self.budget - len(self.log)
 
-    def _spend(self, k: int) -> None:
-        if self.budget is not None and len(self.log) + k > self.budget:
-            raise QueryBudgetError(f"budget of {self.budget} queries exhausted")
+    def query(self, odd, even=None) -> np.ndarray:
+        """Answer the queries q_j(x, y) = even[j, x] + y * odd[j, x] as one block.
 
-    def query(self, q) -> float:
-        """Answer q(X, y), split into its label-even and label-odd parts."""
-        self._spend(1)
-        values = np.empty((2, self.dist.n_points))
-        values[0] = q(self._X, self._ones)
-        values[1] = q(self._X, -self._ones)
-        even = 0.5 * (values[0] + values[1])
-        odd = 0.5 * (values[0] - values[1])
-        return float(self._log_answers(np.max(np.abs(values)), even[None], odd[None])[0])
-
-    def correlations(self, H) -> np.ndarray:
-        """Answer the correlation queries q_j(x, y) = y * H[j, x] as one block.
-
-        Row j of H holds h_j on the support, the odd part of q_j.  The
-        block counts as len(H) queries against the budget and is refused
-        whole if it does not fit.  For +-1 rows on dyadic weights the
-        answers and the log equal those of len(H) sequential ``query``
-        calls bit for bit.
+        Row j of ``odd`` and of ``even`` holds query j on the support;
+        ``even=None`` makes the block k correlation queries y * odd[j, x].
+        The block counts as k queries against the budget and is refused
+        whole if it does not fit; |q_j| <= 1 at both labels is
+        |even| + |odd| <= 1.
         """
-        H = np.atleast_2d(H)
-        if H.shape[1] != self.dist.n_points:
-            raise ValueError(f"correlation rows must cover the {self.dist.n_points} "
-                             f"support points, got {H.shape[1]}")
-        self._spend(H.shape[0])
-        hi = max(-float(H.min()), float(H.max())) if H.size else 0.0
-        return self._log_answers(hi, None, H)
-
-    def _log_answers(self, hi, even, odd) -> np.ndarray:
+        odd = np.atleast_2d(odd)
+        even = None if even is None else np.atleast_2d(even)
+        if odd.shape[1] != self.dist.n_points or even is not None and even.shape != odd.shape:
+            raise ValueError(f"odd and even rows must be alike and cover the "
+                             f"{self.dist.n_points} support points")
+        if self.budget is not None and len(self.log) + len(odd) > self.budget:
+            raise QueryBudgetError(f"budget of {self.budget} queries exhausted")
+        # min/max, not np.abs: an odd-only block may be the whole family
+        span = odd if even is None else np.abs(even) + np.abs(odd)
+        hi = max(-float(span.min()), float(span.max())) if odd.size else 0.0
         if hi > 1.0 + 1e-12:
             raise ValueError(f"query value {hi} outside [-1,1]")
         answers = self._answers(even, odd)
@@ -255,7 +239,7 @@ def _best_correlated(oracle: SqOracle, members) -> np.ndarray:
     runs alone (perfbench times and checks exactly those).
     """
     members = on_support(members, oracle.dist)
-    answers = oracle.correlations(members)
+    answers = oracle.query(members)
     return members[int(np.argmax(np.abs(answers)))]
 
 
@@ -294,8 +278,9 @@ def adversarial_game(family, learner, budget: int, tau: float, dist) -> GameResu
     product with budget + 1 columns.
 
     A suitable member is guaranteed to exist for certified families when
-    budget <= d^(1/3)/8 and tau >= d^(-1/3); outside that regime the
-    selection may fail with an AssertionError.
+    budget <= d^(1/3)/8 and tau >= d^(-1/3): there a failed selection is an
+    AssertionError; above that budget, where the bound claims nothing, it
+    is a ValueError.
     """
     d = len(family)
     oracle = AdversarialOracle(family, dist, tau, budget)
@@ -307,6 +292,10 @@ def adversarial_game(family, learner, budget: int, tau: float, dist) -> GameResu
     ruled_out = np.abs(corr[:, :-1]) > oracle.consistency_radius
     ok = ~ruled_out.any(axis=1) & (corr[:, -1] < 2.0 / np.sqrt(d))
     if not ok.any():
+        if (8 * budget) ** 3 > d:  # budget > d^(1/3)/8, in integers
+            raise ValueError(f"no consistent family member with low hypothesis correlation "
+                             f"after budget = {budget} queries, above d^(1/3)/8 = "
+                             f"{d ** (1 / 3) / 8:.6g}, where the lower bound claims nothing")
         raise AssertionError(
             "no consistent family member with low hypothesis correlation; "
             "this contradicts the query lower bound"
@@ -368,8 +357,10 @@ def make_random_query_learner(family, seed: int):
         m = oracle.dist.n_points
         while oracle.remaining_queries != 0:
             table = rng.integers(0, 2, size=m) * 2.0 - 1.0
-            flip = rng.integers(0, 2)
-            oracle.query(lambda X, y, table=table, flip=flip: table * y if flip else table)
+            if rng.integers(0, 2):  # q = y * table, else q = table
+                oracle.query(table)
+            else:
+                oracle.query(np.zeros(m), table)
         return family[int(rng.integers(len(family)))]
 
     return learner
@@ -379,11 +370,8 @@ def make_majority_learner():
     """One query for E[y], then the constant sign of the answer."""
 
     def learner(oracle: SqOracle):
-        def q(X, y):
-            return y
-
         try:
-            bias = oracle.query(q)
+            bias = oracle.query(np.ones(oracle.dist.n_points))[0]
         except QueryBudgetError:
             bias = 0.0
         value = 1.0 if bias >= 0 else -1.0

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from depthlab.mlp import forward, hinge
+from depthlab.dists import InputDistribution
+from depthlab.mlp import forward, hinge, population_hinge_grad
+
+
+def point_hinge_grad(net, x, y):
+    """Hinge subgradient at one point: ``population_hinge_grad`` on the
+    one-point support {x} with weight 1 and label y."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    point = InputDistribution("point", x[None, :], np.ones(1))
+    return population_hinge_grad(net, lambda X: np.full(len(X), float(y)), point)[1]
 
 
 def central_fd_hinge_grad(net, x, y, h=1e-6):

@@ -18,11 +18,11 @@ from depthlab.constructions import telgarsky_net
 from depthlab.dists import uniform_signs
 from depthlab.experiments import ExperimentConfig, derive_seed, run
 from depthlab.kernel import min_hinge_family, random_sign_features
-from depthlab.mlp import forward_many, grad_params, xavier_init
+from depthlab.mlp import forward_many, xavier_init
 from depthlab.pwl import count_pieces, evaluate, from_mlp_1d, piece_bound, \
     sign_hinge_loss_vs_fn
 from depthlab.sq import certify_sqdim, correlation_count_check
-from conftest import central_fd_hinge_grad, is_smooth_point
+from conftest import central_fd_hinge_grad, is_smooth_point, point_hinge_grad
 
 
 def report(name: str, ok: bool, detail: str) -> bool:
@@ -255,7 +255,7 @@ def test_c11_numerics(rng, tmp_path):
             y = float(rng.choice([-1.0, 1.0]))
             if not is_smooth_point(net, x, y):
                 continue
-            g = grad_params(net, x, y)
+            g = point_hinge_grad(net, x, y)
             fd = central_fd_hinge_grad(net, x, y)
             scale = max(np.max(np.abs(fd)), 1e-12)
             worst_rel = max(worst_rel, np.max(np.abs(g - fd)) / scale)

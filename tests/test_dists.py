@@ -65,11 +65,12 @@ def test_induced_pair_expectation_matches_manual():
     assert got == pytest.approx(manual, abs=1e-15)
 
 
-def test_points_are_frozen_and_float_cached():
+def test_points_are_frozen_and_read_as_float():
+    # int8 sign points are read as a float64 copy, a float grid as itself
     dist = uniform_signs(5)
     with pytest.raises(ValueError):
         dist.points[0, 0] = 5
     a = dist.points_float()
-    b = dist.points_float()
-    assert a is b
-    assert not a.flags.writeable
+    assert a.dtype == np.float64 and np.array_equal(a, dist.points)
+    grid = uniform_cube(8)
+    assert grid.points_float() is grid.points

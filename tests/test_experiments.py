@@ -149,6 +149,17 @@ def test_parse_config_requires_experiment(tmp_path):
         parse_config_file(path)
 
 
+def sweep_exits_two(tmp_path, text):
+    """``lab sweep`` of a directory holding config ``text`` and a valid one
+    refuses both: exit 2 and no runs directory."""
+    d = tmp_path / "sweep"
+    d.mkdir()
+    (d / "bad.cfg").write_text(text)
+    (d / "good.cfg").write_text("experiment = xavier-audit\ntrials = 2\nprobes = 1\n")
+    assert cli_main(["sweep", str(d), "--outdir", str(tmp_path / "sweep-runs")]) == 2
+    assert not (tmp_path / "sweep-runs").exists()
+
+
 class TestCli:
     def test_list(self, capsys):
         assert cli_main(["list"]) == 0
@@ -211,6 +222,13 @@ class TestCli:
         assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")]) == 2
         assert setting.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+        sweep_exits_two(tmp_path, cfg.read_text())
+
+    def test_set_repairs_a_refused_value(self, tmp_path, capsys):
+        cfg = tmp_path / "j.cfg"
+        cfg.write_text("experiment = sq-weak-learn\nn = 0\ntargets = 2\n")
+        assert cli_main(["run", str(cfg), "--set", "n=6",
+                         "--outdir", str(tmp_path / "runs")]) == 0
 
     def test_pinned_sq_game_series(self, tmp_path):
         # dyadic losses and integer picks: exact on any BLAS
@@ -234,6 +252,7 @@ class TestCli:
         cfg.write_text("experiment = kernel-hardness\nn = 4\nfeatures = 17\niters = 1\n")
         assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")]) == 2
         assert "features" in capsys.readouterr().err
+        sweep_exits_two(tmp_path, cfg.read_text())
 
     @pytest.mark.parametrize("setting", ["d_zset = 20", "d_zset = 0", "n_reduction = 13",
                                          "n_or = 13", "n_or = 2", "k_reduction = 0", "delta = 0"])
@@ -243,6 +262,7 @@ class TestCli:
         assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")]) == 2
         assert setting.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+        sweep_exits_two(tmp_path, cfg.read_text())
 
     def test_empty_population_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "e.cfg"

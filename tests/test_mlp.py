@@ -7,13 +7,12 @@ from depthlab.mlp import (
     Mlp,
     forward,
     forward_many,
-    grad_params,
     population_hinge_grad,
     population_hinge_loss,
     xavier_init,
 )
 from depthlab.dists import uniform_cube, uniform_signs
-from conftest import central_fd_hinge_grad, is_smooth_point
+from conftest import central_fd_hinge_grad, is_smooth_point, point_hinge_grad
 
 
 def affine(w, b):
@@ -99,12 +98,15 @@ class TestFlatParams:
 
 
 class TestGradParams:
+    """The hinge subgradient in the flat parameters at one point, taken
+    through ``population_hinge_grad`` on a one-point support."""
+
     def test_hinge_inactive_gives_zero(self):
         neuron = Mlp([
             (np.array([[1.0]]), np.array([0.0])),
             (np.array([[1.0]]), np.array([0.0])),
         ])
-        assert np.all(grad_params(neuron, [2.0], 1.0) == 0.0)
+        assert np.all(point_hinge_grad(neuron, [2.0], 1.0) == 0.0)
 
     def test_single_neuron_negative_label(self):
         # loss = 1 + u relu(wx+b) at u=w=1, b=0, x=2; flat order (w, b, u, b_out)
@@ -113,7 +115,7 @@ class TestGradParams:
             (np.array([[1.0]]), np.array([0.0])),
             (np.array([[1.0]]), np.array([0.0])),
         ])
-        g = grad_params(neuron, [2.0], -1.0)
+        g = point_hinge_grad(neuron, [2.0], -1.0)
         fd = central_fd_hinge_grad(neuron, [2.0], -1.0)
         assert np.allclose(fd, [2.0, 1.0, 2.0, 1.0], atol=1e-8)
         assert np.allclose(g, fd, atol=1e-8)
@@ -130,7 +132,7 @@ class TestGradParams:
                 y = float(rng.choice([-1.0, 1.0]))
                 if not is_smooth_point(net, x, y):
                     continue
-                g = grad_params(net, x, y)
+                g = point_hinge_grad(net, x, y)
                 fd = central_fd_hinge_grad(net, x, y)
                 scale = max(np.max(np.abs(fd)), 1e-12)
                 assert np.max(np.abs(g - fd)) / scale <= 1e-5

@@ -67,3 +67,12 @@ def test_traced_runs_record_their_spans(worker, tmp_path):
     recorded = {s.name for s in tracer.spans}
     assert {"kernel.solve", "mlp.population_hinge_grad", "gd.gd_train",
             "sq.adversarial_game"} <= recorded
+
+
+def test_weak_learning_queries_are_traced(worker, tmp_path):
+    # the weak learner's correlation block reaches the wrapped SqOracle.query
+    tracer = worker.tracing.Tracer()
+    with worker.tracing.patched(worker.layer_spans(tracer)):
+        report = run(ExperimentConfig("sq-weak-learn", {"n": 4, "targets": 1}), tmp_path)
+    assert report.error == ""
+    assert "sq.query" in {s.name for s in tracer.spans}

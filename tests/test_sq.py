@@ -22,12 +22,6 @@ from depthlab.sq import (
 )
 
 
-def make_correlation_query(f: BooleanFn):
-    """The correlation query y * f(x) asked on its own: the sequential
-    reference for ``SqOracle.correlations``."""
-    return lambda X, y: y * f(X)
-
-
 @pytest.fixture(scope="module")
 def parity10():
     return parity_family(10), uniform_signs(10)
@@ -40,7 +34,7 @@ class TestOracles:
         oracle = HonestNoisyOracle(target, dist, tau=0.05, seed=3)
         labels = target(dist.points)
         for j in (0, 77, 400, 1023):
-            v = oracle.query(make_correlation_query(BooleanFn(10, family[j])))
+            (v,) = oracle.query(family[j])
             truth = np.dot(dist.weights, labels * family[j])
             assert abs(v - truth) <= 0.05
         assert oracle.queries_used == 4
@@ -48,7 +42,7 @@ class TestOracles:
     def test_budget_exhaustion(self, parity10):
         family, dist = parity10
         oracle = HonestNoisyOracle(BooleanFn(10, family[1]), dist, tau=0.1, seed=0, budget=2)
-        q = make_correlation_query(BooleanFn(10, family[1]))
+        q = family[1]
         oracle.query(q)
         oracle.query(q)
         with pytest.raises(QueryBudgetError):
@@ -58,17 +52,16 @@ class TestOracles:
         family, dist = parity10
         oracle = HonestNoisyOracle(BooleanFn(10, family[0]), dist, tau=0.1, seed=0)
         with pytest.raises(ValueError):
-            oracle.query(lambda X, y: 2.0 * y)
+            oracle.query(np.full(dist.n_points, 2.0))  # q = 2y
 
     def test_adversarial_answer_is_label_agnostic_mean(self, parity10):
         family, dist = parity10
         oracle = AdversarialOracle(family[:64], dist, tau=0.5)
+        x1 = dist.points[:, 0]
         # q(x, y) = x_1 ignores the label: C_g must equal E[x_1] = 0
-        v = oracle.query(lambda X, y: X[:, 0])
-        assert v == 0.0
-        # independent enumeration of C_g for a label-dependent query
-        v2 = oracle.query(lambda X, y: y * X[:, 0])
-        assert v2 == 0.0
+        assert oracle.query(np.zeros(dist.n_points), x1).tolist() == [0.0]
+        # independent enumeration of C_g for a label-dependent query y * x_1
+        assert oracle.query(x1).tolist() == [0.0]
 
     def test_tau_floor_for_adversary(self, parity10):
         family, dist = parity10
@@ -77,7 +70,7 @@ class TestOracles:
 
 
 class TestCorrelationBlocks:
-    """oracle.correlations(H) against one query(...) per row."""
+    """A block of k correlation rows against k one-row queries."""
 
     @pytest.mark.parametrize("make", [
         lambda fam, dist: HonestNoisyOracle(BooleanFn(10, fam[77]), dist, tau=0.05, seed=3),
@@ -87,10 +80,10 @@ class TestCorrelationBlocks:
         family, dist = parity10
         members = family[[0, 77, 5, 1023, 77, 640]]
         block, seq = make(family, dist), make(family, dist)
-        seq.query(lambda X, y: y)  # a callable query first, on both
-        block.query(lambda X, y: y)
-        answers = block.correlations(members)
-        expected = [seq.query(make_correlation_query(BooleanFn(10, f))) for f in members]
+        seq.query(np.ones(dist.n_points))  # q = y first, on both
+        block.query(np.ones(dist.n_points))
+        answers = block.query(members)
+        expected = [float(seq.query(f)[0]) for f in members]
         assert answers.tolist() == expected
         assert block.log == seq.log
         assert all(type(a) is float for a in block.log)
@@ -102,22 +95,57 @@ class TestCorrelationBlocks:
     def test_overrunning_block_is_refused_whole(self, parity10):
         family, dist = parity10
         oracle = HonestNoisyOracle(BooleanFn(10, family[1]), dist, tau=0.1, seed=0, budget=3)
-        oracle.correlations(family[:2])
+        oracle.query(family[:2])
         log = list(oracle.log)
         with pytest.raises(QueryBudgetError):
-            oracle.correlations(family[2:4])
+            oracle.query(family[2:4])
         assert oracle.log == log
-        oracle.correlations(family[2:3])
+        oracle.query(family[2:3])
         assert oracle.remaining_queries == 0
 
     def test_block_range_and_width_checked(self, parity10):
         family, dist = parity10
         oracle = HonestNoisyOracle(BooleanFn(10, family[1]), dist, tau=0.1, seed=0)
         with pytest.raises(ValueError):
-            oracle.correlations(np.full((2, dist.n_points), 1.5))
+            oracle.query(np.full((2, dist.n_points), 1.5))
         with pytest.raises(ValueError):
-            oracle.correlations(np.ones((2, dist.n_points - 1)))
+            oracle.query(np.ones((2, dist.n_points - 1)))
+        with pytest.raises(ValueError):
+            oracle.query(np.ones((2, dist.n_points)), np.zeros((1, dist.n_points)))
         assert oracle.log == []
+
+
+class TestPinnedAnswers:
+    """Both oracles' answer bits on one query sequence, pinned from the same
+    queries asked as callables q(X, y) when queries were callables."""
+
+    HONEST = ["0x1.00320d4f8f2a4p-4", "0x1.56bf36f2bc99ap-3", "0x1.5a4d597e502bep-3",
+              "-0x1.19634950aa578p-3", "-0x1.99426b378e458p-4", "0x1.7e84cb5d23e88p-3",
+              "-0x1.fa9bbb6459796p-3", "0x1.48f01a3dffc80p-3", "0x1.3032f7e486986p-3",
+              "-0x1.06ad471c30790p-6", "-0x1.9363bc2977e14p-4", "-0x1.02e46576a232cp-3"]
+    ADVERSARY = ["0x0.0p+0", "-0x1.0000000000000p-5"] + ["0x0.0p+0"] * 9 + [
+        "0x1.0000000000000p-6"]
+
+    def test_answer_bits_pinned(self):
+        n = 6
+        family, dist = parity_family(n), uniform_signs(n)
+        m = dist.n_points
+        r_even, r_odd, r1, r2 = np.random.default_rng(5).integers(0, 2, size=(4, m)) * 2.0 - 1.0
+        honest = HonestNoisyOracle(BooleanFn(n, family[13]), dist, tau=0.25, seed=7)
+        adversary = AdversarialOracle(family, dist, tau=0.5)
+        for oracle in (honest, adversary):
+            oracle.query(np.ones(m))  # q = y
+            oracle.query(np.zeros(m), r_even)  # q = r_even(x)
+            oracle.query(r_odd)  # q = y * r_odd(x)
+            oracle.query(family[:8])  # eight member correlations in one block
+            oracle.query(0.5 * r2, 0.5 * r1)  # q = (r1(x) + y * r2(x)) / 2
+            with pytest.raises(ValueError):  # each part is in range, q = 1.2 at y = 1 is not
+                oracle.query(np.full(m, 0.6), np.full(m, 0.6))
+        assert [v.hex() for v in honest.log] == self.HONEST
+        assert [v.hex() for v in adversary.log] == self.ADVERSARY
+        odd = np.vstack([np.ones(m), np.zeros(m), r_odd, family[:8], 0.5 * r2])
+        assert [g.tobytes() for g in adversary.weighted_gbars] == [
+            (dist.weights * g).tobytes() for g in odd]
 
 
 class TestFamilySupport:
@@ -257,6 +285,12 @@ class TestAdversarialGame:
         res = adversarial_game(family, learner, budget=0, tau=0.5, dist=dist)
         assert res.loss >= 1.0 - 2.0 / np.sqrt(len(family))
         assert res.inconsistent_counts == []
+
+    def test_no_survivor_beyond_the_bound_is_no_contradiction(self):
+        # 64 correlation queries rule out all 64 members, far beyond d^(1/3)/8 = 1/2
+        family, dist = parity_family(6), uniform_signs(6)
+        with pytest.raises(ValueError, match=r"budget = 64 .* d\^\(1/3\)/8 = 0.5"):
+            adversarial_game(family, make_correlation_learner(family), 64, 0.5, dist)
 
     def test_random_query_learner_needs_a_budget(self):
         oracle = AdversarialOracle(parity_family(4), uniform_signs(4), tau=0.5)
