@@ -1,7 +1,8 @@
 """Run every experiment at its defaults and print the scoreboard.
 
-The full pass takes ~40 s on a 2-core machine (kernel-hardness and
-gd-flatline dominate); --quick shrinks the expensive runs to ~7 s.
+The full pass takes ~14 s on a 2-core machine with one BLAS thread
+(gd-flatline, ~8 s, dominates); --quick shrinks the expensive runs to
+~4 s.
 """
 
 import argparse
@@ -14,7 +15,6 @@ QUICK_OVERRIDES = {
     "telgarsky-separation": {"count": 20},
     "sq-parity-lower-bound": {"seeds": 3},
     "sq-weak-learn": {"targets": 5},
-    "kernel-hardness": {"iters": 300},
     "lipschitz-approx": {"samples": 10**4},
     "xavier-audit": {"trials": 20},
 }

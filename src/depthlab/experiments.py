@@ -174,11 +174,10 @@ def _check_values(e, p):
                           f"at n = {p['n']}")
     if e == "f-family":
         # sign enumeration of 2n coordinates stops at 24, the 8 pair picks need
-        # 2^n_or >= 8, and hoeffding_zset admits d <= 2^(n/12) (capped at
-        # 2^1000 so that the bound stays a float)
+        # 2^n_or >= 8, and hoeffding_zset admits d up to sq.zset_capacity
         for key, lo, hi in (("n_or", 3, 12), ("n_reduction", 1, 12),
                             ("k_reduction", 1, math.inf),
-                            ("d_zset", 1, 2 ** min(p["n_zset"] / 12, 1000))):
+                            ("d_zset", 1, sq.zset_capacity(p["n_zset"]))):
             if not lo <= p[key] <= hi:
                 raise ConfigError(f"{key} = {p[key]} lies outside {lo}..{hi:g}")
         if not 0 < p["delta"] < 1:
@@ -443,21 +442,29 @@ def _exp_kernel_hardness(p):
     report = kernel.verify_linear_hardness(psi, p["B"], family, dist,
                                            iters=p["iters"],
                                            seed=derive_seed(p["seed"], "fd"))
-    series = [{"target_id": j, "loss": float(l), "bound": report.bound,
-               "slack": float(l) - report.bound}
-              for j, l in enumerate(report.losses)]
+    series = [{"target_id": j, "loss": float(l), "lower_bound": float(lo),
+               "bound": report.bound, "slack": float(l) - report.bound}
+              for j, (l, lo) in enumerate(zip(report.losses, report.lower_bounds))]
     metrics = {
         "n": n, "family_size": d, "features": p["features"],
         "feature_kind": p["feature_kind"], "B": p["B"],
         "solver_iters": p["iters"],
         "average_loss_hinge": report.average_loss,
+        "average_lower_bound_hinge": report.average_lower_bound,
+        "max_bracket_gap": report.max_bracket_gap,
+        "fixed_point_targets": report.fixed_point_targets,
         "formula_bound": report.bound,
         "bound_vacuous": report.bound_vacuous,
         "bound_variants": report.bound_variants,
         "grad_identity_max_err": report.grad_identity_max_err,
     }
-    passed = report.average_loss >= p["threshold"] and report.grad_identity_max_err <= 1e-9
-    return metrics, {"average_loss_min": p["threshold"], "grad_identity_err_max": 1e-9}, passed, series
+    duality_tol = 1e-12  # lower_j <= loss_j for every target, up to roundoff
+    passed = (report.average_loss >= p["threshold"]
+              and report.average_lower_bound >= p["threshold"]
+              and bool(np.all(report.lower_bounds <= report.losses + duality_tol))
+              and report.grad_identity_max_err <= 1e-9)
+    return metrics, {"average_loss_min": p["threshold"], "grad_identity_err_max": 1e-9,
+                     "weak_duality_tol": duality_tol}, passed, series
 
 
 def _depth2_net(rng, n, k):

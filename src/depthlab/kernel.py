@@ -5,6 +5,10 @@ Psi with components in [-1,1].  Minimization is projected averaged
 subgradient descent on the exact finite-sum objective over the full
 enumeration, one column per target of a (d, 2^n) table matrix; it returns
 the averaged iterates with their losses, which upper-bound the minima.
+A target whose correlation c_j = Phi^T (p * y_j) with the features is
+exactly zero is a fixed point of the descent (its first subgradient is
+-c_j = 0, so w_j stays 0), and only the other targets are iterated.  The
+same c_j bound every minimum from below: L_j >= sum(p) - B ||c_j||.
 """
 
 from __future__ import annotations
@@ -65,6 +69,13 @@ def _family_labels(family, dist) -> np.ndarray:
     return np.ascontiguousarray(on_support(family, dist).T, dtype=np.float64)
 
 
+def _correlations(Phi, Y, weights):
+    """C = Phi^T (p * Y), the (N, d) feature-target correlations, and the
+    mask of live targets: those with a column of C not exactly zero."""
+    C = Phi.T @ (weights[:, None] * Y)
+    return C, np.any(C != 0.0, axis=0)
+
+
 def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000):
     """Minimize the exact population hinge loss over the B-ball for every
     row of a (d, 2^n) table matrix at once, sharing Phi = psi(support).
@@ -74,6 +85,16 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
     running iterate average.  Returns (W, losses), W the (N, d) averaged
     iterates and losses their hinge losses.  B = 0 short-circuits to the
     zero predictor with loss exactly 1.
+
+    At W = 0 every margin is 0 <= 1, so the first subgradient is -C with
+    C = Phi^T (p * Y).  A target whose column of C is exactly zero keeps
+    W_j = 0 at every step (zero update, norm 0, scale 1), so only the
+    other columns are iterated; the frozen ones are returned as the zero
+    column, with their loss from the same full product as the rest.  Every
+    bit then equals the all-columns loop's wherever BLAS computes a product
+    column the same way whatever the other columns are; tests/test_kernel.py
+    checks this against a dense copy of that loop, one live target (the
+    matrix-vector dispatch) and none included.
     """
     if B < 0:
         raise ValueError("B must be >= 0")
@@ -86,17 +107,21 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
     if B == 0.0:
         return np.zeros((N, d)), np.full(d, float(np.sum(weights)))
     Phi = psi(dist.points)
-    wY = weights[:, None] * Y
-    W = np.zeros((N, d))
-    Wsum = np.zeros((N, d))
+    # the first subgradient is -C; a zero column of C never moves
+    _, live = _correlations(Phi, Y, weights)
+    Yl = Y if live.all() else Y[:, live]
+    wYl = weights[:, None] * Yl
+    k = Yl.shape[1]
+    W = np.zeros((N, k))
+    Wsum = np.zeros((N, k))
     base = B / np.sqrt(N)
-    buf = np.empty((m, d))  # margins, then the masked weighted labels
-    active = np.empty((m, d), dtype=bool)
+    buf = np.empty((m, k))  # margins, then the masked weighted labels
+    active = np.empty((m, k), dtype=bool)
     for t in range(1, iters + 1):
         np.matmul(Phi, W, out=buf)
-        buf *= Y
+        buf *= Yl
         np.less_equal(buf, 1.0, out=active)
-        np.multiply(wY, active, out=buf)
+        np.multiply(wYl, active, out=buf)
         G = -(Phi.T @ buf)
         eta = base / np.sqrt(t)
         W -= eta * G
@@ -104,7 +129,8 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
         scale = np.minimum(1.0, B / np.maximum(norms, 1e-300))
         W *= scale
         Wsum += W
-    Wavg = Wsum / iters
+    Wavg = np.zeros((N, d))
+    Wavg[:, live] = Wsum / iters
     return Wavg, np.einsum("m,md->d", weights, np.maximum(0.0, 1.0 - Y * (Phi @ Wavg)))
 
 
@@ -128,6 +154,10 @@ def hardness_bound_variants(N: int, B: float, d: int) -> dict:
 class LinearHardnessReport:
     losses: np.ndarray
     average_loss: float
+    lower_bounds: np.ndarray    # max(0, sum(p) - B ||c_j||) <= min over the B-ball
+    average_lower_bound: float
+    max_bracket_gap: float      # max over j of losses[j] - lower_bounds[j]
+    fixed_point_targets: int    # targets with c_j = 0: the solver never moves them
     bound: float
     bound_variants: dict
     bound_vacuous: bool
@@ -166,12 +196,16 @@ def _grad_identity_check(Phi, Y, weights, lam, rng, pairs=20) -> float:
 
 def verify_linear_hardness(psi: FeatureMap, B: float, family, dist,
                            iters: int = 2000, seed: int = 0) -> LinearHardnessReport:
-    """Average the per-member hinge minima and compare to the formula bound.
+    """Bracket the per-member hinge minima and compare to the formula bound.
 
-    At desk scale the d^(1/12) bound is usually vacuous; the report says
-    so explicitly (bound_vacuous) instead of pretending tightness.  Also
-    runs the regularized-objective gradient-at-zero identity check on 20
-    random (feature, member) pairs.
+    The solver's losses bound each minimum from above.  From below,
+    hinge(z) >= alpha (1 - z) at alpha = 1 gives, by Cauchy-Schwarz over
+    the B-ball, L_j(w) >= sum(p) - B ||c_j|| with c_j = Phi^T (p * y_j);
+    the report keeps both sides, their largest gap and the count of
+    zero-correlation targets.  At desk scale the d^(1/12) bound is usually
+    vacuous; the report says so explicitly (bound_vacuous) instead of
+    pretending tightness.  Also runs the regularized-objective
+    gradient-at-zero identity check on 20 random (feature, member) pairs.
     """
     _, losses = min_hinge_family(psi, B, family, dist, iters)
     d = len(family)
@@ -179,11 +213,17 @@ def verify_linear_hardness(psi: FeatureMap, B: float, family, dist,
     bound = hardness_bound(N, B, d)
     Phi = psi(dist.points)
     Y = _family_labels(family, dist)
+    C, live = _correlations(Phi, Y, dist.weights)
+    lower = np.maximum(0.0, np.sum(dist.weights) - B * np.linalg.norm(C, axis=0))
     lam = np.sqrt(2.0 * np.sqrt(5.0) * N) / (d ** (1.0 / 12.0) * max(B, 1e-12))
     err = _grad_identity_check(Phi, Y, dist.weights, lam, np.random.default_rng(seed))
     return LinearHardnessReport(
         losses=losses,
         average_loss=float(np.mean(losses)),
+        lower_bounds=lower,
+        average_lower_bound=float(np.mean(lower)),
+        max_bracket_gap=float(np.max(losses - lower)),
+        fixed_point_targets=int(np.count_nonzero(~live)),
         bound=bound,
         bound_variants=hardness_bound_variants(N, B, d),
         bound_vacuous=bound == 0.0,

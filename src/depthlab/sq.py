@@ -35,6 +35,7 @@ __all__ = [
     "certify_from_gram",
     "f_family_gram",
     "hoeffding_zset",
+    "zset_capacity",
     "correlation_weak_learner",
     "adversarial_game",
     "GameResult",
@@ -206,6 +207,12 @@ def f_family_gram(zset: np.ndarray) -> np.ndarray:
     return G
 
 
+def zset_capacity(n: int) -> float:
+    """The largest d that hoeffding_zset admits at length n: 2^(n/12),
+    capped at 2^1000 so that it stays a float at any n."""
+    return 2.0 ** min(n / 12.0, 1000.0)
+
+
 def hoeffding_zset(n: int, d: int, seed: int) -> np.ndarray:
     """d uniform sign vectors with all pairwise Hamming distances >= n/4.
 
@@ -215,8 +222,8 @@ def hoeffding_zset(n: int, d: int, seed: int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if d > int(2 ** (n / 12.0)):
-        raise ValueError(f"d = {d} exceeds the admissible 2^(n/12) = {2 ** (n / 12.0):.2f}")
+    if d > zset_capacity(n):
+        raise ValueError(f"d = {d} exceeds the admissible 2^(n/12) at n = {n}")
     rng = np.random.default_rng(seed)
     for _ in range(_ZSET_MAX_BATCHES):
         Z = (rng.integers(0, 2, size=(d, n)) * 2 - 1).astype(np.int8)

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -40,6 +46,31 @@ def is_smooth_point(net, x, y, kink_tol=1e-4):
             a = np.maximum(a, 0.0)
     margin = y * a[0, 0]
     return abs(margin - 1.0) >= kink_tol
+
+
+_RUN_ONE = """
+import json, sys
+from depthlab.experiments import ExperimentConfig, run
+cfg = ExperimentConfig(sys.argv[1], json.loads(sys.argv[2]))
+run(cfg, outdir=sys.argv[3])
+print(cfg.run_name())
+"""
+
+
+def report_bytes_by_blas_threads(tmp_path, experiment, params):
+    """report.json and series.csv bytes of one run in a fresh interpreter
+    with 1 and with 2 OpenBLAS threads, in that order."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outdir = tmp_path / f"threads-{threads}"
+        name = subprocess.run([sys.executable, "-c", _RUN_ONE, experiment, json.dumps(params),
+                               str(outdir)], env=env, check=True, capture_output=True,
+                              text=True).stdout.strip()
+        outputs.append([(outdir / name / f).read_bytes() for f in ("report.json", "series.csv")])
+    return outputs
 
 
 @pytest.fixture

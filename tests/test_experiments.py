@@ -264,6 +264,13 @@ class TestCli:
         assert not (tmp_path / "runs").exists()
         sweep_exits_two(tmp_path, cfg.read_text())
 
+    def test_f_family_runs_at_huge_n_zset(self, tmp_path):
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text("experiment = f-family\nn_zset = 20000\n")
+        assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")]) == 0
+        (report,) = (tmp_path / "runs").glob("*/report.json")
+        assert json.loads(report.read_text())["error"] == ""
+
     def test_empty_population_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "e.cfg"
         cfg.write_text("experiment = telgarsky-separation\ncount = 0\n")

@@ -1,7 +1,4 @@
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +8,7 @@ from depthlab.constructions import telgarsky_target
 from depthlab.dists import uniform_cube, InputDistribution
 from depthlab.gd import CELL_MIN_GRID, GdConfig, GdDivergence, gd_train
 from depthlab.mlp import Mlp, population_hinge_grad, xavier_init
+from conftest import report_bytes_by_blas_threads
 
 
 def two_point_dist():
@@ -136,27 +134,10 @@ def test_cells_track_dense_trajectory_n12(monkeypatch):
     assert_cells_track_dense(monkeypatch, 12, 100)
 
 
-_FLATLINE_RUN = """
-import sys
-from depthlab.experiments import ExperimentConfig, run
-cfg = ExperimentConfig("gd-flatline", {"n": 12, "iters": 5})
-run(cfg, outdir=sys.argv[1])
-print(cfg.run_name())
-"""
-
-
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for 2 BLAS threads")
 def test_flatline_report_bytes_do_not_depend_on_blas_threads(tmp_path):
     """gd-flatline at n = 12 (depth 12, width 32: 10,657 parameters, enough
     for OpenBLAS to split a dot product) writes the same bytes whether BLAS
     runs on one thread or two."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        outdir = tmp_path / f"threads-{threads}"
-        name = subprocess.run([sys.executable, "-c", _FLATLINE_RUN, str(outdir)], env=env,
-                              check=True, capture_output=True, text=True).stdout.strip()
-        outputs.append([(outdir / name / f).read_bytes() for f in ("report.json", "series.csv")])
+    outputs = report_bytes_by_blas_threads(tmp_path, "gd-flatline", {"n": 12, "iters": 5})
     assert outputs[0] == outputs[1]

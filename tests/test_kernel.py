@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,9 @@ from depthlab.kernel import (
     random_sign_features,
     verify_linear_hardness,
 )
-from depthlab.boolfn import enumerate_signs
+from depthlab.boolfn import enumerate_signs, on_support
 from depthlab.mlp import Mlp, forward_many
+from conftest import report_bytes_by_blas_threads
 
 
 def grid_search_min(Phi, y, weights, B, resolution=0.05):
@@ -235,3 +238,78 @@ def test_min_hinge_family_matches_single_solves(parity6):
     assert np.allclose(batched, [loss for _, loss in singles], atol=1e-12)
     assert np.allclose(W, np.stack([w for w, _ in singles], axis=1), atol=1e-12)
     assert np.all(np.linalg.norm(W, axis=0) <= 1.5 + 1e-9)
+
+
+def dense_min_hinge_family(psi, B, family, dist, iters):
+    """Reference: the projected subgradient loop over every column, frozen or not."""
+    Y = np.ascontiguousarray(on_support(family, dist).T, dtype=np.float64)
+    m, d = Y.shape
+    N = psi.n_features
+    weights = dist.weights
+    Phi = psi(dist.points)
+    wY = weights[:, None] * Y
+    W = np.zeros((N, d))
+    Wsum = np.zeros((N, d))
+    base = B / np.sqrt(N)
+    buf = np.empty((m, d))
+    active = np.empty((m, d), dtype=bool)
+    for t in range(1, iters + 1):
+        np.matmul(Phi, W, out=buf)
+        buf *= Y
+        np.less_equal(buf, 1.0, out=active)
+        np.multiply(wY, active, out=buf)
+        G = -(Phi.T @ buf)
+        eta = base / np.sqrt(t)
+        W -= eta * G
+        norms = np.linalg.norm(W, axis=0)
+        scale = np.minimum(1.0, B / np.maximum(norms, 1e-300))
+        W *= scale
+        Wsum += W
+    Wavg = Wsum / iters
+    return Wavg, np.einsum("m,md->d", weights, np.maximum(0.0, 1.0 - Y * (Phi @ Wavg)))
+
+
+def _mixed_family(family):
+    rng = np.random.default_rng(11)
+    noise = (rng.integers(0, 2, size=(16, family.shape[1])) * 2 - 1).astype(np.int8)
+    return np.concatenate([family[:24], noise, family[40:]])
+
+
+@pytest.mark.parametrize("features,targets", [
+    (lambda fam: feature_map_from_family(fam[[3, 17, 42, 60]]), lambda fam: fam),
+    (lambda fam: random_sign_features(6, 8, seed=21), lambda fam: fam),
+    (lambda fam: feature_map_from_family(fam[[1, 2, 5, 9, 33]]), _mixed_family),
+    (lambda fam: feature_map_from_family(fam[:4]), lambda fam: fam[4:8]),
+    (lambda fam: feature_map_from_family(fam[[3, *range(32, 47)]]), lambda fam: fam[:32]),
+], ids=["parity-features", "iid-features", "mixed-targets", "all-frozen", "one-live"])
+def test_fixed_point_skip_matches_dense_loop(parity6, features, targets):
+    family, dist = parity6
+    psi, fam = features(family), targets(family)
+    W, losses = min_hinge_family(psi, 2.0, fam, dist, iters=300)
+    Wd, losses_d = dense_min_hinge_family(psi, 2.0, fam, dist, iters=300)
+    assert W.tobytes() == Wd.tobytes() and losses.tobytes() == losses_d.tobytes()
+    Y = on_support(fam, dist).T.astype(np.float64)
+    frozen = ~np.any(psi(dist.points).T @ (dist.weights[:, None] * Y) != 0.0, axis=0)
+    assert np.all(W[:, frozen] == 0.0)
+    assert np.all(losses[frozen] == np.sum(dist.weights))
+
+
+def test_lower_bounds_bracket_the_minima(parity6):
+    family, dist = parity6
+    psi = feature_map_from_family(family[[3, 17, 42, 60]])
+    rep = verify_linear_hardness(psi, 10.0, family, dist, iters=50)
+    assert rep.fixed_point_targets == 60
+    assert np.all(rep.lower_bounds <= rep.losses + 1e-12)
+    assert rep.max_bracket_gap == 0.0 and rep.average_lower_bound == 60 / 64
+    iid = verify_linear_hardness(random_sign_features(6, 8, seed=21), 1.0, family, dist,
+                                 iters=300)
+    assert iid.fixed_point_targets == 0
+    assert np.all(iid.lower_bounds <= iid.losses + 1e-12) and iid.max_bracket_gap > 0.0
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for 2 BLAS threads")
+def test_kernel_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """kernel-hardness at n = 10 (products of 1,024 rows) writes the same
+    bytes whether BLAS runs on one thread or two."""
+    outputs = report_bytes_by_blas_threads(tmp_path, "kernel-hardness", {"iters": 50})
+    assert outputs[0] == outputs[1]

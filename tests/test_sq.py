@@ -232,6 +232,13 @@ class TestHoeffdingZset:
         with pytest.raises(ValueError):
             hoeffding_zset(24, 5, seed=0)  # 2^(24/12) = 4
 
+    def test_huge_n_does_not_overflow(self):
+        # 2^(20000/12) is beyond float64; the admissibility check must not form it
+        Z = hoeffding_zset(20000, 16, seed=0)
+        H = (20000 - Z.astype(np.int64) @ Z.T.astype(np.int64)) // 2
+        np.fill_diagonal(H, 20000)
+        assert Z.shape == (16, 20000) and H.min() >= 5000
+
 
 class TestWeakLearner:
     def test_recovers_planted_parity(self, parity10):
