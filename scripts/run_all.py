@@ -26,6 +26,8 @@ def main():
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--quick", action="store_true")
     args = ap.parse_args()
+    if args.workers < 1:
+        ap.error(f"--workers must be >= 1, got {args.workers}")
 
     configs = []
     for eid in experiment_ids():

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import Mlp, forward, output_grad_params
+from .mlp import Mlp, forward, l2_norm, output_grad_params
 
 __all__ = ["LStandardReport", "audit_l_standard", "param_lipschitz_ratio"]
 
@@ -32,8 +32,6 @@ class LStandardReport:
     lhat_theta: float     # max parameter-Lipschitz ratio observed
     lhat_x: float         # max per-coordinate gradient ratio in x
     lhat_sup: float       # max gradient coordinate magnitude
-    rho: float
-    trials: int
     pass_fraction: float  # draws with all ratios <= 1.1 * ||x|| * slack
     slack: float
 
@@ -47,9 +45,7 @@ class LStandardReport:
 def param_lipschitz_ratio(net_a: Mlp, net_b: Mlp, x) -> float:
     """|g_a(x) - g_b(x)| / ||theta_a - theta_b|| for one probe pair."""
     num = abs(forward(net_a, x) - forward(net_b, x))
-    diff = net_a.flat_params() - net_b.flat_params()
-    # numpy's own sum, not BLAS's: its bits do not depend on the thread count
-    den = np.sqrt(np.add.reduce(diff * diff))
+    den = l2_norm(net_a.flat_params() - net_b.flat_params())
     if den == 0.0:
         raise ValueError("probe points coincide")
     return num / den
@@ -131,8 +127,6 @@ def audit_l_standard(
         lhat_theta=max_theta_ratio,
         lhat_x=max_x_ratio,
         lhat_sup=max_sup,
-        rho=rho,
-        trials=trials,
         pass_fraction=passed / trials if trials else 0.0,
         slack=_SLACK,
     )

@@ -2,9 +2,11 @@
 
 The canonical enumeration of {+-1}^n is lexicographic with +1 first: index i
 has coordinate t equal to +1 when bit (n-1-t) of i is 0.  Tables are int8
-and always aligned to this order.  A single function is a ``BooleanFn``; a
+and always aligned to this order, so on the full enumeration a function
+is its table row: a single function is one int8 row of length 2^n, and a
 family of d functions is one (d, 2^n) int8 matrix whose row j is member
-j's table.
+j's table.  ``BooleanFn`` is the validated record of one row with its
+arity.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "parity_fn",
     "parity_family",
     "or_parity_fn",
-    "or_parity_inner_closed_form",
     "inner_product",
 ]
 
@@ -69,16 +70,10 @@ class BooleanFn:
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate on rows of a +-1 matrix (vectorized)."""
-        X = np.atleast_2d(np.asarray(X))
-        if X.shape[1] != self.arity:
-            raise ValueError(f"expected arity {self.arity}, got {X.shape[1]} columns")
-        return self.table[sign_index(X)].astype(np.float64)
 
-
-def parity_fn(I, n: int) -> BooleanFn:
-    """Parity over the coordinate subset I: the product of x_t for t in I."""
+def parity_fn(I, n: int) -> np.ndarray:
+    """Parity over the coordinate subset I, the product of x_t for t in I,
+    as its int8 table row."""
     I = sorted(set(I))
     if any(t < 0 or t >= n for t in I):
         raise ValueError("subset out of range")
@@ -86,7 +81,7 @@ def parity_fn(I, n: int) -> BooleanFn:
     table = np.ones(2**n, dtype=np.int8)
     for t in I:
         table *= X[:, t]
-    return BooleanFn(n, table)
+    return table
 
 
 def parity_family(n: int) -> np.ndarray:
@@ -105,8 +100,9 @@ def parity_family(n: int) -> np.ndarray:
     return tables
 
 
-def or_parity_fn(z_prime, n: int) -> BooleanFn:
-    """Product over {t : z'_t = +1} of (x_t OR z_t), on pairs (x, z).
+def or_parity_fn(z_prime, n: int) -> np.ndarray:
+    """Product over {t : z'_t = +1} of (x_t OR z_t), on pairs (x, z), as its
+    int8 table row.
 
     The table has arity 2n; the input is the concatenation (x, z) and the
     OR of two signs is their max.
@@ -120,28 +116,18 @@ def or_parity_fn(z_prime, n: int) -> BooleanFn:
     for t in range(n):
         if z_prime[t] == 1:
             table *= np.maximum(x[:, t], z[:, t])
-    return BooleanFn(2 * n, table)
+    return table
 
 
-def or_parity_inner_closed_form(z1, z2) -> float:
-    """Uniform-pair correlation of two OR-parity functions: (1/2)^hamming.
-
-    The exponent is the number of coordinates where the two selector
-    vectors differ.
-    """
-    z1 = np.asarray(z1)
-    z2 = np.asarray(z2)
-    return 0.5 ** int(np.count_nonzero(z1 != z2))
-
-
-def inner_product(f: BooleanFn, g: BooleanFn, dist) -> float:
-    """Signed expectation E[f(x) g(x)] under the full enumeration of {+-1}^n.
+def inner_product(f, g, dist) -> float:
+    """Signed expectation E[f(x) g(x)] of two table rows under the full
+    enumeration of {+-1}^n.
 
     Exact: the sum of +-1 products is an integer and the uniform weight is
-    dyadic.  Any other support is refused, since the tables line up with
-    no other.
+    dyadic.  Rows of different lengths, and any other support, are
+    refused, since the tables line up with no other.
     """
-    if f.arity != g.arity:
-        raise ValueError(f"arity mismatch: {f.arity} vs {g.arity}")
-    f_vals, g_vals = on_support([f.table, g.table], dist)
+    if len(f) != len(g):
+        raise ValueError(f"table length mismatch: {len(f)} vs {len(g)}")
+    f_vals, g_vals = on_support([f, g], dist)
     return float(np.dot(dist.weights, f_vals.astype(np.float64) * g_vals))

@@ -64,6 +64,8 @@ def main(argv=None) -> int:
             print(json.dumps(report.to_dict(), sort_keys=True, indent=1))
             return 0 if report.passed else 1
         if args.command == "sweep":
+            if args.workers < 1:
+                raise ConfigError(f"--workers must be >= 1, got {args.workers}")
             cfg_dir = Path(args.dir)
             if not cfg_dir.is_dir():
                 raise ConfigError(f"{args.dir} is not a directory")

@@ -8,7 +8,7 @@ lab is a plain weighted sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class InputDistribution:
     kind: str
     points: np.ndarray  # (m, dim); int8 for sign domains, float64 otherwise
     weights: np.ndarray  # (m,), sums to 1
-    meta: dict = field(default_factory=dict)
     is_full_enumeration: bool = False
 
     def __post_init__(self):
@@ -67,7 +66,7 @@ def uniform_cube(grid: int) -> InputDistribution:
         raise ValueError("grid must be >= 1")
     pts = ((np.arange(grid) + 0.5) / grid)[:, None]
     w = np.full(grid, 1.0 / grid)
-    return InputDistribution("uniform_cube", pts, w, {"grid": grid})
+    return InputDistribution("uniform_cube", pts, w)
 
 
 def uniform_signs(n: int) -> InputDistribution:
@@ -77,7 +76,7 @@ def uniform_signs(n: int) -> InputDistribution:
     pts = enumerate_signs(n)
     m = 2**n
     w = np.full(m, 1.0 / m)
-    return InputDistribution("uniform_signs", pts, w, {"n": n}, is_full_enumeration=True)
+    return InputDistribution("uniform_signs", pts, w, is_full_enumeration=True)
 
 
 def induced_pair(n: int, zset: np.ndarray) -> InputDistribution:
@@ -98,4 +97,4 @@ def induced_pair(n: int, zset: np.ndarray) -> InputDistribution:
     )
     m = (2**n) * d
     w = np.full(m, 1.0 / m)
-    return InputDistribution("induced_pair", pts, w, {"n": n, "zset_size": d})
+    return InputDistribution("induced_pair", pts, w)

@@ -144,7 +144,7 @@ def experiment_ids():
 
 def _check_values(e, p):
     """Refuse the values experiment ``e`` cannot run with, before it runs."""
-    if e == "telgarsky-separation" and p["n"] > pwl.MAX_WAVE_N:
+    if e in ("gd-flatline", "gd-sanity", "telgarsky-separation") and p["n"] > pwl.MAX_WAVE_N:
         raise ConfigError(f"n = {p['n']} exceeds {pwl.MAX_WAVE_N}: the 2^n-band edges "
                           "of the wave stop being exact in float64")
     if e in ("sq-parity-lower-bound", "sq-weak-learn", "kernel-hardness") \
@@ -407,8 +407,8 @@ def _certify_weak_learn(p, draws):
         target = boolfn.BooleanFn(n, family[j])
         oracle = sq.HonestNoisyOracle(target, dist, tau=p["tau"], seed=oracle_seed)
         got = sq.correlation_weak_learner(oracle, family)
-        loss = float(np.dot(dist.weights,
-                            np.maximum(0.0, 1.0 - target(dist.points) * got(dist.points))))
+        y, h = boolfn.on_support([target.table, got.table], dist).astype(np.float64)
+        loss = float(np.dot(dist.weights, np.maximum(0.0, 1.0 - y * h)))
         recovered = bool(np.array_equal(got.table, target.table))
         ok = ok and recovered and loss == 0.0
         series.append({"trial": t, "target_index": j, "recovered": recovered, "loss": loss})
@@ -458,12 +458,12 @@ def _exp_kernel_hardness(p):
         "bound_variants": report.bound_variants,
         "grad_identity_max_err": report.grad_identity_max_err,
     }
-    duality_tol = 1e-12  # lower_j <= loss_j for every target, up to roundoff
-    passed = (report.average_loss >= p["threshold"]
-              and report.average_lower_bound >= p["threshold"]
+    # duality_tol: lower_j <= loss_j for every target, up to roundoff
+    floor, grad_tol, duality_tol = p["threshold"], 1e-9, 1e-12
+    passed = (report.average_loss >= floor and report.average_lower_bound >= floor
               and bool(np.all(report.lower_bounds <= report.losses + duality_tol))
-              and report.grad_identity_max_err <= 1e-9)
-    return metrics, {"average_loss_min": p["threshold"], "grad_identity_err_max": 1e-9,
+              and report.grad_identity_max_err <= grad_tol)
+    return metrics, {"average_loss_min": floor, "grad_identity_err_max": grad_tol,
                      "weak_duality_tol": duality_tol}, passed, series
 
 
@@ -491,33 +491,27 @@ def _certify_f_family(p, z_prime, pairs, Z, net2):
     # exact depth-3 realization on the full pair cube
     n_or = z_prime.size
     net = constructions.or_parity_net(z_prime, n_or)
-    fn = boolfn.or_parity_fn(z_prime, n_or)
     U = boolfn.enumerate_signs(2 * n_or).astype(np.float64)
-    or_exact = bool(np.array_equal(mlp.forward_many(net, U), fn(U)))
+    or_exact = bool(np.array_equal(mlp.forward_many(net, U),
+                                   boolfn.or_parity_fn(z_prime, n_or)))
     # closed-form correlations vs enumeration
     closed_ok = True
     for m, pick in pairs:
         pair_dist = dists.uniform_signs(2 * m)
         zs = boolfn.enumerate_signs(m)
         half = len(pick) // 2
-        for i in pick[:half]:
-            for j in pick[half:]:
+        G = sq.f_family_gram(zs[pick])
+        for a, i in enumerate(pick[:half]):
+            for b, j in enumerate(pick[half:], half):
                 ip = abs(boolfn.inner_product(boolfn.or_parity_fn(zs[i], m),
                                               boolfn.or_parity_fn(zs[j], m), pair_dist))
-                cf = boolfn.or_parity_inner_closed_form(zs[i], zs[j])
-                closed_ok = closed_ok and ip == cf
+                closed_ok = closed_ok and ip == G[a, b]
     # selector set with pairwise Hamming >= n/4, certified via the closed form
-    H = (p["n_zset"] - Z.astype(np.int64) @ Z.T.astype(np.int64)) // 2
-    np.fill_diagonal(H, p["n_zset"])
-    min_hamming = int(H.min())
+    hamming = sq.min_hamming(Z)
     cert = sq.certify_from_gram(sq.f_family_gram(Z))
     # depth-2 rounding reduction on the full 4^n enumeration
-    n_red, k = p["n_reduction"], p["k_reduction"]
-    (W1, b1), (W2, _) = net2.layers
-    R = max([float(np.linalg.norm(W2)), float(np.linalg.norm(b1))]
-            + [float(np.linalg.norm(W1[i, :n_red])) for i in range(k)]
-            + [float(np.linalg.norm(W1[i, n_red:])) for i in range(k)])
-    red = kernel.depth2_to_kernel(net2, p["delta"], R, n_red)
+    n_red = p["n_reduction"]
+    red = kernel.depth2_to_kernel(net2, p["delta"], kernel.depth2_radius(net2, n_red), n_red)
     Up = boolfn.enumerate_signs(2 * n_red).astype(np.float64)
     g = mlp.forward_many(net2, Up)
     ghat = mlp.forward_many(red.rounded_net, Up)
@@ -530,17 +524,18 @@ def _certify_f_family(p, z_prime, pairs, Z, net2):
         u = red.selector(Xs[zi])
         rows = np.arange(n_x) * n_x + zi
         ident_err = max(ident_err, float(np.max(np.abs(Psi @ u - ghat[rows]))))
+    identity_tol, hamming_min = 1e-9, p["n_zset"] / 4.0
     checks = {
         "or_net_exact_on_4^n": or_exact,
         "closed_form_matches_enumeration": closed_ok,
-        "zset_min_hamming": min_hamming,
-        "zset_hamming_ok": min_hamming >= p["n_zset"] / 4.0,
+        "zset_min_hamming": hamming,
+        "zset_hamming_ok": hamming >= hamming_min,
         "zset_certificate_passed": cert.passed,
         "rounding_error": rounding_err,
         "rounding_bound": red.rounding_bound,
         "rounding_ok": rounding_err <= red.rounding_bound,
         "identity_max_err": ident_err,
-        "identity_ok": ident_err <= 1e-9,
+        "identity_ok": ident_err <= identity_tol,
     }
     passed = all(checks[k] for k in
                  ["or_net_exact_on_4^n", "closed_form_matches_enumeration",
@@ -550,7 +545,7 @@ def _certify_f_family(p, z_prime, pairs, Z, net2):
               for k, v in checks.items()]
     metrics = {**checks, "zset_max_abs_corr": cert.max_abs_inner,
                "reduction_features": red.n_features}
-    return metrics, {"identity_err_max": 1e-9, "hamming_min": p["n_zset"] / 4.0}, passed, series
+    return metrics, {"identity_err_max": identity_tol, "hamming_min": hamming_min}, passed, series
 
 
 def _exp_f_family(p):

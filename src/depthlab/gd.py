@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import TelgarskyTarget
-from .mlp import Mlp, population_hinge_grad
+from .mlp import Mlp, l2_norm, population_hinge_grad
 from .pwl import grid_cells
 
 __all__ = ["GdConfig", "Trajectory", "GdDivergence", "gd_train", "CELL_MIN_GRID"]
@@ -55,7 +55,6 @@ class GdConfig:
 class Trajectory:
     """Per-iteration records for t = 0..T; final_net is the trained net."""
 
-    config: GdConfig
     iters: np.ndarray
     loss: np.ndarray
     grad_norm: np.ndarray
@@ -64,11 +63,9 @@ class Trajectory:
 
 
 def _groups_into_cells(target, dist) -> bool:
-    if not (isinstance(target, TelgarskyTarget)
-            and dist.kind == "uniform_cube" and "grid" in dist.meta):
-        return False
-    m = dist.meta["grid"]
-    return m >= CELL_MIN_GRID and 2**target.n < m
+    m = dist.n_points
+    return (isinstance(target, TelgarskyTarget) and dist.kind == "uniform_cube"
+            and m >= CELL_MIN_GRID and 2**target.n < m)
 
 
 def gd_train(net: Mlp, target, dist, cfg: GdConfig) -> Trajectory:
@@ -94,11 +91,8 @@ def gd_train(net: Mlp, target, dist, cfg: GdConfig) -> Trajectory:
                     f"non-finite loss or gradient at iteration {t} (loss={l})"
                 )
             loss[t] = l
-            # numpy's own sum: np.linalg.norm's BLAS dot sums in an order
-            # that changes with the BLAS thread count
-            d_theta = theta - theta0
-            gnorm[t] = np.sqrt(np.add.reduce(g * g))
-            pdist[t] = np.sqrt(np.add.reduce(d_theta * d_theta))
+            gnorm[t] = l2_norm(g)
+            pdist[t] = l2_norm(theta - theta0)
             if t < T:
                 if cfg.eta != 0.0:
                     theta = theta - cfg.eta * g
@@ -106,4 +100,4 @@ def gd_train(net: Mlp, target, dist, cfg: GdConfig) -> Trajectory:
                         raise GdDivergence(f"non-finite parameters at iteration {t + 1}")
                     current = net.with_flat_params(theta)
                 # eta == 0 keeps the exact same object: the zero step is exact
-    return Trajectory(cfg, np.arange(T + 1), loss, gnorm, pdist, current)
+    return Trajectory(np.arange(T + 1), loss, gnorm, pdist, current)

@@ -30,6 +30,7 @@ __all__ = [
     "LinearHardnessReport",
     "verify_linear_hardness",
     "Depth2KernelReduction",
+    "depth2_radius",
     "depth2_to_kernel",
 ]
 
@@ -237,10 +238,18 @@ class Depth2KernelReduction:
     selector: callable          # z -> coefficient vector of length n_features
     rounded_net: Mlp
     n_features: int
-    delta: float
-    radius: float
     rounding_bound: float       # pointwise |g - g_hat| <= R sqrt(k) Delta n
     coefficient_bound: float    # ||u(z)|| <= 3 R sqrt(n) ||u||
+
+
+def depth2_radius(net: Mlp, n: int) -> float:
+    """The least R the reduction admits for a depth-2 net on pairs (x, z)
+    in {+-1}^(2n): the largest of ||u||, ||b1|| and every hidden unit's
+    ||w_i|| (x side) and ||v_i|| (z side)."""
+    (W1, b1), (W2, _) = net.layers
+    return max([float(np.linalg.norm(W2[0])), float(np.linalg.norm(b1))]
+               + [float(np.linalg.norm(W1[i, :n])) for i in range(len(W1))]
+               + [float(np.linalg.norm(W1[i, n:])) for i in range(len(W1))])
 
 
 def depth2_to_kernel(net: Mlp, delta: float, R: float, n: int) -> Depth2KernelReduction:
@@ -268,11 +277,9 @@ def depth2_to_kernel(net: Mlp, delta: float, R: float, n: int) -> Depth2KernelRe
     w = W1[:, :n]
     v = W1[:, n:]
     u = W2[0]
-    norms = [np.linalg.norm(u), float(np.linalg.norm(b1))]
-    norms += [np.linalg.norm(w[i]) for i in range(k)]
-    norms += [np.linalg.norm(v[i]) for i in range(k)]
-    if max(norms) > R + 1e-12:
-        raise ValueError(f"a weight norm {max(norms)} exceeds R = {R}")
+    radius = depth2_radius(net, n)
+    if radius > R + 1e-12:
+        raise ValueError(f"a weight norm {radius} exceeds R = {R}")
 
     v_int = np.floor(v / delta).astype(np.int64)  # v_hat = delta * v_int
     v_hat = delta * v_int
@@ -304,8 +311,6 @@ def depth2_to_kernel(net: Mlp, delta: float, R: float, n: int) -> Depth2KernelRe
         selector=selector,
         rounded_net=rounded,
         n_features=N,
-        delta=delta,
-        radius=R,
         rounding_bound=R * np.sqrt(k) * delta * n,
         coefficient_bound=scale * float(np.linalg.norm(u)),
     )

@@ -22,6 +22,7 @@ __all__ = [
     "forward_many",
     "output_grad_params",
     "hinge",
+    "l2_norm",
     "population_hinge_loss",
     "population_hinge_grad",
     "xavier_init",
@@ -173,6 +174,12 @@ def _backward(net: Mlp, acts, masks, dout: np.ndarray) -> np.ndarray:
 def hinge(y, yhat):
     """Hinge loss max(0, 1 - y*yhat), elementwise."""
     return np.maximum(0.0, 1.0 - np.asarray(y) * np.asarray(yhat))
+
+
+def l2_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector by numpy's own sum: np.linalg.norm's BLAS
+    dot sums in an order that changes with the BLAS thread count."""
+    return np.sqrt(np.add.reduce(v * v))
 
 
 def output_grad_params(net: Mlp, x) -> np.ndarray:

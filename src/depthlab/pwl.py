@@ -204,7 +204,7 @@ def grid_cells(net: Mlp, n: int, dist: InputDistribution) -> InputDistribution:
     +-1 crossing is a row of its own, so the mask (preact >= 0) and hinge
     (margin <= 1) conventions decide it exactly as on the grid.
     """
-    m = dist.meta["grid"]
+    m = dist.n_points
     x = dist.points[:, 0]
     hidden = []
     b, S, C = _propagate(net, 0.0, 1.0, hidden)
@@ -223,8 +223,7 @@ def grid_cells(net: Mlp, n: int, dist: InputDistribution) -> InputDistribution:
     lo, hi = bounds[:-1], bounds[1:]
     # x_j = (j + 1/2)/m, so the mean of x_lo..x_(hi-1) is (lo + hi)/(2m),
     # rounded once: it never leaves [x_lo, x_(hi-1)]
-    return InputDistribution("grid_cells", ((lo + hi) / (2.0 * m))[:, None], (hi - lo) / m,
-                             {"d": 1, "grid": m, "n": n})
+    return InputDistribution("grid_cells", ((lo + hi) / (2.0 * m))[:, None], (hi - lo) / m)
 
 
 def count_pieces(f: PwlFunction) -> int:

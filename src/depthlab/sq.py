@@ -34,6 +34,7 @@ __all__ = [
     "certify_sqdim",
     "certify_from_gram",
     "f_family_gram",
+    "min_hamming",
     "hoeffding_zset",
     "zset_capacity",
     "correlation_weak_learner",
@@ -116,13 +117,14 @@ class SqOracle:
 
 
 class HonestNoisyOracle(SqOracle):
-    """True expectation of q(x, f(x)) plus uniform noise in [-tau, tau]."""
+    """True expectation of q(x, f(x)) plus uniform noise in [-tau, tau]; the
+    labels are the target's table row, so the support is its full enumeration."""
 
     def __init__(self, target: BooleanFn, dist, tau: float, seed: int,
                  budget: int | None = None):
         super().__init__(dist, tau, budget)
         self.target = target
-        self._labels = target(dist.points)
+        self._labels = on_support([target.table], dist)[0]
         self._rng = np.random.default_rng(seed)
 
     def _answers(self, even, odd) -> np.ndarray:
@@ -162,11 +164,11 @@ class AdversarialOracle(SqOracle):
 class SqDimCertificate:
     size: int
     max_abs_inner: float
-    passed: bool
 
-    def __post_init__(self):
-        if self.passed and not self.max_abs_inner < 1.0 / self.size:
-            raise ValueError("pass flag contradicts the recorded maximum")
+    @property
+    def passed(self) -> bool:
+        """Almost orthogonal: every pairwise |<f_i, f_j>| is below 1/d."""
+        return self.max_abs_inner < 1.0 / self.size
 
 
 def certify_from_gram(abs_gram: np.ndarray) -> SqDimCertificate:
@@ -174,8 +176,7 @@ def certify_from_gram(abs_gram: np.ndarray) -> SqDimCertificate:
     d = abs_gram.shape[0]
     off = abs_gram.copy()
     np.fill_diagonal(off, 0.0)
-    mx = float(off.max()) if d > 1 else 0.0
-    return SqDimCertificate(size=d, max_abs_inner=mx, passed=mx < 1.0 / d)
+    return SqDimCertificate(d, float(off.max()) if d > 1 else 0.0)
 
 
 def certify_sqdim(family, dist) -> SqDimCertificate:
@@ -194,17 +195,27 @@ def certify_sqdim(family, dist) -> SqDimCertificate:
         for r in range(block.shape[0]):
             block[r, k + r] = 0.0
         mx = max(mx, float(np.max(np.abs(block))))
-    return SqDimCertificate(d, mx, mx < 1.0 / d)
+    return SqDimCertificate(d, mx)
+
+
+def _hamming(Z) -> np.ndarray:
+    """(d, d) int64 Hamming distances between the rows of a (d, n) +-1 matrix."""
+    Z = np.asarray(Z, dtype=np.int64)
+    return (Z.shape[1] - Z @ Z.T) // 2
+
+
+def min_hamming(Z) -> int:
+    """Least Hamming distance between two rows of a (d, n) +-1 matrix; n
+    when there is one row."""
+    Z = np.asarray(Z)
+    H = _hamming(Z)
+    np.fill_diagonal(H, Z.shape[1])
+    return int(H.min())
 
 
 def f_family_gram(zset: np.ndarray) -> np.ndarray:
     """Closed-form |gram| of the OR-parity family: (1/2)^hamming(z_i, z_j)."""
-    Z = np.asarray(zset, dtype=np.int64)
-    n = Z.shape[1]
-    hamming = (n - Z @ Z.T) // 2
-    G = 0.5 ** hamming.astype(np.float64)
-    np.fill_diagonal(G, 1.0)
-    return G
+    return 0.5 ** _hamming(zset).astype(np.float64)
 
 
 def zset_capacity(n: int) -> float:
@@ -227,11 +238,7 @@ def hoeffding_zset(n: int, d: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     for _ in range(_ZSET_MAX_BATCHES):
         Z = (rng.integers(0, 2, size=(d, n)) * 2 - 1).astype(np.int8)
-        if d == 1:
-            return Z
-        hamming = (n - Z.astype(np.int64) @ Z.T.astype(np.int64)) // 2
-        np.fill_diagonal(hamming, n)
-        if hamming.min() >= n / 4.0:
+        if min_hamming(Z) >= n / 4.0:
             return Z
     raise RuntimeError(
         f"no admissible batch of {d} vectors after {_ZSET_MAX_BATCHES} resamples"

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from depthlab import experiments as ex
-from depthlab.boolfn import BooleanFn, parity_family
+from depthlab.boolfn import parity_family
 from depthlab.constructions import telgarsky_net
 from depthlab.dists import uniform_signs
 from depthlab.experiments import ExperimentConfig, derive_seed, run
@@ -212,7 +212,7 @@ def test_c09_kernel_hardness():
     for N in (1, 2, 3):
         psiN = random_sign_features(6, N, seed=300 + N)
         W, losses = min_hinge_family(psiN, 1.5, fam6[11:12], dist6, iters=2 * 10**4)
-        oracle = grid_search_min(psiN(dist6.points), BooleanFn(6, fam6[11])(dist6.points),
+        oracle = grid_search_min(psiN(dist6.points), fam6[11].astype(np.float64),
                                  dist6.weights, 1.5)
         crossval_ok = (crossval_ok and abs(losses[0] - oracle) <= 2e-2
                        and np.linalg.norm(W[:, 0]) <= 1.5 + 1e-9)

@@ -6,12 +6,12 @@ from depthlab.boolfn import (
     enumerate_signs,
     inner_product,
     or_parity_fn,
-    or_parity_inner_closed_form,
     parity_family,
     parity_fn,
     sign_index,
 )
 from depthlab.dists import induced_pair, uniform_signs
+from depthlab.sq import f_family_gram
 
 
 def test_enumeration_order_and_index_roundtrip():
@@ -57,7 +57,7 @@ def test_parity_family_indexing():
     assert len(fam) == 8
     assert np.all(fam[0] == 1)  # empty subset: constant +1
     X = enumerate_signs(3).astype(np.float64)
-    assert np.array_equal(BooleanFn(3, fam[0b101])(X), X[:, 0] * X[:, 2])
+    assert np.array_equal(fam[0b101], X[:, 0] * X[:, 2])
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), 12])
@@ -72,21 +72,10 @@ def test_parity_family_member_k_is_parity_of_subset_k(n):
         rows = [0, 1, 2 ** (n - 1), 2**n - 1, *rng.integers(2**n, size=60).tolist()]
     for k in rows:
         subset = [t for t in range(n) if (k >> t) & 1]
-        assert np.array_equal(fam[k], parity_fn(subset, n).table)
-
-
-def test_or_parity_closed_form_matches_enumeration():
-    n = 4
-    dist = uniform_signs(2 * n)
-    zs = enumerate_signs(n)
-    rng = np.random.default_rng(0)
-    for _ in range(12):
-        i, j = rng.integers(2**n, size=2)
-        ip = abs(inner_product(or_parity_fn(zs[i], n), or_parity_fn(zs[j], n), dist))
-        assert ip == or_parity_inner_closed_form(zs[i], zs[j])
+        assert np.array_equal(fam[k], parity_fn(subset, n))
 
 
 def test_or_parity_hamming_exponent():
     z1 = np.array([1, 1, -1, 1], dtype=np.int8)
     z2 = np.array([1, -1, -1, -1], dtype=np.int8)
-    assert or_parity_inner_closed_form(z1, z2) == 0.25
+    assert f_family_gram(np.stack([z1, z2]))[0, 1] == 0.25

@@ -139,9 +139,8 @@ class TestOrParityNet:
         n = 4
         zp = (rng.integers(0, 2, n) * 2 - 1).astype(np.int8)
         net = or_parity_net(zp, n)
-        fn = or_parity_fn(zp, n)
         U = enumerate_signs(2 * n).astype(np.float64)
-        assert np.array_equal(forward_many(net, U), fn(U))
+        assert np.array_equal(forward_many(net, U), or_parity_fn(zp, n))
 
     def test_structure(self):
         n = 8

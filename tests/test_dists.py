@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from depthlab.boolfn import or_parity_fn, parity_fn
+from depthlab.boolfn import or_parity_fn, parity_fn, sign_index
 from depthlab.dists import InputDistribution, induced_pair, uniform_cube, uniform_signs
 
 
@@ -45,8 +45,7 @@ def test_induced_pair_structure():
     # every (x, z^(j)) pair carries weight 1/(2^n d)
     assert np.all(dist.weights == 1.0 / (2**n * 2))
     # the x-marginal is uniform: an x-only parity keeps its mean
-    f = parity_fn([0], n)
-    vals = f(dist.points[:, :n])
+    vals = parity_fn([0], n)[sign_index(dist.points[:, :n])]
     assert float(np.dot(dist.weights, vals)) == 0.0
 
 
@@ -54,13 +53,14 @@ def test_induced_pair_expectation_matches_manual():
     n = 3
     Z = np.array([[1, 1, -1], [-1, 1, 1]], dtype=np.int8)
     dist = induced_pair(n, Z)
-    fn = or_parity_fn(Z[0], n)
-    got = float(np.dot(dist.weights, fn(dist.points)))
+    # induced_pair is not the 2n-bit enumeration: gather the table explicitly
+    table = or_parity_fn(Z[0], n).astype(np.float64)
+    got = float(np.dot(dist.weights, table[sign_index(dist.points)]))
     # manual: average over x of the OR-parity at each fixed z
     from depthlab.boolfn import enumerate_signs
     X = enumerate_signs(n)
     manual = np.mean([
-        fn(np.concatenate([X, np.tile(z, (2**n, 1))], axis=1)).mean() for z in Z
+        table[sign_index(np.concatenate([X, np.tile(z, (2**n, 1))], axis=1))].mean() for z in Z
     ])
     assert got == pytest.approx(manual, abs=1e-15)
 

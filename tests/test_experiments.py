@@ -212,7 +212,8 @@ class TestCli:
         ("gd-sanity", "depth = 1"), ("gd-flatline", "n = 1"),
         ("telgarsky-separation", "depth = -3"), ("gd-sanity", "grid = -5"),
         ("sq-parity-lower-bound", "budget = -1"), ("sq-parity-lower-bound", "learners = ,"),
-        ("telgarsky-separation", "n = 53"), ("sq-weak-learn", "n = 21"),
+        ("telgarsky-separation", "n = 53"), ("gd-flatline", "n = 53"),
+        ("gd-sanity", "n = 60"), ("sq-weak-learn", "n = 21"),
         ("sq-parity-lower-bound", "n = 21"), ("kernel-hardness", "n = 21"),
         ("gd-sanity", "grid = 2"),
     ])
@@ -276,6 +277,16 @@ class TestCli:
         cfg.write_text("experiment = telgarsky-separation\ncount = 0\n")
         assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")]) == 2
         assert "count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_sweep_refuses_fewer_than_one_worker(self, tmp_path, capsys, workers):
+        d = tmp_path / "cfgs"
+        d.mkdir()
+        (d / "one.cfg").write_text("experiment = xavier-audit\ntrials = 2\nprobes = 1\n")
+        assert cli_main(["sweep", str(d), "--workers", workers,
+                         "--outdir", str(tmp_path / "runs")]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_sweep_directory(self, tmp_path, capsys):
         d = tmp_path / "cfgs"

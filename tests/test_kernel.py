@@ -3,10 +3,11 @@ import os
 import numpy as np
 import pytest
 
-from depthlab.boolfn import BooleanFn, parity_family
+from depthlab.boolfn import parity_family
 from depthlab.dists import uniform_signs
 from depthlab.kernel import (
     FeatureMap,
+    depth2_radius,
     depth2_to_kernel,
     feature_map_from_family,
     hardness_bound,
@@ -36,9 +37,9 @@ def parity6():
     return parity_family(6), uniform_signs(6)
 
 
-def solve_one(psi, B, target: BooleanFn, dist, iters=2000):
-    """min_hinge_family on the one-row family of ``target``: (w, loss)."""
-    W, losses = min_hinge_family(psi, B, target.table[None], dist, iters)
+def solve_one(psi, B, target, dist, iters=2000):
+    """min_hinge_family on the one-row family of the table row ``target``: (w, loss)."""
+    W, losses = min_hinge_family(psi, B, target[None], dist, iters)
     return W[:, 0], float(losses[0])
 
 
@@ -46,13 +47,13 @@ class TestMinHinge:
     def test_zero_ball_loses_exactly_one(self, parity6):
         family, dist = parity6
         psi = feature_map_from_family(family[:4])
-        w, loss = solve_one(psi, 0.0, BooleanFn(6, family[1]), dist)
+        w, loss = solve_one(psi, 0.0, family[1], dist)
         assert loss == 1.0
         assert np.all(w == 0.0)
 
     def test_realizable_direction(self, parity6):
         family, dist = parity6
-        target = BooleanFn(6, family[9])
+        target = family[9]
         psi = feature_map_from_family(family[[9, 3, 5]])
         w, loss = solve_one(psi, 1.0, target, dist, iters=10**4)
         assert loss <= 1e-3
@@ -60,7 +61,7 @@ class TestMinHinge:
 
     def test_doubling_b_never_hurts(self, parity6):
         family, dist = parity6
-        target = BooleanFn(6, family[21])
+        target = family[21]
         psi = random_sign_features(6, 4, seed=8)
         _, l1 = solve_one(psi, 1.0, target, dist, iters=5000)
         _, l2 = solve_one(psi, 2.0, target, dist, iters=5000)
@@ -69,11 +70,11 @@ class TestMinHinge:
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_matches_grid_search(self, N, parity6):
         family, dist = parity6
-        target = BooleanFn(6, family[13])
+        target = family[13]
         psi = random_sign_features(6, N, seed=100 + N)
         B = 1.5
         w, loss = solve_one(psi, B, target, dist, iters=2 * 10**4)
-        oracle = grid_search_min(psi(dist.points), target(dist.points),
+        oracle = grid_search_min(psi(dist.points), target.astype(np.float64),
                                  dist.weights, B)
         assert abs(loss - oracle) <= 2e-2
         assert loss >= oracle - 1e-9  # the solver is a feasible point
@@ -92,12 +93,12 @@ class TestMinHinge:
         # interior-point SOCP stands in as the independent oracle
         cvxpy = pytest.importorskip("cvxpy")
         family, dist = parity6
-        target = BooleanFn(6, family[13])
+        target = family[13]
         psi = random_sign_features(6, 8, seed=4)
         B = 5.0
         _, loss = solve_one(psi, B, target, dist, iters=4 * 10**4)
         Phi = psi(dist.points)
-        y = target(dist.points)
+        y = target.astype(np.float64)
         w = cvxpy.Variable(8)
         obj = cvxpy.Minimize(dist.weights @ cvxpy.pos(1 - cvxpy.multiply(y, Phi @ w)))
         cvxpy.Problem(obj, [cvxpy.norm(w, 2) <= B]).solve()
@@ -110,7 +111,7 @@ class TestFeatureMaps:
         psi = feature_map_from_family(family[[7]])
         vals = psi(dist.points)
         assert vals.shape == (64, 1)
-        assert np.array_equal(vals[:, 0], BooleanFn(6, family[7])(dist.points))
+        assert np.array_equal(vals[:, 0], family[7])
 
     def test_range_enforced(self):
         bad = FeatureMap(2, lambda X: np.full((len(X), 2), 1.5))
@@ -126,9 +127,8 @@ class TestFeatureMaps:
         rng = np.random.default_rng(3)
         for _ in range(10):
             table = (rng.integers(0, 2, size=64) * 2 - 1).astype(np.int8)
-            target = BooleanFn(6, table)
             corr = np.abs(F @ (dist.weights * table.astype(np.float64)))
-            _, loss = solve_one(psi, 1.0, target, dist, iters=10**4)
+            _, loss = solve_one(psi, 1.0, table, dist, iters=10**4)
             assert loss <= 1.0 - corr.max() + 1e-2
 
 
@@ -200,6 +200,7 @@ class TestDepth2Reduction:
         R = max([np.linalg.norm(W2), np.linalg.norm(b1)]
                 + [np.linalg.norm(W1[i, :n]) for i in range(k)]
                 + [np.linalg.norm(W1[i, n:]) for i in range(k)])
+        assert depth2_radius(net, n) == R
         red = depth2_to_kernel(net, delta, R, n)
         U = enumerate_signs(2 * n).astype(np.float64)
         g = forward_many(net, U)
@@ -233,7 +234,7 @@ def test_min_hinge_family_matches_single_solves(parity6):
     psi = feature_map_from_family(family[:6])
     targets = family[:4]
     W, batched = min_hinge_family(psi, 1.5, targets, dist, iters=3000)
-    singles = [solve_one(psi, 1.5, BooleanFn(6, t), dist, iters=3000) for t in targets]
+    singles = [solve_one(psi, 1.5, t, dist, iters=3000) for t in targets]
     assert W.shape == (6, 4)
     assert np.allclose(batched, [loss for _, loss in singles], atol=1e-12)
     assert np.allclose(W, np.stack([w for w, _ in singles], axis=1), atol=1e-12)

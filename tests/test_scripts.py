@@ -1,7 +1,8 @@
 """Smoke tests for the scripts in scripts/ (run_all.py runs every
-experiment, so it is left out)."""
+experiment, so only its argument check is tested)."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,15 @@ def test_flatline_sweep_rejects_zero_seeds(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         load("flatline_sweep").main(["--seeds", "0", "--outdir", str(tmp_path)])
     assert exc.value.code == 2 and "--seeds" in capsys.readouterr().err
+
+
+def test_run_all_rejects_fewer_than_one_worker(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["run_all.py", "--quick", "--workers", "-2",
+                                      "--outdir", str(tmp_path / "all")])
+    with pytest.raises(SystemExit) as exc:
+        load("run_all").main()
+    assert exc.value.code == 2 and "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "all").exists()
 
 
 def test_separation_certificates(tmp_path, capsys):

@@ -16,6 +16,7 @@ from depthlab.sq import (
     correlation_weak_learner,
     f_family_gram,
     hoeffding_zset,
+    min_hamming,
     make_correlation_learner,
     make_majority_learner,
     make_random_query_learner,
@@ -32,7 +33,7 @@ class TestOracles:
         family, dist = parity10
         target = BooleanFn(10, family[77])
         oracle = HonestNoisyOracle(target, dist, tau=0.05, seed=3)
-        labels = target(dist.points)
+        labels = target.table
         for j in (0, 77, 400, 1023):
             (v,) = oracle.query(family[j])
             truth = np.dot(dist.weights, labels * family[j])
@@ -165,6 +166,14 @@ class TestFamilySupport:
         with pytest.raises(ValueError):
             certify_sqdim(family, uniform_signs(9))
 
+    def test_honest_oracle_off_its_enumeration_refused(self):
+        # a 6-bit target on the 16 (x, z) pairs of induced_pair(3, .): the
+        # table's 64 columns are no labels for those points
+        target = BooleanFn(6, parity_family(6)[5])
+        pairs = induced_pair(3, enumerate_signs(3)[:2])
+        with pytest.raises(ValueError):
+            HonestNoisyOracle(target, pairs, tau=0.5, seed=0)
+
     def test_kernel_family_off_its_enumeration_refused(self, parity10):
         # the family is checked before the features are evaluated on the pairs
         family, _ = parity10
@@ -223,7 +232,14 @@ class TestHoeffdingZset:
         assert H.min() >= 12
 
     def test_single_vector_always_succeeds(self):
-        assert hoeffding_zset(24, 1, seed=0).shape == (1, 24)
+        # the first draw, bit for bit: one row's least distance is n >= n/4
+        assert hoeffding_zset(24, 1, seed=0).tolist() == [
+            [1, 1, 1, -1, -1, -1, -1, -1, -1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, -1, 1, 1, -1]]
+
+    def test_min_hamming(self):
+        assert min_hamming(np.ones((1, 7), dtype=np.int8)) == 7
+        Z = np.array([[1, 1, -1, 1], [1, -1, -1, -1], [-1, -1, 1, -1]], dtype=np.int8)
+        assert min_hamming(Z) == 2
 
     def test_deterministic(self):
         assert np.array_equal(hoeffding_zset(48, 16, seed=9), hoeffding_zset(48, 16, seed=9))
@@ -266,8 +282,7 @@ class TestWeakLearner:
         got = correlation_weak_learner(oracle, others)
         for answer in oracle.log:
             assert abs(answer) <= tau  # truth is 0 for every member
-        loss = float(np.dot(dist.weights,
-                            np.maximum(0.0, 1.0 - target(dist.points) * got(dist.points))))
+        loss = float(np.dot(dist.weights, np.maximum(0.0, 1.0 - target.table * got.table)))
         assert loss >= 1.0 - 2 * tau
 
 
