@@ -1,4 +1,5 @@
-"""Boolean +-1 functions as explicit truth tables, with exact inner products.
+"""Boolean +-1 functions as explicit truth tables, and the parity family
+as an operator.
 
 The canonical enumeration of {+-1}^n is lexicographic with +1 first: index i
 has coordinate t equal to +1 when bit (n-1-t) of i is 0.  Tables are int8
@@ -7,6 +8,12 @@ is its table row: a single function is one int8 row of length 2^n, and a
 family of d functions is one (d, 2^n) int8 matrix whose row j is member
 j's table.  ``BooleanFn`` is the validated record of one row with its
 arity.
+
+The 2^n parities are the one family that is never stored: ``ParityFamily``
+holds only n.  Its rows come by index, its full matrix only through
+``np.asarray``, and ``family_product`` multiplies it by a fast
+Walsh-Hadamard transform in O(n 2^n) per column.  Any other family is an
+explicit table matrix, which ``family_product`` multiplies in blocks.
 """
 
 from __future__ import annotations
@@ -21,19 +28,32 @@ __all__ = [
     "sign_index",
     "on_support",
     "parity_fn",
+    "ParityFamily",
     "parity_family",
+    "family_product",
     "or_parity_fn",
     "inner_product",
 ]
 
 
+_MAX_BITS = 24  # largest n for a sign enumeration or a parity family
+_BLOCK_FLOATS = 2**17  # float64 entries (1 MiB) per explicit-table product block: L2 sized
+
+
+def _check_bits(n: int) -> None:
+    if n < 1 or n > _MAX_BITS:
+        raise ValueError(f"sign enumeration supported for 1 <= n <= {_MAX_BITS}")
+
+
+def _coordinate(n: int, t: int) -> np.ndarray:
+    """x_t at every point of the canonical enumeration of {+-1}^n, as an int8 row."""
+    return (1 - 2 * ((np.arange(2**n) >> (n - 1 - t)) & 1)).astype(np.int8)
+
+
 def enumerate_signs(n: int) -> np.ndarray:
     """All of {+-1}^n in canonical order, shape (2^n, n), int8."""
-    if n < 1 or n > 24:
-        raise ValueError("sign enumeration supported for 1 <= n <= 24")
-    idx = np.arange(2**n, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
-    return (1 - 2 * bits).astype(np.int8)
+    _check_bits(n)
+    return np.stack([_coordinate(n, t) for t in range(n)], axis=1)
 
 
 def sign_index(X: np.ndarray) -> np.ndarray:
@@ -44,11 +64,14 @@ def sign_index(X: np.ndarray) -> np.ndarray:
     return bits @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
-def on_support(tables, dist) -> np.ndarray:
-    """The (d, 2^n) table matrix, refused unless ``dist`` is its full
-    canonical enumeration (the only support its columns line up with)."""
-    tables = np.asarray(tables)
-    if tables.ndim != 2 or not dist.is_full_enumeration or tables.shape[1] != dist.n_points:
+def on_support(tables, dist):
+    """The (d, 2^n) table matrix, or a ``ParityFamily`` unchanged, refused
+    unless ``dist`` is its full canonical enumeration (the only support its
+    columns line up with)."""
+    if not isinstance(tables, ParityFamily):
+        tables = np.asarray(tables)
+    if len(tables.shape) != 2 or not dist.is_full_enumeration \
+            or tables.shape[1] != dist.n_points:
         raise ValueError(f"a family of {tables.shape} tables needs the full enumeration "
                          f"of its 2^n points, not a {dist.kind} support of {dist.n_points}")
     return tables
@@ -84,20 +107,106 @@ def parity_fn(I, n: int) -> np.ndarray:
     return table
 
 
-def parity_family(n: int) -> np.ndarray:
-    """All 2^n parity tables as one read-only (2^n, 2^n) int8 matrix.
-
-    Row k is the parity over {t : bit t of k}; row 0 is the constant +1
-    parity.  The matrix fills by doubling: rows 2^t .. 2^(t+1)-1 are rows
-    0 .. 2^t-1 times x_t.
-    """
-    X = enumerate_signs(n)
-    tables = np.empty((2**n, 2**n), dtype=np.int8)
-    tables[0] = 1
+def _bit_reversal(n: int) -> np.ndarray:
+    """The permutation i -> i with its n bits in reverse order."""
+    i = np.arange(2**n)
+    rev = np.zeros_like(i)
     for t in range(n):
-        np.multiply(tables[: 2**t], X[:, t], out=tables[2**t : 2 ** (t + 1)])
-    tables.flags.writeable = False
-    return tables
+        rev |= ((i >> t) & 1) << (n - 1 - t)
+    return rev
+
+
+@dataclass(frozen=True)
+class ParityFamily:
+    """All 2^n parities on {+-1}^n as an operator that holds only n.
+
+    Member k is the parity over {t : bit t of k}; member 0 is the constant
+    +1 parity.  ``F[j]`` is member j's int8 row, and a slice, an index
+    list or a mask gives the explicit (k, 2^n) int8 rows, each built
+    coordinate by coordinate.  ``np.asarray(F)`` is the whole read-only
+    (2^n, 2^n) int8 matrix, for the consumers that need it explicitly.
+
+    Entry (k, i) is (-1)^popcount(k & rev(i)), with rev the n-bit
+    reversal, so F = H P: the Sylvester-Hadamard matrix H_n times the
+    bit-reversal permutation of the points, and ``product`` is a fast
+    Walsh-Hadamard transform.
+    """
+
+    n: int
+
+    def __post_init__(self):
+        _check_bits(self.n)
+
+    def __len__(self) -> int:
+        return 2**self.n
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self), len(self))
+
+    def __getitem__(self, key) -> np.ndarray:
+        idx = np.arange(len(self))[key]
+        sel = np.reshape(idx, (-1, 1))
+        rows = np.ones((sel.shape[0], len(self)), dtype=np.int8)
+        for t in range(self.n):
+            np.multiply(rows, _coordinate(self.n, t), out=rows,
+                        where=((sel >> t) & 1).astype(bool))
+        return rows[0] if np.ndim(idx) == 0 else rows
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The full matrix, filled by doubling: rows 2^t .. 2^(t+1)-1 are
+        rows 0 .. 2^t-1 times x_t."""
+        tables = np.empty(self.shape, dtype=np.int8)
+        tables[0] = 1
+        for t in range(self.n):
+            np.multiply(tables[: 2**t], _coordinate(self.n, t), out=tables[2**t : 2 ** (t + 1)])
+        tables.flags.writeable = False
+        return tables if dtype is None else tables.astype(dtype)
+
+    def product(self, V) -> np.ndarray:
+        """F @ V for V a vector or (2^n, c) columns, in O(n 2^n) per column.
+
+        F V = H (P V): the rows of V are put in bit-reversed order, then
+        transformed in place by n butterfly passes.  Each intermediate is a
+        signed sum of entries of V, so on dyadic V (multiples of 2^-k whose
+        absolute sum stays below 2^(53-k)) every step is exact and the
+        result equals the matmul bit for bit.
+        """
+        V = np.asarray(V, dtype=np.float64)
+        if V.shape[:1] != (len(self),):
+            raise ValueError(f"product needs {len(self)} rows, got shape {V.shape}")
+        out = V.reshape(len(self), -1)[_bit_reversal(self.n)]
+        h = 1
+        while h < len(self):
+            pairs = out.reshape(-1, 2, h, out.shape[1])
+            lo, hi = pairs[:, 0], pairs[:, 1]
+            diff = lo - hi
+            lo += hi
+            hi[...] = diff
+            h *= 2
+        return out.reshape(V.shape)
+
+
+def parity_family(n: int) -> ParityFamily:
+    """All 2^n parities on {+-1}^n, as the operator that holds only n."""
+    return ParityFamily(n)
+
+
+def family_product(family, V) -> np.ndarray:
+    """family @ V, V a vector or a few columns over the support: the one
+    entry for every family product.
+
+    A ``ParityFamily`` takes its fast Walsh-Hadamard product; an explicit
+    (d, 2^n) table matrix is multiplied in float64 row blocks.  Both are
+    exact for +-1 rows against dyadic V, whatever the summation order.
+    """
+    if isinstance(family, ParityFamily):
+        return family.product(V)
+    out = np.empty(family.shape[:1] + V.shape[1:])
+    rows = max(1, _BLOCK_FLOATS // family.shape[1])
+    for k in range(0, family.shape[0], rows):
+        out[k : k + rows] = family[k : k + rows].astype(np.float64) @ V
+    return out
 
 
 def or_parity_fn(z_prime, n: int) -> np.ndarray:

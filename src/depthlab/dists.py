@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 MAX_ENUM_BITS = 20  # enumeration cap: at most 2^20 support points
+MAX_GRID_POINTS = 2**24  # GD grid cap (the default 2^(n+4) grid at n = 20): 128 MiB of points
 
 
 @dataclass(frozen=True)

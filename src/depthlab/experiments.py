@@ -157,6 +157,10 @@ def _check_values(e, p):
     if e in ("gd-flatline", "gd-sanity") and 0 < p["grid"] < 2 ** p["n"]:
         raise ConfigError(f"grid = {p['grid']} has fewer points than the 2^{p['n']} bands "
                           "of the wave")
+    if e in ("gd-flatline", "gd-sanity") and _grid_points(p) > dists.MAX_GRID_POINTS:
+        raise ConfigError(f"a grid of {_grid_points(p)} points (grid = {p['grid']}, "
+                          f"n = {p['n']}) exceeds dists.MAX_GRID_POINTS = "
+                          f"{dists.MAX_GRID_POINTS}")
     if e == "sq-parity-lower-bound":
         bad = set(_learners(p)) - set(_LEARNER_FACTORIES)
         if bad or not _learners(p):
@@ -263,12 +267,17 @@ def _init_net(e, p):
                            seed=derive_seed(p["seed"], "init"))
 
 
+def _grid_points(p):
+    """The GD experiments' midpoint grid size: ``grid``, or 2^(n+4) at grid = 0."""
+    return p["grid"] if p["grid"] > 0 else 2 ** (p["n"] + 4)
+
+
 def _gd_on_wave(p, net):
-    """Population GD from ``net`` against the 2^n-band wave on a midpoint
-    grid (default 2^(n+4) points); returns the trajectory, the metrics both
-    GD experiments report, and the per-step series."""
+    """Population GD from ``net`` against the 2^n-band wave on its midpoint
+    grid; returns the trajectory, the metrics both GD experiments report,
+    and the per-step series."""
     n = p["n"]
-    grid = p["grid"] if p["grid"] > 0 else 2 ** (n + 4)
+    grid = _grid_points(p)
     traj = gd.gd_train(net, constructions.telgarsky_target(n),
                        dists.uniform_cube(grid=grid),
                        gd.GdConfig(eta=p["eta"], iters=p["iters"]))

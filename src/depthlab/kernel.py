@@ -3,12 +3,15 @@
 The hypothesis class is {x -> <Psi(x), w> : ||w|| <= B} for a feature map
 Psi with components in [-1,1].  Minimization is projected averaged
 subgradient descent on the exact finite-sum objective over the full
-enumeration, one column per target of a (d, 2^n) table matrix; it returns
-the averaged iterates with their losses, which upper-bound the minima.
-A target whose correlation c_j = Phi^T (p * y_j) with the features is
-exactly zero is a fixed point of the descent (its first subgradient is
--c_j = 0, so w_j stays 0), and only the other targets are iterated.  The
-same c_j bound every minimum from below: L_j >= sum(p) - B ||c_j||.
+enumeration, one column per target of a family (a (d, 2^n) table matrix
+or the parity operator); it returns the averaged iterates with their
+losses, which upper-bound the minima.  A target whose correlation
+c_j = Phi^T (p * y_j) with the features is exactly zero is a fixed point
+of the descent (its first subgradient is -c_j = 0, so w_j stays 0), and
+only the other targets are iterated.  The same c_j bound every minimum
+from below: L_j >= sum(p) - B ||c_j||.  All c_j come from one family
+product, a fast Walsh-Hadamard transform for the parities; the
+descent's label matrix is the family's explicit table.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolfn import on_support, sign_index
+from .boolfn import family_product, on_support, sign_index
 from .mlp import Mlp
 
 __all__ = [
@@ -65,21 +68,18 @@ def random_sign_features(n: int, count: int, seed: int) -> FeatureMap:
     return feature_map_from_family(rng.integers(0, 2, size=(count, 2**n)) * 2.0 - 1.0)
 
 
-def _family_labels(family, dist) -> np.ndarray:
-    """(m, d) float64 labels, C-contiguous: column j is table row j on the support."""
-    return np.ascontiguousarray(on_support(family, dist).T, dtype=np.float64)
-
-
-def _correlations(Phi, Y, weights):
-    """C = Phi^T (p * Y), the (N, d) feature-target correlations, and the
-    mask of live targets: those with a column of C not exactly zero."""
-    C = Phi.T @ (weights[:, None] * Y)
+def _correlations(Phi, family, weights):
+    """C = Phi^T (p * Y), the (N, d) feature-target correlations, as the
+    transposed family product with p * Phi, and the mask of live targets:
+    those with a column of C not exactly zero."""
+    C = family_product(family, weights[:, None] * Phi).T
     return C, np.any(C != 0.0, axis=0)
 
 
 def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000):
     """Minimize the exact population hinge loss over the B-ball for every
-    row of a (d, 2^n) table matrix at once, sharing Phi = psi(support).
+    member of a family (a (d, 2^n) table matrix or a ``ParityFamily``) at
+    once, sharing Phi = psi(support).
 
     Projected averaged subgradient descent, all targets as columns: step
     eta_t = B/(sqrt(N) sqrt(t)), projection onto the B-ball per column,
@@ -101,15 +101,17 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
         raise ValueError("B must be >= 0")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    Y = _family_labels(family, dist)
-    m, d = Y.shape
+    family = on_support(family, dist)
+    m, d = dist.n_points, len(family)
     N = psi.n_features
     weights = dist.weights
     if B == 0.0:
         return np.zeros((N, d)), np.full(d, float(np.sum(weights)))
     Phi = psi(dist.points)
     # the first subgradient is -C; a zero column of C never moves
-    _, live = _correlations(Phi, Y, weights)
+    _, live = _correlations(Phi, family, weights)
+    # (m, d) float64 labels, C-contiguous: column j is member j's table row
+    Y = np.ascontiguousarray(np.asarray(family).T, dtype=np.float64)
     Yl = Y if live.all() else Y[:, live]
     wYl = weights[:, None] * Yl
     k = Yl.shape[1]
@@ -165,15 +167,15 @@ class LinearHardnessReport:
     grad_identity_max_err: float
 
 
-def _grad_identity_check(Phi, Y, weights, lam, rng, pairs=20) -> float:
+def _grad_identity_check(Phi, family, weights, lam, rng, pairs=20) -> float:
     """Central finite differences of G_j at 0 vs the analytic correlation.
 
     G_j(w) = L_j(w) + (lam/2)||w||^2 is affine in w near 0 (all margins
     are strictly inside the hinge), so the FD derivative must equal
     -E[f_j Psi_i] exactly up to roundoff.
     """
-    m, N = Phi.shape
-    d = Y.shape[1]
+    N = Phi.shape[1]
+    d = len(family)
     h = 1e-6
     worst = 0.0
     for _ in range(pairs):
@@ -181,16 +183,17 @@ def _grad_identity_check(Phi, Y, weights, lam, rng, pairs=20) -> float:
         j = int(rng.integers(d))
         e = np.zeros(N)
         e[i] = h
+        y = family[j].astype(np.float64)
 
         def G(w):
-            margins = Y[:, j] * (Phi @ w)
+            margins = y * (Phi @ w)
             return float(
                 np.dot(weights, np.maximum(0.0, 1.0 - margins))
                 + 0.5 * lam * np.dot(w, w)
             )
 
         fd = (G(e) - G(-e)) / (2 * h)
-        analytic = -float(np.dot(weights, Y[:, j] * Phi[:, i]))
+        analytic = -float(np.dot(weights, y * Phi[:, i]))
         worst = max(worst, abs(fd - analytic))
     return worst
 
@@ -209,15 +212,15 @@ def verify_linear_hardness(psi: FeatureMap, B: float, family, dist,
     gradient-at-zero identity check on 20 random (feature, member) pairs.
     """
     _, losses = min_hinge_family(psi, B, family, dist, iters)
+    family = on_support(family, dist)
     d = len(family)
     N = psi.n_features
     bound = hardness_bound(N, B, d)
     Phi = psi(dist.points)
-    Y = _family_labels(family, dist)
-    C, live = _correlations(Phi, Y, dist.weights)
+    C, live = _correlations(Phi, family, dist.weights)
     lower = np.maximum(0.0, np.sum(dist.weights) - B * np.linalg.norm(C, axis=0))
     lam = np.sqrt(2.0 * np.sqrt(5.0) * N) / (d ** (1.0 / 12.0) * max(B, 1e-12))
-    err = _grad_identity_check(Phi, Y, dist.weights, lam, np.random.default_rng(seed))
+    err = _grad_identity_check(Phi, family, dist.weights, lam, np.random.default_rng(seed))
     return LinearHardnessReport(
         losses=losses,
         average_loss=float(np.mean(losses)),

@@ -1,20 +1,24 @@
 """Statistical-query simulator: oracles, dimension certificates, games.
 
-A family of d functions on {+-1}^n is one (d, 2^n) int8 table matrix
-(``boolfn.parity_family``): row j is member j's table in the canonical
-enumeration, so it lines up with the support of ``uniform_signs(n)`` and
-with no other distribution.  Since y = +-1, a bounded query q(x, y) on
-that support is exactly two rows, q = even(x) + y * odd(x), and
-``SqOracle.query(odd, even)`` is the one entry: it answers a block of k
-queries given as (k, m) rows, and a block with no even part is k
-correlation queries y * odd_j(x) (rows of the family matrix for member
-correlations).  Each oracle answers the rows through one hook,
-``_answers(even, odd)``.  Learners return hypotheses as value rows over
-the support.  The honest oracle answers the true expectation plus seeded
-uniform noise in [-tau, tau]; the adversarial oracle answers every query
-with its label-even part (the expectation under a uniform label) and
-records the odd part to prune the family afterwards, exactly as the
-lower-bound argument plays it.
+A family of d functions on {+-1}^n has one int8 table row per member in
+the canonical enumeration, so it lines up with the support of
+``uniform_signs(n)`` and with no other distribution.  The parity family
+is an operator (``boolfn.ParityFamily``) that is never stored: its rows
+come by index and every product with it is a fast Walsh-Hadamard
+transform.  Any other family is an explicit (d, 2^n) table matrix.  Both
+go through one product entry, ``boolfn.family_product``.
+
+Since y = +-1, a bounded query q(x, y) on that support is exactly two
+rows, q = even(x) + y * odd(x), and ``SqOracle.query(odd, even)`` is the
+one entry: it answers a block of k queries given as (k, m) rows, and a
+block with no even part is k correlation queries y * odd_j(x) (a family,
+or some of its rows, for member correlations).  Each oracle answers the
+rows through one hook, ``_answers(even, odd)``.  Learners return
+hypotheses as value rows over the support.  The honest oracle answers the
+true expectation plus seeded uniform noise in [-tau, tau]; the
+adversarial oracle answers every query with its label-even part (the
+expectation under a uniform label) and records the odd part to prune the
+family afterwards, exactly as the lower-bound argument plays it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFn, on_support
+from .boolfn import BooleanFn, ParityFamily, family_product, on_support
 
 __all__ = [
     "QueryBudgetError",
@@ -46,25 +50,12 @@ __all__ = [
     "make_majority_learner",
 ]
 
-_BLOCK_FLOATS = 2**17  # float64 entries (1 MiB) per family product block: L2 sized
 _GRAM_BLOCK = 512  # family rows per certify_sqdim gram block
 _ZSET_MAX_BATCHES = 64  # resampled batches before hoeffding_zset gives up
 
 
 class QueryBudgetError(RuntimeError):
     """The oracle's query budget is exhausted."""
-
-
-def _family_product(values: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """values @ V (V a vector or a few columns) in float64 row blocks.
-
-    Exact for +-1 values against dyadic V, whatever the summation order.
-    """
-    out = np.empty(values.shape[:1] + V.shape[1:])
-    rows = max(1, _BLOCK_FLOATS // values.shape[1])
-    for k in range(0, values.shape[0], rows):
-        out[k : k + rows] = values[k : k + rows].astype(np.float64) @ V
-    return out
 
 
 class SqOracle:
@@ -90,23 +81,27 @@ class SqOracle:
         """Answer the queries q_j(x, y) = even[j, x] + y * odd[j, x] as one block.
 
         Row j of ``odd`` and of ``even`` holds query j on the support;
-        ``even=None`` makes the block k correlation queries y * odd[j, x].
-        The block counts as k queries against the budget and is refused
-        whole if it does not fit; |q_j| <= 1 at both labels is
-        |even| + |odd| <= 1.
+        ``even=None`` makes the block k correlation queries y * odd[j, x];
+        ``odd`` may then be a whole ``ParityFamily``, which is never
+        materialized.  The block counts as k queries against the budget
+        and is refused whole if it does not fit; |q_j| <= 1 at both labels
+        is |even| + |odd| <= 1, which the parities meet by construction.
         """
-        odd = np.atleast_2d(odd)
-        even = None if even is None else np.atleast_2d(even)
+        parities = isinstance(odd, ParityFamily) and even is None
+        if not parities:
+            odd = np.atleast_2d(odd)
+            even = None if even is None else np.atleast_2d(even)
         if odd.shape[1] != self.dist.n_points or even is not None and even.shape != odd.shape:
             raise ValueError(f"odd and even rows must be alike and cover the "
                              f"{self.dist.n_points} support points")
         if self.budget is not None and len(self.log) + len(odd) > self.budget:
             raise QueryBudgetError(f"budget of {self.budget} queries exhausted")
-        # min/max, not np.abs: an odd-only block may be the whole family
-        span = odd if even is None else np.abs(even) + np.abs(odd)
-        hi = max(-float(span.min()), float(span.max())) if odd.size else 0.0
-        if hi > 1.0 + 1e-12:
-            raise ValueError(f"query value {hi} outside [-1,1]")
+        if not parities:
+            # min/max, not np.abs: an odd-only block may be many family rows
+            span = odd if even is None else np.abs(even) + np.abs(odd)
+            hi = max(-float(span.min()), float(span.max())) if odd.size else 0.0
+            if hi > 1.0 + 1e-12:
+                raise ValueError(f"query value {hi} outside [-1,1]")
         answers = self._answers(even, odd)
         self.log.extend(answers.tolist())
         return answers
@@ -128,9 +123,9 @@ class HonestNoisyOracle(SqOracle):
         self._rng = np.random.default_rng(seed)
 
     def _answers(self, even, odd) -> np.ndarray:
-        truth = _family_product(odd, self.dist.weights * self._labels)
+        truth = family_product(odd, self.dist.weights * self._labels)
         if even is not None:
-            truth += _family_product(even, self.dist.weights)
+            truth += family_product(even, self.dist.weights)
         # a size-k uniform draw consumes the stream as k scalar draws do
         return truth + self._rng.uniform(-self.tau, self.tau, size=len(odd))
 
@@ -157,7 +152,7 @@ class AdversarialOracle(SqOracle):
     def _answers(self, even, odd) -> np.ndarray:
         w = self.dist.weights
         self.weighted_gbars.extend(w * g for g in np.asarray(odd, dtype=np.float64))
-        return np.zeros(len(odd)) if even is None else _family_product(even, w)
+        return np.zeros(len(odd)) if even is None else family_product(even, w)
 
 
 @dataclass(frozen=True)
@@ -184,10 +179,12 @@ def certify_sqdim(family, dist) -> SqDimCertificate:
 
     The full enumeration has uniform weight 2^-n, so each inner product is
     an integer sum of +-1 products times that weight: the gram is exact.
+    It is dense for the parity family too, as the pinned check of its
+    orthogonality (C6 and C8 run it at n <= 12).
     """
     values = on_support(family, dist)
     d = len(values)
-    V = values.astype(np.float64)
+    V = np.asarray(values, dtype=np.float64)
     w = float(dist.weights[0])
     mx = 0.0
     for k in range(0, d, _GRAM_BLOCK):
@@ -302,7 +299,7 @@ def adversarial_game(family, learner, budget: int, tau: float, dist) -> GameResu
     h_vals = _hypothesis_values(h, dist)
     h_clip = np.clip(h_vals, -1.0, 1.0)
     columns = oracle.weighted_gbars + [dist.weights * h_clip]
-    corr = _family_product(oracle.values, np.stack(columns, axis=1))
+    corr = family_product(oracle.values, np.stack(columns, axis=1))
     ruled_out = np.abs(corr[:, :-1]) > oracle.consistency_radius
     ok = ~ruled_out.any(axis=1) & (corr[:, -1] < 2.0 / np.sqrt(d))
     if not ok.any():
@@ -336,7 +333,7 @@ def correlation_count_check(family, h, tau: float, dist,
     if not certificate.passed or certificate.size != d:
         raise ValueError("family is not a certified almost-orthogonal set")
     h_vals = np.clip(_hypothesis_values(h, dist), -1.0, 1.0)
-    corr = _family_product(values, dist.weights * h_vals)
+    corr = family_product(values, dist.weights * h_vals)
     count = int(np.count_nonzero(np.abs(corr) >= tau))
     bound = 2.0 / (tau**2 - 1.0 / d)
     if count > bound:

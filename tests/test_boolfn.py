@@ -3,7 +3,9 @@ import pytest
 
 from depthlab.boolfn import (
     BooleanFn,
+    ParityFamily,
     enumerate_signs,
+    family_product,
     inner_product,
     or_parity_fn,
     parity_family,
@@ -63,9 +65,10 @@ def test_parity_family_indexing():
 @pytest.mark.parametrize("n", [*range(1, 9), 12])
 def test_parity_family_member_k_is_parity_of_subset_k(n):
     fam = parity_family(n)
-    assert fam.dtype == np.int8 and fam.shape == (2**n, 2**n)
-    assert not fam.flags.writeable
-    assert np.all(np.abs(fam) == 1)
+    table = np.asarray(fam)
+    assert table.dtype == np.int8 and table.shape == (2**n, 2**n)
+    assert not table.flags.writeable
+    assert np.all(np.abs(table) == 1)
     rows = range(2**n)
     if n > 8:  # every row costs a parity_fn build: check the ends and a seeded sample
         rng = np.random.default_rng(n)
@@ -73,6 +76,57 @@ def test_parity_family_member_k_is_parity_of_subset_k(n):
     for k in rows:
         subset = [t for t in range(n) if (k >> t) & 1]
         assert np.array_equal(fam[k], parity_fn(subset, n))
+
+
+def _doubling_fill(n):
+    """The parity matrix filled by doubling from an independently built
+    enumeration: rows 2^t .. 2^(t+1)-1 are rows 0 .. 2^t-1 times x_t."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
+    X = (1 - 2 * bits).astype(np.int8)
+    tables = np.empty((2**n, 2**n), dtype=np.int8)
+    tables[0] = 1
+    for t in range(n):
+        np.multiply(tables[: 2**t], X[:, t], out=tables[2**t : 2 ** (t + 1)])
+    return tables
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_parity_operator_matches_the_dense_matrix(n):
+    fam, rng = ParityFamily(n), np.random.default_rng(100 + n)
+    m = 2**n
+    table = np.asarray(fam)
+    assert table.dtype == np.int8 and not table.flags.writeable
+    assert np.array_equal(table, _doubling_fill(n))
+    assert len(fam) == m and fam.shape == (m, m)
+    # dyadic columns (weights times +-1 and +-1/2 values): exact on both paths
+    for shape in [(m,), (m, 1), (m, 3)]:
+        V = rng.integers(-2, 3, size=shape) / (2.0 * m)
+        fast, dense = fam.product(V), family_product(table, V)
+        assert fast.shape == dense.shape == shape
+        assert fast.tobytes() == dense.tobytes()
+        assert family_product(fam, V).tobytes() == fast.tobytes()
+    V = rng.uniform(-1.0, 1.0, size=(m, 3))
+    err = np.abs(fam.product(V) - family_product(table, V))
+    assert np.all(err <= 1e-15 * np.abs(V).sum(axis=0))
+    j = int(rng.integers(m))
+    a, b = sorted(rng.integers(m + 1, size=2))
+    idx = rng.integers(m, size=5)
+    assert np.array_equal(fam[j], table[j]) and fam[j].dtype == np.int8
+    assert np.array_equal(fam[-1], table[-1])
+    assert np.array_equal(fam[a:b], table[a:b]) and fam[a:b].shape == (b - a, m)
+    assert np.array_equal(fam[idx], table[idx])
+    assert np.array_equal(fam[list(idx)], table[idx])
+
+
+def test_parity_operator_refuses_bad_input():
+    fam = ParityFamily(4)
+    with pytest.raises(ValueError):
+        fam.product(np.ones(8))
+    with pytest.raises(IndexError):
+        fam[16]
+    for n in (0, 25):
+        with pytest.raises(ValueError):
+            ParityFamily(n)
 
 
 def test_or_parity_hamming_exponent():

@@ -1,8 +1,11 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from depthlab import dists
+from depthlab import experiments as ex
 from depthlab.cli import main as cli_main
 from depthlab.experiments import (
     ConfigError,
@@ -225,6 +228,30 @@ class TestCli:
         assert not (tmp_path / "runs").exists()
         sweep_exits_two(tmp_path, cfg.read_text())
 
+    def test_grid_above_the_cap_exit_two(self, tmp_path, capsys):
+        # gd-flatline's default grid at n = 48 is 2^52 points: refused before
+        # anything is allocated
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("experiment = gd-flatline\nn = 48\niters = 1\n")
+        tracemalloc.start()
+        try:
+            code = cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2**20
+        assert "MAX_GRID_POINTS" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+        sweep_exits_two(tmp_path, cfg.read_text())
+        cap = dists.MAX_GRID_POINTS
+        for experiment, params in [("gd-flatline", {"n": 21}),
+                                   ("gd-sanity", {"grid": cap + 1})]:
+            with pytest.raises(ConfigError, match="MAX_GRID_POINTS"):
+                ExperimentConfig(experiment, params)
+        for experiment, params in [("gd-flatline", {"n": 12}), ("gd-flatline", {"n": 20}),
+                                   ("gd-sanity", {"grid": cap})]:
+            ExperimentConfig(experiment, params)
+
     def test_set_repairs_a_refused_value(self, tmp_path, capsys):
         cfg = tmp_path / "j.cfg"
         cfg.write_text("experiment = sq-weak-learn\nn = 0\ntargets = 2\n")
@@ -310,3 +337,33 @@ def test_certification_csv_record_format(tmp_path):
     run(cfg, tmp_path)
     header = (tmp_path / cfg.run_name() / "series.csv").read_text().splitlines()[0]
     assert header == "depth,width,pieces,bound,crossings,loss,lower_bound"
+
+
+def test_sq_experiments_never_build_the_parity_matrix(tmp_path):
+    """At n = 14 the parity matrix alone would take 256 MiB; the weak learner
+    and the query games stay below 32 MiB of traced memory.  Only after that
+    check do the opt-in n = 16 configs run (a matrix there is 4 GiB)."""
+    n = 14
+    tracemalloc.start()
+    try:
+        learned = ex._certify_weak_learn(ExperimentConfig("sq-weak-learn", {"n": n}).params,
+                                         [(5, 1), (2**n - 1, 2)])
+        games = ex._certify_sq_games(
+            ExperimentConfig("sq-parity-lower-bound", {"n": n}).params,
+            [(name, [0, 1]) for name in ex._LEARNER_FACTORIES])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB at n = {n}"
+    assert learned[2] and games[2]
+    for experiment, sets in [("sq-weak-learn", ["n=16", "targets=3"]),
+                             ("sq-parity-lower-bound", ["n=16", "seeds=2"])]:
+        cfg = tmp_path / f"{experiment}.cfg"
+        cfg.write_text(f"experiment = {experiment}\n")
+        args = ["run", str(cfg), "--outdir", str(tmp_path / "runs")]
+        for setting in sets:
+            args += ["--set", setting]
+        assert cli_main(args) == 0
+    reports = [json.loads(p.read_text()) for p in (tmp_path / "runs").glob("*/report.json")]
+    assert len(reports) == 2
+    assert all(r["passed"] and r["error"] == "" and r["config"]["n"] == 16 for r in reports)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from depthlab.boolfn import BooleanFn, enumerate_signs, inner_product, or_parity_fn, parity_family
+from depthlab.boolfn import (
+    BooleanFn,
+    ParityFamily,
+    enumerate_signs,
+    inner_product,
+    or_parity_fn,
+    parity_family,
+)
 from depthlab.dists import induced_pair, uniform_signs
 from depthlab.kernel import feature_map_from_family, min_hinge_family, verify_linear_hardness
 from depthlab.sq import (
@@ -114,6 +121,40 @@ class TestCorrelationBlocks:
         with pytest.raises(ValueError):
             oracle.query(np.ones((2, dist.n_points)), np.zeros((1, dist.n_points)))
         assert oracle.log == []
+
+
+class TestParityFamilyQueries:
+    """The parity family is asked as one correlation block, never as a matrix."""
+
+    def test_answers_match_the_dense_table(self, parity10, monkeypatch):
+        family, dist = parity10
+        target = BooleanFn(10, family[77])
+        dense = HonestNoisyOracle(target, dist, tau=0.1, seed=3).query(np.asarray(family))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the parity family was materialized")
+
+        monkeypatch.setattr(ParityFamily, "__array__", refuse)
+        fast_oracle = HonestNoisyOracle(target, dist, tau=0.1, seed=3)
+        fast = fast_oracle.query(family)
+        assert fast.tobytes() == dense.tobytes()
+        assert fast_oracle.queries_used == len(family)
+        assert np.array_equal(correlation_weak_learner(
+            HonestNoisyOracle(target, dist, tau=0.1, seed=4), family).table, family[77])
+
+    def test_budget_counts_every_member(self, parity10):
+        family, dist = parity10
+        oracle = HonestNoisyOracle(BooleanFn(10, family[1]), dist, tau=0.1, seed=0,
+                                   budget=len(family) - 1)
+        with pytest.raises(QueryBudgetError):
+            oracle.query(family)
+        assert oracle.queries_used == 0
+
+    def test_family_of_another_width_refused(self, parity10):
+        family, dist = parity10
+        oracle = HonestNoisyOracle(BooleanFn(10, family[1]), dist, tau=0.1, seed=0)
+        with pytest.raises(ValueError):
+            oracle.query(parity_family(9))
 
 
 class TestPinnedAnswers:
@@ -342,7 +383,7 @@ class _PruneEachQuery(SqOracle):
 
     def __init__(self, family, dist, tau, budget):
         super().__init__(dist, tau, budget)
-        self.values = family.astype(np.float64)
+        self.values = np.asarray(family, dtype=np.float64)
         self.radius = len(family) ** (-1.0 / 3.0)
         self.consistent = np.ones(len(family), dtype=bool)
         self.counts = []
@@ -422,6 +463,21 @@ class TestCorrelationCountCheck:
             count = correlation_count_check(family, h, tau=0.2, dist=dist,
                                             certificate=cert)
             assert count <= 2.0 / (0.04 - 1.0 / d)
+
+    def test_c8_counts_match_the_dense_table(self, parity10):
+        # C8's 200 draws: the uniform h is not dyadic, so the fast and dense
+        # correlations may differ in the last bits, but no count moves
+        family, dist = parity10
+        table = np.asarray(family)
+        cert = certify_sqdim(family, dist)
+        rng = np.random.default_rng(808)
+        counts = []
+        for tau in (0.2, 0.5):
+            for _ in range(100):
+                h = rng.uniform(-1.0, 1.0, size=dist.n_points)
+                counts.append((correlation_count_check(family, h, tau, dist, certificate=cert),
+                               correlation_count_check(table, h, tau, dist, certificate=cert)))
+        assert len(counts) == 200 and all(fast == dense for fast, dense in counts)
 
     def test_tau_precondition(self, parity10):
         family, dist = parity10
