@@ -10,10 +10,10 @@ j's table.  ``BooleanFn`` is the validated record of one row with its
 arity.
 
 The 2^n parities are the one family that is never stored: ``ParityFamily``
-holds only n.  Its rows come by index, its full matrix only through
-``np.asarray``, and ``family_product`` multiplies it by a fast
-Walsh-Hadamard transform in O(n 2^n) per column.  Any other family is an
-explicit table matrix, which ``family_product`` multiplies in blocks.
+holds only n.  Every family is read in exactly two ways: rows by index
+(``F[idx]``), and ``family_product``, which multiplies the parities by a
+fast Walsh-Hadamard transform in O(n 2^n) per column and any other
+family, an explicit table matrix, in blocks.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ class ParityFamily:
     Member k is the parity over {t : bit t of k}; member 0 is the constant
     +1 parity.  ``F[j]`` is member j's int8 row, and a slice, an index
     list or a mask gives the explicit (k, 2^n) int8 rows, each built
-    coordinate by coordinate.  ``np.asarray(F)`` is the whole read-only
-    (2^n, 2^n) int8 matrix, for the consumers that need it explicitly.
+    coordinate by coordinate; ``F[:]`` is the whole matrix.  Every other
+    read is a ``product``.
 
     Entry (k, i) is (-1)^popcount(k & rev(i)), with rev the n-bit
     reversal, so F = H P: the Sylvester-Hadamard matrix H_n times the
@@ -152,16 +152,6 @@ class ParityFamily:
             np.multiply(rows, _coordinate(self.n, t), out=rows,
                         where=((sel >> t) & 1).astype(bool))
         return rows[0] if np.ndim(idx) == 0 else rows
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The full matrix, filled by doubling: rows 2^t .. 2^(t+1)-1 are
-        rows 0 .. 2^t-1 times x_t."""
-        tables = np.empty(self.shape, dtype=np.int8)
-        tables[0] = 1
-        for t in range(self.n):
-            np.multiply(tables[: 2**t], _coordinate(self.n, t), out=tables[2**t : 2 ** (t + 1)])
-        tables.flags.writeable = False
-        return tables if dtype is None else tables.astype(dtype)
 
     def product(self, V) -> np.ndarray:
         """F @ V for V a vector or (2^n, c) columns, in O(n 2^n) per column.

@@ -11,7 +11,8 @@ of the descent (its first subgradient is -c_j = 0, so w_j stays 0), and
 only the other targets are iterated.  The same c_j bound every minimum
 from below: L_j >= sum(p) - B ||c_j||.  All c_j come from one family
 product, a fast Walsh-Hadamard transform for the parities; the
-descent's label matrix is the family's explicit table.
+descent's labels are the table rows of the live targets alone, at most
+``MAX_LABEL_ENTRIES`` of them in a kernel-hardness config.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ __all__ = [
     "depth2_to_kernel",
 ]
 
+MAX_LABEL_ENTRIES = 2**24  # 2^n points x k live targets of labels per solve: 128 MiB of float64
+
 
 @dataclass(frozen=True)
 class FeatureMap:
@@ -54,9 +57,9 @@ class FeatureMap:
         return out
 
 
-def feature_map_from_family(family) -> FeatureMap:
-    """Psi(x) = (f_1(x), ..., f_N(x)) for the rows of an (N, 2^n) +-1 table matrix."""
-    tables = np.asarray(family, dtype=np.float64)
+def feature_map_from_family(rows) -> FeatureMap:
+    """Psi(x) = (f_1(x), ..., f_N(x)) for explicit rows, an (N, 2^n) +-1 table such as F[idx]."""
+    tables = np.asarray(rows, dtype=np.float64)
     if tables.ndim != 2 or tables.shape[0] == 0:
         raise ValueError("family must be a nonempty table matrix")
     return FeatureMap(tables.shape[0], lambda X: tables[:, sign_index(X)].T)
@@ -84,18 +87,18 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
     Projected averaged subgradient descent, all targets as columns: step
     eta_t = B/(sqrt(N) sqrt(t)), projection onto the B-ball per column,
     running iterate average.  Returns (W, losses), W the (N, d) averaged
-    iterates and losses their hinge losses.  B = 0 short-circuits to the
-    zero predictor with loss exactly 1.
+    iterates and losses their hinge losses.
 
     At W = 0 every margin is 0 <= 1, so the first subgradient is -C with
     C = Phi^T (p * Y).  A target whose column of C is exactly zero keeps
     W_j = 0 at every step (zero update, norm 0, scale 1), so only the
-    other columns are iterated; the frozen ones are returned as the zero
-    column, with their loss from the same full product as the rest.  Every
-    bit then equals the all-columns loop's wherever BLAS computes a product
-    column the same way whatever the other columns are; tests/test_kernel.py
-    checks this against a dense copy of that loop, one live target (the
-    matrix-vector dispatch) and none included.
+    other k columns are iterated, against the (m, k) labels of those
+    targets alone; the frozen ones are returned as the zero column, whose
+    loss is sum(p), as is every loss at B = 0 (step 0, scale 0).  Every
+    bit equals the all-columns loop's wherever BLAS computes a product
+    column the same way whatever the other columns are;
+    tests/test_kernel.py checks this against a dense copy of that loop, one
+    live target (the matrix-vector dispatch) and none included.
     """
     if B < 0:
         raise ValueError("B must be >= 0")
@@ -105,14 +108,11 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
     m, d = dist.n_points, len(family)
     N = psi.n_features
     weights = dist.weights
-    if B == 0.0:
-        return np.zeros((N, d)), np.full(d, float(np.sum(weights)))
     Phi = psi(dist.points)
     # the first subgradient is -C; a zero column of C never moves
     _, live = _correlations(Phi, family, weights)
-    # (m, d) float64 labels, C-contiguous: column j is member j's table row
-    Y = np.ascontiguousarray(np.asarray(family).T, dtype=np.float64)
-    Yl = Y if live.all() else Y[:, live]
+    # (m, k) float64 labels, C-contiguous: column j is live member j's table row
+    Yl = np.ascontiguousarray(family[live].T, dtype=np.float64)
     wYl = weights[:, None] * Yl
     k = Yl.shape[1]
     W = np.zeros((N, k))
@@ -132,9 +132,12 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
         scale = np.minimum(1.0, B / np.maximum(norms, 1e-300))
         W *= scale
         Wsum += W
+    Wl = Wsum / iters
     Wavg = np.zeros((N, d))
-    Wavg[:, live] = Wsum / iters
-    return Wavg, np.einsum("m,md->d", weights, np.maximum(0.0, 1.0 - Y * (Phi @ Wavg)))
+    Wavg[:, live] = Wl
+    losses = np.full(d, float(np.sum(weights)))
+    losses[live] = np.einsum("m,mk->k", weights, np.maximum(0.0, 1.0 - Yl * (Phi @ Wl)))
+    return Wavg, losses
 
 
 def hardness_bound(N: int, B: float, d: int) -> float:

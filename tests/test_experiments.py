@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from depthlab import dists
+from depthlab import dists, kernel
 from depthlab import experiments as ex
 from depthlab.cli import main as cli_main
 from depthlab.experiments import (
@@ -252,6 +252,31 @@ class TestCli:
                                    ("gd-sanity", {"grid": cap})]:
             ExperimentConfig(experiment, params)
 
+    @pytest.mark.parametrize("settings", [
+        ["n = 13", "feature_kind = iid"], ["n = 19", "features = 64"]])
+    def test_kernel_labels_above_the_cap_exit_two(self, tmp_path, capsys, settings):
+        # every target is live with iid features (2^13 x 2^13 labels), and the
+        # 64 parity features are the live targets at n = 19 (2^19 x 64)
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("experiment = kernel-hardness\n" + "\n".join(settings) + "\n")
+        tracemalloc.start()
+        try:
+            code = cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2**20
+        assert "MAX_LABEL_ENTRIES" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+        sweep_exits_two(tmp_path, cfg.read_text())
+
+    def test_kernel_labels_at_the_cap_are_accepted(self):
+        # built, not run: 2^12 live iid targets at n = 12, 64 parity ones at n = 18
+        for params, live in [({"n": 12, "feature_kind": "iid"}, 2**12),
+                             ({"n": 18, "features": 64}, 64)]:
+            assert ExperimentConfig("kernel-hardness", params).params["n"] == params["n"]
+            assert 2 ** params["n"] * live == kernel.MAX_LABEL_ENTRIES
+
     def test_set_repairs_a_refused_value(self, tmp_path, capsys):
         cfg = tmp_path / "j.cfg"
         cfg.write_text("experiment = sq-weak-learn\nn = 0\ntargets = 2\n")
@@ -367,3 +392,24 @@ def test_sq_experiments_never_build_the_parity_matrix(tmp_path):
     reports = [json.loads(p.read_text()) for p in (tmp_path / "runs").glob("*/report.json")]
     assert len(reports) == 2
     assert all(r["passed"] and r["error"] == "" and r["config"]["n"] == 16 for r in reports)
+
+
+def test_kernel_hardness_holds_labels_of_live_targets_only(tmp_path):
+    """With 64 parity features only 64 of the 4,096 targets at n = 12 move:
+    their labels, not a (2^n, 2^n) matrix, are what the solver holds, and
+    the run stays below 64 MiB of traced memory.  Only after that check
+    does the opt-in n = 16 config run (a label matrix there is 32 GiB)."""
+    tracemalloc.start()
+    try:
+        rep = run(ExperimentConfig("kernel-hardness", {"n": 12, "iters": 2}), tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB at n = 12"
+    assert rep.error == "" and rep.passed and rep.metrics["fixed_point_targets"] == 4096 - 64
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("experiment = kernel-hardness\n")
+    assert cli_main(["run", str(cfg), "--outdir", str(tmp_path / "runs"),
+                     "--set", "n=16", "--set", "iters=2"]) == 0
+    report, = [json.loads(p.read_text()) for p in (tmp_path / "runs").glob("*/report.json")]
+    assert report["passed"] and report["error"] == "" and report["config"]["n"] == 16

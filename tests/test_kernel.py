@@ -243,7 +243,7 @@ def test_min_hinge_family_matches_single_solves(parity6):
 
 def dense_min_hinge_family(psi, B, family, dist, iters):
     """Reference: the projected subgradient loop over every column, frozen or not."""
-    Y = np.ascontiguousarray(np.asarray(on_support(family, dist)).T, dtype=np.float64)
+    Y = np.ascontiguousarray(on_support(family, dist)[:].T, dtype=np.float64)
     m, d = Y.shape
     N = psi.n_features
     weights = dist.weights
@@ -289,7 +289,7 @@ def test_fixed_point_skip_matches_dense_loop(parity6, features, targets):
     W, losses = min_hinge_family(psi, 2.0, fam, dist, iters=300)
     Wd, losses_d = dense_min_hinge_family(psi, 2.0, fam, dist, iters=300)
     assert W.tobytes() == Wd.tobytes() and losses.tobytes() == losses_d.tobytes()
-    Y = np.asarray(on_support(fam, dist)).T.astype(np.float64)
+    Y = on_support(fam, dist)[:].T.astype(np.float64)
     frozen = ~np.any(psi(dist.points).T @ (dist.weights[:, None] * Y) != 0.0, axis=0)
     assert np.all(W[:, frozen] == 0.0)
     assert np.all(losses[frozen] == np.sum(dist.weights))

@@ -129,14 +129,16 @@ class TestParityFamilyQueries:
     def test_answers_match_the_dense_table(self, parity10, monkeypatch):
         family, dist = parity10
         target = BooleanFn(10, family[77])
-        dense = HonestNoisyOracle(target, dist, tau=0.1, seed=3).query(np.asarray(family))
+        dense = HonestNoisyOracle(target, dist, tau=0.1, seed=3).query(family[:])
 
         def refuse(*args, **kwargs):
             raise AssertionError("the parity family was materialized")
 
-        monkeypatch.setattr(ParityFamily, "__array__", refuse)
         fast_oracle = HonestNoisyOracle(target, dist, tau=0.1, seed=3)
-        fast = fast_oracle.query(family)
+        with monkeypatch.context() as patch:
+            # np.asarray's sequence fallback reads rows through __getitem__ too
+            patch.setattr(ParityFamily, "__getitem__", refuse)
+            fast = fast_oracle.query(family)
         assert fast.tobytes() == dense.tobytes()
         assert fast_oracle.queries_used == len(family)
         assert np.array_equal(correlation_weak_learner(
@@ -241,6 +243,33 @@ class TestCertificates:
         fam = parity_family(n)
         cert = certify_sqdim(fam, uniform_signs(n))
         assert cert.passed and cert.max_abs_inner == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_parity_gram_matches_the_explicit_table(self, n):
+        # F[:] is an explicit table, so its gram takes the blocked matmul
+        fam, dist = parity_family(n), uniform_signs(n)
+        assert certify_sqdim(fam, dist) == certify_sqdim(fam[:], dist)
+
+    @staticmethod
+    def _dense_off_diagonal_max(T, n):
+        gram = (T.astype(np.float64) @ T.T.astype(np.float64)) * 2.0**-n
+        np.fill_diagonal(gram, 0.0)
+        return float(np.abs(gram).max())
+
+    def test_random_table_gram_matches_the_dense_matmul(self):
+        n = 9
+        T = (np.random.default_rng(909).integers(0, 2, size=(300, 2**n)) * 2 - 1).astype(np.int8)
+        cert = certify_sqdim(T, uniform_signs(n))
+        assert cert.size == 300 and not cert.passed
+        assert cert.max_abs_inner == self._dense_off_diagonal_max(T, n)
+
+    def test_parity_table_with_a_repeated_row_fails(self):
+        n = 8
+        T = parity_family(n)[:]
+        T[200] = T[17]
+        cert = certify_sqdim(T, uniform_signs(n))
+        assert not cert.passed
+        assert cert.max_abs_inner == self._dense_off_diagonal_max(T, n) == 1.0
 
     def test_duplicate_family_fails(self):
         fam = parity_family(4)
@@ -383,7 +412,7 @@ class _PruneEachQuery(SqOracle):
 
     def __init__(self, family, dist, tau, budget):
         super().__init__(dist, tau, budget)
-        self.values = np.asarray(family, dtype=np.float64)
+        self.values = family[:].astype(np.float64)
         self.radius = len(family) ** (-1.0 / 3.0)
         self.consistent = np.ones(len(family), dtype=bool)
         self.counts = []
@@ -468,7 +497,7 @@ class TestCorrelationCountCheck:
         # C8's 200 draws: the uniform h is not dyadic, so the fast and dense
         # correlations may differ in the last bits, but no count moves
         family, dist = parity10
-        table = np.asarray(family)
+        table = family[:]
         cert = certify_sqdim(family, dist)
         rng = np.random.default_rng(808)
         counts = []
