@@ -13,7 +13,7 @@ The 2^n parities are the one family that is never stored: ``ParityFamily``
 holds only n.  Every family is read in exactly two ways: rows by index
 (``F[idx]``), and ``family_product``, which multiplies the parities by a
 fast Walsh-Hadamard transform in O(n 2^n) per column and any other
-family, an explicit table matrix, in blocks.
+family, an explicit table matrix, by one float64 matmul.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
 
 
 _MAX_BITS = 24  # largest n for a sign enumeration or a parity family
-_BLOCK_FLOATS = 2**17  # float64 entries (1 MiB) per explicit-table product block: L2 sized
 
 
 def _check_bits(n: int) -> None:
@@ -187,16 +186,12 @@ def family_product(family, V) -> np.ndarray:
     entry for every family product.
 
     A ``ParityFamily`` takes its fast Walsh-Hadamard product; an explicit
-    (d, 2^n) table matrix is multiplied in float64 row blocks.  Both are
-    exact for +-1 rows against dyadic V, whatever the summation order.
+    (d, 2^n) table matrix is one float64 matmul.  Both are exact for +-1
+    rows against dyadic V, whatever the summation order.
     """
     if isinstance(family, ParityFamily):
         return family.product(V)
-    out = np.empty(family.shape[:1] + V.shape[1:])
-    rows = max(1, _BLOCK_FLOATS // family.shape[1])
-    for k in range(0, family.shape[0], rows):
-        out[k : k + rows] = family[k : k + rows].astype(np.float64) @ V
-    return out
+    return family.astype(np.float64) @ V
 
 
 def or_parity_fn(z_prime, n: int) -> np.ndarray:

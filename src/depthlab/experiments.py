@@ -177,11 +177,13 @@ def _check_values(e, p):
         raise ConfigError(f"features = {p['features']} exceeds the {2 ** p['n']} parities "
                           f"at n = {p['n']}")
     if e == "kernel-hardness":
-        # the live targets: the parity features themselves, or every parity for iid ones
+        # the live targets: the parity features themselves, or every parity
+        # for iid ones, whose feature table is as large again
         live = p["features"] if p["feature_kind"] == "parity" else 2 ** p["n"]
-        if 2 ** p["n"] * live > kernel.MAX_LABEL_ENTRIES:
-            raise ConfigError(f"{live} live targets on 2^{p['n']} points exceed "
-                              f"kernel.MAX_LABEL_ENTRIES = {kernel.MAX_LABEL_ENTRIES} labels")
+        if 2 ** p["n"] * max(live, p["features"]) > kernel.MAX_LABEL_ENTRIES:
+            raise ConfigError(f"{live} live targets or {p['features']} features on "
+                              f"2^{p['n']} points exceed kernel.MAX_LABEL_ENTRIES = "
+                              f"{kernel.MAX_LABEL_ENTRIES} table entries")
     if e == "f-family":
         # sign enumeration of 2n coordinates stops at 24, the 8 pair picks need
         # 2^n_or >= 8, and hoeffding_zset admits d up to sq.zset_capacity

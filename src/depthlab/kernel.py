@@ -5,14 +5,16 @@ Psi with components in [-1,1].  Minimization is projected averaged
 subgradient descent on the exact finite-sum objective over the full
 enumeration, one column per target of a family (a (d, 2^n) table matrix
 or the parity operator); it returns the averaged iterates with their
-losses, which upper-bound the minima.  A target whose correlation
-c_j = Phi^T (p * y_j) with the features is exactly zero is a fixed point
-of the descent (its first subgradient is -c_j = 0, so w_j stays 0), and
-only the other targets are iterated.  The same c_j bound every minimum
-from below: L_j >= sum(p) - B ||c_j||.  All c_j come from one family
-product, a fast Walsh-Hadamard transform for the parities; the
-descent's labels are the table rows of the live targets alone, at most
-``MAX_LABEL_ENTRIES`` of them in a kernel-hardness config.
+losses, which upper-bound the minima, and the correlations
+c_j = Phi^T (p * y_j) of the features with every target, from one family
+product (a fast Walsh-Hadamard transform for the parities).  The first
+subgradient is -c_j, which the solver checks once against its labels; a
+target with c_j exactly zero is a fixed point of the descent (w_j stays
+0), and only the other targets are iterated.  The same c_j bound every
+minimum from below, L_j >= sum(p) - B ||c_j||, and are the reference of
+the gradient-identity check.  The descent's labels are the table rows of
+the live targets alone; in a kernel-hardness config they, and the
+feature table, hold at most ``MAX_LABEL_ENTRIES`` entries each.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ __all__ = [
     "depth2_to_kernel",
 ]
 
-MAX_LABEL_ENTRIES = 2**24  # 2^n points x k live targets of labels per solve: 128 MiB of float64
+MAX_LABEL_ENTRIES = 2**24  # 2^n points x k live targets, or x N features: 128 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -71,14 +73,6 @@ def random_sign_features(n: int, count: int, seed: int) -> FeatureMap:
     return feature_map_from_family(rng.integers(0, 2, size=(count, 2**n)) * 2.0 - 1.0)
 
 
-def _correlations(Phi, family, weights):
-    """C = Phi^T (p * Y), the (N, d) feature-target correlations, as the
-    transposed family product with p * Phi, and the mask of live targets:
-    those with a column of C not exactly zero."""
-    C = family_product(family, weights[:, None] * Phi).T
-    return C, np.any(C != 0.0, axis=0)
-
-
 def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000):
     """Minimize the exact population hinge loss over the B-ball for every
     member of a family (a (d, 2^n) table matrix or a ``ParityFamily``) at
@@ -86,19 +80,22 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
 
     Projected averaged subgradient descent, all targets as columns: step
     eta_t = B/(sqrt(N) sqrt(t)), projection onto the B-ball per column,
-    running iterate average.  Returns (W, losses), W the (N, d) averaged
-    iterates and losses their hinge losses.
+    running iterate average.  Returns (W, losses, C): W the (N, d) averaged
+    iterates, losses their hinge losses and C = Phi^T (p * Y) the (N, d)
+    feature-target correlations, one transposed family product with p * Phi.
 
-    At W = 0 every margin is 0 <= 1, so the first subgradient is -C with
-    C = Phi^T (p * Y).  A target whose column of C is exactly zero keeps
-    W_j = 0 at every step (zero update, norm 0, scale 1), so only the
-    other k columns are iterated, against the (m, k) labels of those
-    targets alone; the frozen ones are returned as the zero column, whose
-    loss is sum(p), as is every loss at B = 0 (step 0, scale 0).  Every
-    bit equals the all-columns loop's wherever BLAS computes a product
-    column the same way whatever the other columns are;
-    tests/test_kernel.py checks this against a dense copy of that loop, one
-    live target (the matrix-vector dispatch) and none included.
+    At W = 0 every margin is 0 <= 1, so the first subgradient is -C.  It
+    is computed from the labels as well and compared with -C once, so a
+    wrong family product raises instead of bounding anything.  A target
+    whose column of C is exactly zero keeps W_j = 0 at every step (zero
+    update, norm 0, scale 1), so only the other k columns are iterated,
+    against the (m, k) labels of those targets alone; the frozen ones are
+    returned as the zero column, whose loss is sum(p), as is every loss at
+    B = 0 (step 0, scale 0).  Every bit equals the all-columns loop's
+    wherever BLAS computes a product column the same way whatever the
+    other columns are; tests/test_kernel.py checks this against a dense
+    copy of that loop, one live target (the matrix-vector dispatch) and
+    none included.
     """
     if B < 0:
         raise ValueError("B must be >= 0")
@@ -109,8 +106,9 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
     N = psi.n_features
     weights = dist.weights
     Phi = psi(dist.points)
+    C = family_product(family, weights[:, None] * Phi).T
     # the first subgradient is -C; a zero column of C never moves
-    _, live = _correlations(Phi, family, weights)
+    live = np.any(C != 0.0, axis=0)
     # (m, k) float64 labels, C-contiguous: column j is live member j's table row
     Yl = np.ascontiguousarray(family[live].T, dtype=np.float64)
     wYl = weights[:, None] * Yl
@@ -126,6 +124,10 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
         np.less_equal(buf, 1.0, out=active)
         np.multiply(wYl, active, out=buf)
         G = -(Phi.T @ buf)
+        # equal bit for bit on +-1 features; 1e-12 covers any map into [-1,1]
+        if t == 1 and np.any(np.abs(G + C[:, live]) > 1e-12):
+            raise RuntimeError("the family product disagrees with the first "
+                               "subgradient -Phi^T (p * Y)")
         eta = base / np.sqrt(t)
         W -= eta * G
         norms = np.linalg.norm(W, axis=0)
@@ -137,7 +139,7 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
     Wavg[:, live] = Wl
     losses = np.full(d, float(np.sum(weights)))
     losses[live] = np.einsum("m,mk->k", weights, np.maximum(0.0, 1.0 - Yl * (Phi @ Wl)))
-    return Wavg, losses
+    return Wavg, losses, C
 
 
 def hardness_bound(N: int, B: float, d: int) -> float:
@@ -170,15 +172,14 @@ class LinearHardnessReport:
     grad_identity_max_err: float
 
 
-def _grad_identity_check(Phi, family, weights, lam, rng, pairs=20) -> float:
-    """Central finite differences of G_j at 0 vs the analytic correlation.
+def _grad_identity_check(Phi, family, C, weights, lam, rng, pairs=20) -> float:
+    """Central finite differences of G_j at 0 vs the solver's correlation.
 
     G_j(w) = L_j(w) + (lam/2)||w||^2 is affine in w near 0 (all margins
-    are strictly inside the hinge), so the FD derivative must equal
-    -E[f_j Psi_i] exactly up to roundoff.
+    are strictly inside the hinge), so the FD derivative along feature i
+    must equal -E[f_j Psi_i] = -C[i, j] exactly up to roundoff.
     """
-    N = Phi.shape[1]
-    d = len(family)
+    N, d = C.shape
     h = 1e-6
     worst = 0.0
     for _ in range(pairs):
@@ -186,7 +187,7 @@ def _grad_identity_check(Phi, family, weights, lam, rng, pairs=20) -> float:
         j = int(rng.integers(d))
         e = np.zeros(N)
         e[i] = h
-        y = family[j].astype(np.float64)
+        y = np.asarray(family[j], dtype=np.float64)
 
         def G(w):
             margins = y * (Phi @ w)
@@ -196,8 +197,7 @@ def _grad_identity_check(Phi, family, weights, lam, rng, pairs=20) -> float:
             )
 
         fd = (G(e) - G(-e)) / (2 * h)
-        analytic = -float(np.dot(weights, y * Phi[:, i]))
-        worst = max(worst, abs(fd - analytic))
+        worst = max(worst, abs(fd + float(C[i, j])))
     return worst
 
 
@@ -207,30 +207,28 @@ def verify_linear_hardness(psi: FeatureMap, B: float, family, dist,
 
     The solver's losses bound each minimum from above.  From below,
     hinge(z) >= alpha (1 - z) at alpha = 1 gives, by Cauchy-Schwarz over
-    the B-ball, L_j(w) >= sum(p) - B ||c_j|| with c_j = Phi^T (p * y_j);
-    the report keeps both sides, their largest gap and the count of
-    zero-correlation targets.  At desk scale the d^(1/12) bound is usually
-    vacuous; the report says so explicitly (bound_vacuous) instead of
-    pretending tightness.  Also runs the regularized-objective
-    gradient-at-zero identity check on 20 random (feature, member) pairs.
+    the B-ball, L_j(w) >= sum(p) - B ||c_j|| with c_j = Phi^T (p * y_j),
+    the solver's own correlations; the report keeps both sides, their
+    largest gap and the count of zero-correlation targets.  At desk scale
+    the d^(1/12) bound is usually vacuous; the report says so explicitly
+    (bound_vacuous) instead of pretending tightness.  Also checks the
+    regularized objective's gradient at zero against the same C on 20
+    random (feature, member) pairs.
     """
-    _, losses = min_hinge_family(psi, B, family, dist, iters)
-    family = on_support(family, dist)
-    d = len(family)
-    N = psi.n_features
+    _, losses, C = min_hinge_family(psi, B, family, dist, iters)
+    N, d = C.shape
     bound = hardness_bound(N, B, d)
-    Phi = psi(dist.points)
-    C, live = _correlations(Phi, family, dist.weights)
     lower = np.maximum(0.0, np.sum(dist.weights) - B * np.linalg.norm(C, axis=0))
     lam = np.sqrt(2.0 * np.sqrt(5.0) * N) / (d ** (1.0 / 12.0) * max(B, 1e-12))
-    err = _grad_identity_check(Phi, family, dist.weights, lam, np.random.default_rng(seed))
+    err = _grad_identity_check(psi(dist.points), family, C, dist.weights, lam,
+                               np.random.default_rng(seed))
     return LinearHardnessReport(
         losses=losses,
         average_loss=float(np.mean(losses)),
         lower_bounds=lower,
         average_lower_bound=float(np.mean(lower)),
         max_bracket_gap=float(np.max(losses - lower)),
-        fixed_point_targets=int(np.count_nonzero(~live)),
+        fixed_point_targets=int(np.count_nonzero(~np.any(C != 0.0, axis=0))),
         bound=bound,
         bound_variants=hardness_bound_variants(N, B, d),
         bound_vacuous=bound == 0.0,

@@ -9,15 +9,15 @@ root that falls strictly inside a cell, then zeroes the entries that are
 negative on their cell; a breakpoint is dropped when every unit is collinear
 across it.
 
-The hinge-loss integrals against the 2^n-band square wave f_n are closed
-form per cell of f: the integral of f_n over [0, x] is a triangle wave
-whose value at x follows from 2^n x, which is exact in float64, so the
-bands are never enumerated and the cost is O(cells) for every n up to
-MAX_WAVE_N = 52.  The sign loss is summed exactly and rounded once.  The
-zero split of f that the sign certificates read is computed once per
-function (``PwlFunction.sign_runs``).  ``grid_cells`` uses the same
-symbolic cells, cut at the band edges as well, to group a 1-D quadrature
-grid for the population hinge gradient.
+The hinge loss of sign(f) against the 2^n-band square wave f_n is closed
+form per run of constant sign: the integral of f_n over [0, x] is a
+triangle wave whose value at x follows from 2^n x, which is exact in
+float64, so the bands are never enumerated and the cost is O(runs) for
+every n up to MAX_WAVE_N = 52.  The loss is summed exactly and rounded
+once.  The zero split of f that the sign certificates read is computed
+once per function (``PwlFunction.sign_runs``).  ``grid_cells`` uses the
+same symbolic cells, cut at the band edges as well, to group a 1-D
+quadrature grid for the population hinge gradient.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "grid_cells",
     "count_pieces",
     "sign_crossings",
-    "exact_hinge_loss_vs_fn",
     "sign_hinge_loss_vs_fn",
     "piece_bound",
     "evaluate",
@@ -256,47 +255,12 @@ def _check_wave(f: PwlFunction, n: int):
 
 
 def _band_position(x, n):
-    """(k, r, k odd) for each x clipped to [0,1]: the band k = floor(2^n x)
-    and the part r = 2^n x - k of it covered.  2^n x, k and r are exact in
+    """(r, k odd) for each x clipped to [0,1]: the part r = 2^n x - k
+    covered of its band k = floor(2^n x).  2^n x, k and r are exact in
     float64, and 2^n W(x) = r (k even) or 1 - r (k odd) for W(x) the
     integral of f_n over [0, x], the triangle wave of height 2^-n."""
     r, k = np.modf(np.clip(x, 0.0, 1.0) * 2.0**n)
-    return k, r, k % 2 == 1
-
-
-def exact_hinge_loss_vs_fn(f: PwlFunction, n: int) -> float:
-    """Closed-form integral of max(0, 1 - f_n(x) f(x)) over [0,1], for n <= 52.
-
-    f is refined at its crossings of +-1, so on each cell f is affine and
-    the hinge is active on a fixed subset of {f_n = +1} and {f_n = -1}.
-    With 1[f_n = +-1] = (1 +- f_n)/2, a cell [a, b] needs, besides its
-    width, only the integrals of f_n and f_n f: with W(x) = integral_0^x
-    f_n these are W(b) - W(a) and, by parts about the midpoint m,
-    f(m)(W(b) - W(a)) + f'((b - a)(W(a) + W(b))/2 - V(b) + V(a)), where
-    V(x) = integral_0^x W is closed form as well.  The cost is O(cells),
-    whatever n.
-    """
-    _check_wave(f, n)
-    b, s, c = f.breaks, f.slopes, f.intercepts
-    for level in (1.0, -1.0):
-        b, s, c = _split_at_level(f.lo, f.hi, b, s, c, level)
-    edges = np.clip(_edges(f.lo, f.hi, b), 0.0, 1.0)
-    N = 2.0**n
-    k, r, odd = _band_position(edges, n)
-    W = np.where(odd, 1.0 - r, r) / N
-    # 2 N^2 V = k + r^2 (k even) or k + r(2 - r) (k odd); differenced in
-    # its integer and fractional parts, so no band count swamps a partial band
-    dV = (np.diff(k) + np.diff(np.where(odd, r * (2.0 - r), r * r))) / (2.0 * N * N)
-    width = np.diff(edges)
-    fm = s * (0.5 * (edges[:-1] + edges[1:])) + c
-    dW = np.diff(W)
-    wave_f = fm * dW + s * (0.5 * width * (W[:-1] + W[1:]) - dV)
-    # the hinge is 1 - f on {f_n = +1} where f < 1 (flag u) and 1 + f on
-    # {f_n = -1} where f > -1 (flag d): ((u + d)(1 - f_n f) + (u - d)(f_n - f))/2
-    u = (fm < 1.0).astype(np.float64)
-    d = (fm > -1.0).astype(np.float64)
-    per_cell = (u + d) * (width - wave_f) + (u - d) * (dW - width * fm)
-    return float(0.5 * per_cell.sum())
+    return r, k % 2 == 1
 
 
 def sign_hinge_loss_vs_fn(f: PwlFunction, n: int) -> float:
@@ -317,7 +281,7 @@ def sign_hinge_loss_vs_fn(f: PwlFunction, n: int) -> float:
     # each edge's weight on W: the sign on its left minus the one on its
     # right (0 past either end)
     coef = -np.diff(signs.astype(np.int64), prepend=0, append=0)
-    _, r, odd = _band_position(edges, n)
+    r, odd = _band_position(edges, n)
     frac = np.where(odd, coef, -coef) * r  # coef is +-1 or +-2: exact
     whole = 2**n - int(coef[odd].sum())
     return math.fsum([whole, *frac[frac != 0.0]]) / 2**n

@@ -70,10 +70,6 @@ class SqOracle:
         self.log: list[float] = []  # answers in query order
 
     @property
-    def queries_used(self) -> int:
-        return len(self.log)
-
-    @property
     def remaining_queries(self) -> int | None:
         return None if self.budget is None else self.budget - len(self.log)
 

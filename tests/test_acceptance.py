@@ -211,7 +211,7 @@ def test_c09_kernel_hardness():
     dist6 = uniform_signs(6)
     for N in (1, 2, 3):
         psiN = random_sign_features(6, N, seed=300 + N)
-        W, losses = min_hinge_family(psiN, 1.5, fam6[11:12], dist6, iters=2 * 10**4)
+        W, losses, _ = min_hinge_family(psiN, 1.5, fam6[11:12], dist6, iters=2 * 10**4)
         oracle = grid_search_min(psiN(dist6.points), fam6[11].astype(np.float64),
                                  dist6.weights, 1.5)
         crossval_ok = (crossval_ok and abs(losses[0] - oracle) <= 2e-2

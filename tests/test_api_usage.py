@@ -5,7 +5,9 @@ each name in a ``src/depthlab/*.py`` module's ``__all__`` must appear as a
 name, an attribute, an import alias or a string constant somewhere in
 ``src/``, ``scripts/`` or ``perfbench/`` (perfbench wraps some functions
 by their name as a string), outside its own definition and the
-``__all__`` list.  Uses in tests do not count.
+``__all__`` list.  So must each public method and property of an
+exported class, outside its own definition and every ``__all__`` list.
+Uses in tests do not count.
 """
 
 import ast
@@ -15,8 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # exported although the program does not use them, each for a reason
 ALLOWED = {
-    # the exact band-cut hinge loss that ROADMAP item 4's exact-mode GD will use
-    "pwl.exact_hinge_loss_vs_fn",
     # the one-parity reference that parity_family's rows are tested against
     "boolfn.parity_fn",
     # the packing-bound check of acceptance criterion C8
@@ -47,8 +47,16 @@ def _tokens(node) -> set:
     return out
 
 
+def _public_members(cls) -> list:
+    """The public methods and properties a class statement defines."""
+    return [stmt for stmt in cls.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not stmt.name.startswith("_")]
+
+
 def unused_exports(root: Path) -> set:
-    """``module.name`` for each exported name that nothing outside its
+    """``module.name`` for each exported name, and ``module.Class.member``
+    for each public member of an exported class, that nothing outside its
     definition uses."""
     files = [*(root / "src").rglob("*.py"), *(root / "scripts").glob("*.py"),
              *(root / "perfbench").glob("*.py")]
@@ -63,6 +71,15 @@ def unused_exports(root: Path) -> set:
             if not any(name in tokens for other, stmt, tokens in stmts
                        if other != path or not (stmt is export or _defines(stmt, name))):
                 unused.add(f"{path.stem}.{name}")
+            cls = next((stmt for other, stmt, _ in stmts
+                        if other == path and _defines(stmt, name)), None)
+            for member in _public_members(cls) if isinstance(cls, ast.ClassDef) else []:
+                # the class body minus the member, then every other statement
+                rest = [_tokens(s) for s in cls.body if s is not member]
+                rest += [tokens for _, stmt, tokens in stmts
+                         if stmt is not cls and not _defines(stmt, "__all__")]
+                if not any(member.name in tokens for tokens in rest):
+                    unused.add(f"{path.stem}.{name}.{member.name}")
     return unused
 
 

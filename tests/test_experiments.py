@@ -253,10 +253,12 @@ class TestCli:
             ExperimentConfig(experiment, params)
 
     @pytest.mark.parametrize("settings", [
-        ["n = 13", "feature_kind = iid"], ["n = 19", "features = 64"]])
+        ["n = 13", "feature_kind = iid"], ["n = 19", "features = 64"],
+        ["n = 10", "feature_kind = iid", f"features = {2**14 + 1}"]])
     def test_kernel_labels_above_the_cap_exit_two(self, tmp_path, capsys, settings):
-        # every target is live with iid features (2^13 x 2^13 labels), and the
-        # 64 parity features are the live targets at n = 19 (2^19 x 64)
+        # every target is live with iid features (2^13 x 2^13 labels), the
+        # 64 parity features are the live targets at n = 19 (2^19 x 64), and
+        # 2^14 + 1 iid features at n = 10 outgrow the cap on their own
         cfg = tmp_path / "k.cfg"
         cfg.write_text("experiment = kernel-hardness\n" + "\n".join(settings) + "\n")
         tracemalloc.start()
@@ -271,11 +273,13 @@ class TestCli:
         sweep_exits_two(tmp_path, cfg.read_text())
 
     def test_kernel_labels_at_the_cap_are_accepted(self):
-        # built, not run: 2^12 live iid targets at n = 12, 64 parity ones at n = 18
-        for params, live in [({"n": 12, "feature_kind": "iid"}, 2**12),
-                             ({"n": 18, "features": 64}, 64)]:
+        # built, not run: 2^12 live iid targets at n = 12, 64 parity ones at
+        # n = 18 and 2^14 iid features at n = 10
+        for params, rows in [({"n": 12, "feature_kind": "iid"}, 2**12),
+                             ({"n": 18, "features": 64}, 64),
+                             ({"n": 10, "feature_kind": "iid", "features": 2**14}, 2**14)]:
             assert ExperimentConfig("kernel-hardness", params).params["n"] == params["n"]
-            assert 2 ** params["n"] * live == kernel.MAX_LABEL_ENTRIES
+            assert 2 ** params["n"] * rows == kernel.MAX_LABEL_ENTRIES
 
     def test_set_repairs_a_refused_value(self, tmp_path, capsys):
         cfg = tmp_path / "j.cfg"

@@ -3,8 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from depthlab import boolfn
 from depthlab.boolfn import parity_family
 from depthlab.dists import uniform_signs
+from depthlab.experiments import ExperimentConfig, run
 from depthlab.kernel import (
     FeatureMap,
     depth2_radius,
@@ -39,7 +41,7 @@ def parity6():
 
 def solve_one(psi, B, target, dist, iters=2000):
     """min_hinge_family on the one-row family of the table row ``target``: (w, loss)."""
-    W, losses = min_hinge_family(psi, B, target[None], dist, iters)
+    W, losses, _ = min_hinge_family(psi, B, target[None], dist, iters)
     return W[:, 0], float(losses[0])
 
 
@@ -233,7 +235,7 @@ def test_min_hinge_family_matches_single_solves(parity6):
     family, dist = parity6
     psi = feature_map_from_family(family[:6])
     targets = family[:4]
-    W, batched = min_hinge_family(psi, 1.5, targets, dist, iters=3000)
+    W, batched, _ = min_hinge_family(psi, 1.5, targets, dist, iters=3000)
     singles = [solve_one(psi, 1.5, t, dist, iters=3000) for t in targets]
     assert W.shape == (6, 4)
     assert np.allclose(batched, [loss for _, loss in singles], atol=1e-12)
@@ -286,11 +288,12 @@ def _mixed_family(family):
 def test_fixed_point_skip_matches_dense_loop(parity6, features, targets):
     family, dist = parity6
     psi, fam = features(family), targets(family)
-    W, losses = min_hinge_family(psi, 2.0, fam, dist, iters=300)
+    W, losses, C = min_hinge_family(psi, 2.0, fam, dist, iters=300)
     Wd, losses_d = dense_min_hinge_family(psi, 2.0, fam, dist, iters=300)
     assert W.tobytes() == Wd.tobytes() and losses.tobytes() == losses_d.tobytes()
     Y = on_support(fam, dist)[:].T.astype(np.float64)
-    frozen = ~np.any(psi(dist.points).T @ (dist.weights[:, None] * Y) != 0.0, axis=0)
+    assert np.array_equal(C, psi(dist.points).T @ (dist.weights[:, None] * Y))
+    frozen = ~np.any(C != 0.0, axis=0)
     assert np.all(W[:, frozen] == 0.0)
     assert np.all(losses[frozen] == np.sum(dist.weights))
 
@@ -306,6 +309,16 @@ def test_lower_bounds_bracket_the_minima(parity6):
                                  iters=300)
     assert iid.fixed_point_targets == 0
     assert np.all(iid.lower_bounds <= iid.losses + 1e-12) and iid.max_bracket_gap > 0.0
+
+
+def test_wrong_family_product_fails_the_run(tmp_path, monkeypatch):
+    """A fast Walsh-Hadamard transform that drops its bit reversal gives a
+    wrong C, which the first subgradient over the labels contradicts: the
+    default kernel-hardness run errors instead of passing."""
+    monkeypatch.setattr(boolfn, "_bit_reversal", lambda n: np.arange(2**n))
+    report = run(ExperimentConfig("kernel-hardness"), outdir=tmp_path)
+    assert not report.passed
+    assert report.error.startswith("RuntimeError: the family product disagrees")
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for 2 BLAS threads")
