@@ -474,14 +474,18 @@ def _exp_kernel_hardness(p):
         "bound_vacuous": report.bound_vacuous,
         "bound_variants": report.bound_variants,
         "grad_identity_max_err": report.grad_identity_max_err,
+        "parseval_rel_err": report.parseval_rel_err,
     }
-    # duality_tol: lower_j <= loss_j for every target, up to roundoff
-    floor, grad_tol, duality_tol = p["threshold"], 1e-9, 1e-12
+    # duality_tol: lower_j <= loss_j for every target, up to roundoff;
+    # parseval_tol: ||C||_F^2 against its Parseval value, exact at the defaults
+    floor, grad_tol, duality_tol, parseval_tol = p["threshold"], 1e-9, 1e-12, 1e-12
     passed = (report.average_loss >= floor and report.average_lower_bound >= floor
               and bool(np.all(report.lower_bounds <= report.losses + duality_tol))
-              and report.grad_identity_max_err <= grad_tol)
+              and report.grad_identity_max_err <= grad_tol
+              and report.parseval_rel_err <= parseval_tol)
     return metrics, {"average_loss_min": floor, "grad_identity_err_max": grad_tol,
-                     "weak_duality_tol": duality_tol}, passed, series
+                     "weak_duality_tol": duality_tol,
+                     "parseval_rel_err_max": parseval_tol}, passed, series
 
 
 def _depth2_net(rng, n, k):

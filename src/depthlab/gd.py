@@ -6,13 +6,18 @@ hinge subgradients (exact on enumerated supports, midpoint quadrature on
 every iterate.
 
 Against the 1-D square wave on a midpoint grid of at least CELL_MIN_GRID
-points (and more points than the wave has bands), each step first groups
-the grid into cells on which the per-point subgradient is affine
-(``pwl.grid_cells``: cuts at hidden-unit kinks, band edges and the net's
-+-1 crossings) and backpropagates one row per cell instead of one per grid
-point.  The loss and gradient equal the grid's up to rounding.  Every other
-target or distribution, and smaller grids, where the symbolic propagation
-costs more than it saves, take the grid itself.
+points, each step takes the grid's loss and gradient from two rows per
+cell instead of one row per grid point.  ``pwl.grid_cells`` cuts the grid
+at the hidden-unit kinks and the net's +-1 crossings only.  On a cell
+every ReLU mask and the hinge regime are fixed, so the output's parameter
+gradient is affine in x and the cell's share of the grid sum needs only
+two integer moments of its hinge factors.  Those come from prefix sums of
+the labels, computed once per run; the band edges are never cut, so the
+rows do not grow with the number of bands.  The loss and gradient equal
+the grid's up to rounding.  Every other target or distribution, smaller
+grids, where the symbolic propagation costs more than it saves, and grids
+above MAX_GRID_POINTS, where the moments could stop being exact, take the
+grid itself.
 """
 
 from __future__ import annotations
@@ -22,16 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import TelgarskyTarget
-from .mlp import Mlp, l2_norm, population_hinge_grad
+from .dists import MAX_GRID_POINTS
+from .mlp import Mlp, hinge_grad_rows, l2_norm, population_hinge_grad
 from .pwl import grid_cells
 
 __all__ = ["GdConfig", "Trajectory", "GdDivergence", "gd_train", "CELL_MIN_GRID"]
 
-# Smallest grid that is grouped into cells.  One gradient with one BLAS
-# thread, dense vs cells (propagation included): a trained depth-12 net with
-# 443 pieces, 0.54 vs 5.6 ms at 64 points, 3.2 vs 6.6 ms at 512, 7.1 vs
-# 7.1 ms at 1024; the depth-5 flatline net after 100 steps at 512 points,
-# 1.36 vs 1.37 ms; depth 6 at 1024, 3.4 vs 1.4 ms; depth 8 at 4096, 18 vs 2.8 ms.
+# Smallest grid whose gradient is taken from cell moments.  One gradient
+# with one BLAS thread, dense vs moment rows (propagation included): a
+# trained depth-12 net with 443 pieces, 0.27 vs 3.1 ms at 64 points, 2.6 vs
+# 3.4 ms at 512, 4.4 vs 4.3 ms at 1024, 9.1 vs 6.7 ms at 2048; the depth-5
+# flatline net after 100 steps at 512 points, 0.77 vs 0.70 ms; depth 6 at
+# 1024, 2.6 vs 0.49 ms; depth 8 at 4096, 16 vs 0.38 ms.
 CELL_MIN_GRID = 1024
 
 
@@ -65,7 +72,80 @@ class Trajectory:
 def _groups_into_cells(target, dist) -> bool:
     m = dist.n_points
     return (isinstance(target, TelgarskyTarget) and dist.kind == "uniform_cube"
-            and m >= CELL_MIN_GRID and 2**target.n < m)
+            and CELL_MIN_GRID <= m <= MAX_GRID_POINTS)
+
+
+def _label_moments(y: np.ndarray):
+    """Prefix sums P0[j] = sum_{i<j} y_i and P1[j] = sum_{i<j} y_i (2i+1)
+    of the +-1 labels on the midpoint grid x_i = (2i+1)/(2m), exact in
+    int64 (and their differences in float64) up to MAX_GRID_POINTS."""
+    y = y.astype(np.int64)
+    odd = 2 * np.arange(y.size, dtype=np.int64) + 1
+    zero = np.zeros(1, dtype=np.int64)
+    return np.concatenate([zero, np.cumsum(y)]), np.concatenate([zero, np.cumsum(y * odd)])
+
+
+def _factor_moments(f, L, S0, S1, T1):
+    """Per cell, the moments c0 = sum c_i and c1 = sum c_i (2i+1) of the
+    hinge factors c_i, with the cell's active count, from the cell's
+    output f, its point count L and label moments S0 = sum y_i,
+    S1 = sum y_i (2i+1) and T1 = sum (2i+1).
+
+    The hinge at a point is active + c f: c = -y where |f| <= 1, where
+    every point is active; c = 1[y = -1] where f > 1, and c = -1[y = +1]
+    where f < -1, where only the points with c != 0 are.  Every moment is
+    an integer (L - S0 counts the labels -1 twice).
+    """
+    above, below = f > 1.0, f < -1.0
+    c0 = np.where(above, (L - S0) // 2, np.where(below, -((L + S0) // 2), -S0))
+    c1 = np.where(above, (T1 - S1) // 2, np.where(below, -((T1 + S1) // 2), -S1))
+    active = np.where(above | below, np.abs(c0), L)
+    return c0, c1, active
+
+
+def _row_weights(w, c0, c1, lo, L):
+    """Signed weights (beta_a, beta_b) of a cell's rows at x_lo and
+    x_(hi-1) that carry its moments: beta_a + beta_b = w c0 and
+    beta_a (2 lo + 1) + beta_b (2 hi - 1) = w c1.  beta_b lists only the
+    cells with L > 1; a one-point cell is the row beta_a = w c0 alone."""
+    two = L > 1
+    beta_b = w * (c1 - c0 * (2 * lo + 1))[two] / (2.0 * (L[two] - 1))
+    beta_a = w * c0
+    beta_a[two] -= beta_b
+    return beta_a, beta_b
+
+
+def _moment_grad(target, dist):
+    """(net -> (loss, grad)) over the midpoint grid ``dist`` against the
+    wave ``target``, from two rows per ``grid_cells`` cell.
+
+    f is affine on a cell [lo, hi), so the cell's sum of c_i f(x_i) and of
+    c_i times the output's parameter gradient at x_i are matched by the
+    rows x_lo and x_(hi-1) weighted to carry c0 and c1.  A one-point cell
+    is one row, which the factor rule decides exactly as the grid does.
+    """
+    x = dist.points[:, 0]
+    w = dist.weights[0]
+    P0, P1 = _label_moments(target(dist.points))
+
+    def grad(net):
+        bounds = grid_cells(net, x)
+        lo, hi = bounds[:-1], bounds[1:]
+        L = hi - lo
+        two = L > 1
+        rows = np.concatenate([lo, hi[two] - 1])
+
+        def moment_rows(out):
+            f = out[:lo.size].copy()
+            f[two] = 0.5 * (f[two] + out[lo.size:])  # f at the cell's centre
+            c0, c1, active = _factor_moments(f, L, P0[hi] - P0[lo], P1[hi] - P1[lo],
+                                             hi * hi - lo * lo)
+            dout = np.concatenate(_row_weights(w, c0, c1, lo, L))
+            return float(w * active.sum() + np.dot(dout, out)), dout
+
+        return hinge_grad_rows(net, x[rows, None], moment_rows)
+
+    return grad
 
 
 def gd_train(net: Mlp, target, dist, cfg: GdConfig) -> Trajectory:
@@ -75,7 +155,11 @@ def gd_train(net: Mlp, target, dist, cfg: GdConfig) -> Trajectory:
     including the initial one, so the arrays have iters+1 entries and
     loss[-1] is the loss of the returned net.
     """
-    cells = _groups_into_cells(target, dist)
+    if _groups_into_cells(target, dist):
+        grad = _moment_grad(target, dist)
+    else:
+        def grad(net):
+            return population_hinge_grad(net, target, dist)
     theta = theta0 = net.flat_params()
     T = cfg.iters
     loss = np.empty(T + 1)
@@ -84,8 +168,7 @@ def gd_train(net: Mlp, target, dist, cfg: GdConfig) -> Trajectory:
     current = net
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T + 1):
-            rows = grid_cells(current, target.n, dist) if cells else dist
-            l, g = population_hinge_grad(current, target, rows)
+            l, g = grad(current)
             if not (np.isfinite(l) and np.isfinite(g).all()):
                 raise GdDivergence(
                     f"non-finite loss or gradient at iteration {t} (loss={l})"

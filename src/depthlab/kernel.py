@@ -170,6 +170,7 @@ class LinearHardnessReport:
     bound_variants: dict
     bound_vacuous: bool
     grad_identity_max_err: float
+    parseval_rel_err: float     # | ||C||_F^2 - m sum_x p_x^2 ||Phi(x)||^2 | / the latter
 
 
 def _grad_identity_check(Phi, family, C, weights, lam, rng, pairs=20) -> float:
@@ -214,14 +215,24 @@ def verify_linear_hardness(psi: FeatureMap, B: float, family, dist,
     (bound_vacuous) instead of pretending tightness.  Also checks the
     regularized objective's gradient at zero against the same C on 20
     random (feature, member) pairs.
+
+    C is checked as a whole by Parseval: the m members of the full parity
+    family on m = 2^n points have sum_j y_j(x) y_j(x') = m [x = x'], so
+    ||C||_F^2 = m sum_x p_x^2 ||Phi(x)||^2, which ``parseval_rel_err``
+    compares.  On +-1 features and dyadic weights both sides are exact.
+    For another family the identity need not hold, and the error is only
+    reported.
     """
     _, losses, C = min_hinge_family(psi, B, family, dist, iters)
     N, d = C.shape
     bound = hardness_bound(N, B, d)
     lower = np.maximum(0.0, np.sum(dist.weights) - B * np.linalg.norm(C, axis=0))
     lam = np.sqrt(2.0 * np.sqrt(5.0) * N) / (d ** (1.0 / 12.0) * max(B, 1e-12))
-    err = _grad_identity_check(psi(dist.points), family, C, dist.weights, lam,
+    Phi = psi(dist.points)
+    err = _grad_identity_check(Phi, family, C, dist.weights, lam,
                                np.random.default_rng(seed))
+    energy = float(np.sum(C * C))
+    parseval = dist.n_points * float(np.sum(dist.weights**2 * np.sum(Phi * Phi, axis=1)))
     return LinearHardnessReport(
         losses=losses,
         average_loss=float(np.mean(losses)),
@@ -233,6 +244,7 @@ def verify_linear_hardness(psi: FeatureMap, B: float, family, dist,
         bound_variants=hardness_bound_variants(N, B, d),
         bound_vacuous=bound == 0.0,
         grad_identity_max_err=err,
+        parseval_rel_err=abs(energy - parseval) / max(parseval, 1e-300),
     )
 
 

@@ -5,8 +5,10 @@ in float64 numpy.  A net stores its parameters once, as a read-only flat
 vector (layer by layer, W row-major then b); ``layers`` are (W, b) views
 into it.  ``with_flat_params`` keeps the vector it is given, not a copy:
 the caller must not write that vector afterwards.  The hinge subgradient
-has one entry, ``population_hinge_grad``; at a single point (x, y) it is
-that function on the one-point support {x} with weight 1 and label y.
+is one forward and one backward pass over weighted rows
+(``hinge_grad_rows``); ``population_hinge_grad`` weights the points of a
+distribution, and at a single point (x, y) it is that function on the
+one-point support {x} with weight 1 and label y.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "forward_many",
     "output_grad_params",
     "hinge",
+    "hinge_grad_rows",
     "l2_norm",
     "population_hinge_loss",
     "population_hinge_grad",
@@ -206,6 +209,18 @@ def population_hinge_loss(net: Mlp, target, dist) -> float:
     return float(np.dot(w, h))
 
 
+def hinge_grad_rows(net: Mlp, X: np.ndarray, loss_and_dout):
+    """(loss, grad) from one forward and one backward pass over the rows X.
+
+    ``loss_and_dout`` maps the outputs (m,) on the rows to the loss and the
+    signed row weights ``dout`` (m,) that are backpropagated: the gradient
+    is the sum over the rows of dout times the output's parameter gradient.
+    """
+    acts, masks, out = _forward_trace(net, X)
+    loss, dout = loss_and_dout(out)
+    return loss, _backward(net, acts, masks, dout)
+
+
 def population_hinge_grad(net: Mlp, target, dist):
     """Population hinge loss and its flat subgradient over ``dist``.
 
@@ -215,12 +230,13 @@ def population_hinge_grad(net: Mlp, target, dist):
     """
     X = dist.points_float()
     y = np.asarray(target(X), dtype=np.float64)
-    acts, masks, out = _forward_trace(net, X)
-    margins = y * out
-    loss = float(np.dot(dist.weights, np.maximum(0.0, 1.0 - margins)))
-    dout = np.where(margins <= 1.0, -y, 0.0) * dist.weights
-    grad = _backward(net, acts, masks, dout)
-    return loss, grad
+
+    def per_point(out):
+        margins = y * out
+        loss = float(np.dot(dist.weights, np.maximum(0.0, 1.0 - margins)))
+        return loss, np.where(margins <= 1.0, -y, 0.0) * dist.weights
+
+    return hinge_grad_rows(net, X, per_point)
 
 
 def xavier_init(depth: int, width: int, in_dim: int, seed: int, bias_std: float = 0.0) -> Mlp:

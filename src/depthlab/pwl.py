@@ -15,9 +15,10 @@ triangle wave whose value at x follows from 2^n x, which is exact in
 float64, so the bands are never enumerated and the cost is O(runs) for
 every n up to MAX_WAVE_N = 52.  The loss is summed exactly and rounded
 once.  The zero split of f that the sign certificates read is computed
-once per function (``PwlFunction.sign_runs``).  ``grid_cells`` uses the
-same symbolic cells, cut at the band edges as well, to group a 1-D
-quadrature grid for the population hinge gradient.
+once per function (``PwlFunction.sign_runs``).  ``grid_cells`` cuts a 1-D
+quadrature grid at the same symbolic cells' hidden kinks and at the
+output's +-1 crossings, never at the band edges, for the population hinge
+gradient of gradient descent.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .dists import InputDistribution
 from .mlp import Mlp, DimensionError
 
 __all__ = [
@@ -189,40 +189,33 @@ def from_mlp_1d(net: Mlp, lo: float = 0.0, hi: float = 1.0) -> PwlFunction:
     return PwlFunction(lo, hi, b, S[:, 0], C[:, 0])
 
 
-def grid_cells(net: Mlp, n: int, dist: InputDistribution) -> InputDistribution:
-    """The midpoint grid of ``uniform_cube(grid=m)`` grouped into cells
-    for the hinge gradient of ``net`` against the 2^n-band square wave.
+def grid_cells(net: Mlp, x: np.ndarray) -> np.ndarray:
+    """Index bounds of the cells of the sorted grid ``x`` in (0, 1) for the
+    hinge gradient of ``net``: cell j holds the points bounds[j] to
+    bounds[j+1] - 1, and bounds runs from 0 to len(x).
 
-    The cuts are every hidden layer's breaks, the crossings of the net's
-    output with +-1 and the band edges.  Between two cuts every ReLU mask,
-    the wave and the hinge's active set are constant, so the per-point
-    hinge loss and subgradient are affine in x.  Each cell that holds grid
-    points becomes one row at the mean of its points, weighted by their
-    share of the grid, and a weighted sum over the rows equals the one over
-    the grid up to rounding.  A grid point within KINK_TOL of a break or a
-    +-1 crossing is a row of its own, so the mask (preact >= 0) and hinge
-    (margin <= 1) conventions decide it exactly as on the grid.
+    The cuts are every hidden layer's breaks and the crossings of the
+    net's output with +-1.  Between two cuts every ReLU mask and the
+    hinge regime (f < -1, |f| <= 1 or f > 1) are constant, so the output's
+    parameter gradient is affine in x whatever the labels.  A grid point
+    within KINK_TOL of a cut is a cell of its own, so the mask
+    (preact >= 0) and hinge (margin <= 1) conventions decide it exactly as
+    on the grid; this needs a grid spacing above 2 KINK_TOL, which every
+    grid of up to 2^28 points on [0, 1] has.  The cost is O(cuts), however
+    many points and labels the grid holds.
     """
-    m = dist.n_points
-    x = dist.points[:, 0]
     hidden = []
     b, S, C = _propagate(net, 0.0, 1.0, hidden)
     for level in (1.0, -1.0):
         b, S, C = _split_at_level(0.0, 1.0, b, S, C, level)
-    # every break lies strictly inside (0, 1), so no cut needs clipping to it
-    kinks = np.unique(np.concatenate([b, *hidden]))
-    # a cell's first grid point is the first one at or past its cut, so a
-    # point on a band edge opens the band the wave assigns it to
-    bounds = np.unique(np.concatenate([
-        np.searchsorted(x, np.arange(2**n + 1) / float(2**n)),
-        np.searchsorted(x, kinks),
-        np.searchsorted(x, kinks - KINK_TOL),
-        np.searchsorted(x, kinks + KINK_TOL, side="right"),
+    cuts = np.unique(np.concatenate([b, *hidden]))
+    # a cell's first grid point is the first one at or past its cut
+    return np.unique(np.concatenate([
+        [0, x.size],
+        np.searchsorted(x, cuts),
+        np.searchsorted(x, cuts - KINK_TOL),
+        np.searchsorted(x, cuts + KINK_TOL, side="right"),
     ]))
-    lo, hi = bounds[:-1], bounds[1:]
-    # x_j = (j + 1/2)/m, so the mean of x_lo..x_(hi-1) is (lo + hi)/(2m),
-    # rounded once: it never leaves [x_lo, x_(hi-1)]
-    return InputDistribution("grid_cells", ((lo + hi) / (2.0 * m))[:, None], (hi - lo) / m)
 
 
 def count_pieces(f: PwlFunction) -> int:

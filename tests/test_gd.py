@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from depthlab import gd
+from depthlab import gd, mlp
 from depthlab.constructions import telgarsky_target
 from depthlab.dists import uniform_cube, InputDistribution
 from depthlab.gd import CELL_MIN_GRID, GdConfig, GdDivergence, gd_train
@@ -81,14 +81,17 @@ def dense_reference(net, target, dist, cfg):
 
 
 def rows_fed(monkeypatch):
-    """Record the support size of every gradient gd_train takes."""
+    """Record the row count of every gradient gd_train takes: the grid's
+    points on the dense path, the cells' moment rows on the wave."""
     rows = []
+    grad_rows = mlp.hinge_grad_rows
 
-    def recording(net, target, dist):
-        rows.append(dist.n_points)
-        return population_hinge_grad(net, target, dist)
+    def recording(net, X, loss_and_dout):
+        rows.append(X.shape[0])
+        return grad_rows(net, X, loss_and_dout)
 
-    monkeypatch.setattr(gd, "population_hinge_grad", recording)
+    monkeypatch.setattr(mlp, "hinge_grad_rows", recording)
+    monkeypatch.setattr(gd, "hinge_grad_rows", recording)
     return rows
 
 
@@ -109,9 +112,10 @@ def test_dense_fallback_is_bit_identical(monkeypatch, target, grid):
 
 
 def assert_cells_track_dense(monkeypatch, n, iters):
-    """gd_train on the wave takes its gradients over grid cells; the loss
-    series stays within 1e-12 of the dense run's and the grad norms within
-    1e-11 relative.  Wrapping the wave in a lambda forces the dense path."""
+    """gd_train on the wave takes its gradients from the cells' moment
+    rows; the loss series stays within 1e-12 of the dense run's and the
+    grad norms within 1e-11 relative.  Wrapping the wave in a lambda
+    forces the dense path."""
     rows = rows_fed(monkeypatch)
     grid = 2 ** (n + 4)
     dist = uniform_cube(grid=grid)
@@ -132,6 +136,26 @@ def test_cells_track_dense_trajectory(monkeypatch):
 @pytest.mark.slow
 def test_cells_track_dense_trajectory_n12(monkeypatch):
     assert_cells_track_dense(monkeypatch, 12, 100)
+
+
+def test_label_moments_are_direct_sums():
+    dist = uniform_cube(grid=1000)
+    y = telgarsky_target(7)(dist.points)
+    P0, P1 = gd._label_moments(y)
+    assert P0.dtype == P1.dtype == np.int64 and P0.shape == P1.shape == (1001,)
+    for j in (0, 1, 62, 500, 999, 1000):
+        assert P0[j] == sum(int(y[i]) for i in range(j))
+        assert P1[j] == sum(int(y[i]) * (2 * i + 1) for i in range(j))
+
+
+def test_zero_bias_gradient_takes_a_handful_of_rows(monkeypatch):
+    """A zero-bias net is linear on [0, 1], with no kink inside it and at
+    most one +-1 crossing, so its gradient at n = 12 takes at most 8 rows
+    of the 65,536-point grid, the 4,096 bands notwithstanding."""
+    rows = rows_fed(monkeypatch)
+    gd_train(xavier_init(12, 32, 1, seed=0), telgarsky_target(12), uniform_cube(grid=2**16),
+             GdConfig(eta=0.1, iters=2))
+    assert len(rows) == 3 and max(rows) <= 8
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for 2 BLAS threads")

@@ -309,6 +309,8 @@ def test_lower_bounds_bracket_the_minima(parity6):
                                  iters=300)
     assert iid.fixed_point_targets == 0
     assert np.all(iid.lower_bounds <= iid.losses + 1e-12) and iid.max_bracket_gap > 0.0
+    # Parseval over the full parity family is exact on +-1 features
+    assert rep.parseval_rel_err == iid.parseval_rel_err == 0.0
 
 
 def test_wrong_family_product_fails_the_run(tmp_path, monkeypatch):
@@ -319,6 +321,18 @@ def test_wrong_family_product_fails_the_run(tmp_path, monkeypatch):
     report = run(ExperimentConfig("kernel-hardness"), outdir=tmp_path)
     assert not report.passed
     assert report.error.startswith("RuntimeError: the family product disagrees")
+
+
+def test_zero_family_product_fails_the_run(tmp_path, monkeypatch):
+    """A family product that returns zeros freezes every target, so the
+    first-subgradient check compares no column and every alpha = 1 lower
+    bound is sum(p) = 1; Parseval, ||C||_F^2 = 0 against N, turns the
+    default kernel-hardness run's pass flag false."""
+    monkeypatch.setattr(boolfn.ParityFamily, "product", lambda self, V: np.zeros(np.shape(V)))
+    report = run(ExperimentConfig("kernel-hardness"), outdir=tmp_path)
+    assert not report.error
+    assert report.metrics["parseval_rel_err"] == 1.0
+    assert not report.passed
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for 2 BLAS threads")

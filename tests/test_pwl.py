@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from depthlab.constructions import telgarsky_net, telgarsky_target
 from depthlab.dists import uniform_cube
+from depthlab import gd
 from depthlab.gd import GdConfig, gd_train
 from depthlab.mlp import Mlp, forward_many, population_hinge_grad, xavier_init
 from depthlab import pwl
@@ -342,23 +343,24 @@ def stretched(net):
 
 
 class TestGridCells:
-    """One gradient over the cells equals the dense grid gradient: loss
-    within 1e-12, gradient within 1e-11 max|g|.  A grid point grouped into
-    the wrong cell moves the gradient by about 1/grid, far above that."""
+    """One gradient from two moment rows per cell (``gd._moment_grad``)
+    equals the dense grid gradient: loss within 1e-12, gradient within
+    1e-11 max|g|.  A grid point given to the wrong cell, or a cell's rows
+    weighted wrongly, moves the gradient by about 1/grid, far above that."""
 
     def assert_matches_grid(self, net, n, grid=None):
         # the default grid, 2^(n+4) points, holds 16 points per band
         dist = uniform_cube(grid=grid or 2 ** (n + 4))
         target = telgarsky_target(n)
-        cells = grid_cells(net, n, dist)
-        assert cells.n_points <= dist.n_points
-        assert grid or 4 * cells.n_points < dist.n_points
-        assert np.isclose(cells.weights.sum(), 1.0, rtol=0.0, atol=1e-12)
+        bounds = grid_cells(net, dist.points[:, 0])
+        L = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == dist.n_points and np.all(L > 0)
+        assert grid or 4 * (L.size + np.count_nonzero(L > 1)) < dist.n_points
         l0, g0 = population_hinge_grad(net, target, dist)
-        l1, g1 = population_hinge_grad(net, target, cells)
+        l1, g1 = gd._moment_grad(target, dist)(net)
         assert abs(l1 - l0) <= 1e-12
         assert np.max(np.abs(g1 - g0)) <= 1e-11 * np.max(np.abs(g0))
-        return cells
+        return bounds
 
     @pytest.mark.parametrize("n", [6, 8, 12])
     def test_zero_bias_nets(self, n):
@@ -390,8 +392,8 @@ class TestGridCells:
             (rng.normal(0.0, 0.5, (3, 4)), rng.normal(0.0, 0.5, 3)),
             (5.0 * rng.normal(0.0, 0.6, (1, 3)), np.array([0.0])),
         ])
-        cells = self.assert_matches_grid(net, 6)
-        assert np.any((cells.points[:, 0] == x) & (cells.weights == 1 / 1024))
+        bounds = self.assert_matches_grid(net, 6)
+        assert {503, 504} <= set(bounds)  # x_503 is a cell of its own
 
     def test_grid_point_on_margin_one(self):
         # f(x_503) = -1 exactly and the wave is -1 there: margin exactly 1,
@@ -403,18 +405,39 @@ class TestGridCells:
         ])
         assert forward_many(net, np.array([[x]]))[0] == -1.0
         assert telgarsky_target(6)(np.array([[x]]))[0] == -1.0
-        cells = self.assert_matches_grid(net, 6)
-        assert np.any((cells.points[:, 0] == x) & (cells.weights == 1 / 1024))
+        bounds = self.assert_matches_grid(net, 6)
+        assert {503, 504} <= set(bounds)
 
     def test_grid_point_on_band_edge(self):
         # on a 1000-point grid x_62 = 0.0625 = 256/4096 is a band edge of
-        # the 2^12-band wave: its row must stay in the band it opens
+        # the 2^12-band wave: the band edges are not cuts, and the label
+        # moments count x_62 with the +1 of the band it opens
         dist = uniform_cube(grid=1000)
         assert dist.points[62, 0] == 0.0625
-        cells = self.assert_matches_grid(stretched(biased_net(4, 32, 5)), 12, 1000)
-        row = cells.points[:, 0] == 0.0625
-        assert np.count_nonzero(row) == 1
-        assert telgarsky_target(12)(cells.points[row])[0] == 1.0
+        self.assert_matches_grid(stretched(biased_net(4, 32, 5)), 12, 1000)
+        P0, P1 = gd._label_moments(telgarsky_target(12)(dist.points))
+        assert P0[63] - P0[62] == 1 and P1[63] - P1[62] == 125
+
+    @pytest.mark.parametrize("mutant", ["f above 1 as inside", "no second row"])
+    def test_wrong_moment_rule_fails(self, monkeypatch, mutant):
+        # giving the f > 1 cells the |f| <= 1 factor -y, or moving the
+        # second row's weight onto the first (so the first moment c1 is
+        # lost), must break the dense comparison
+        if mutant == "f above 1 as inside":
+            rule = gd._factor_moments
+            monkeypatch.setattr(gd, "_factor_moments",
+                                lambda f, *a: rule(np.minimum(f, 1.0), *a))
+        else:
+            weights = gd._row_weights
+
+            def first_row_only(w, c0, c1, lo, L):
+                beta_a, beta_b = weights(w, c0, c1, lo, L)
+                beta_a[L > 1] += beta_b
+                return beta_a, 0.0 * beta_b
+
+            monkeypatch.setattr(gd, "_row_weights", first_row_only)
+        with pytest.raises(AssertionError):
+            self.assert_matches_grid(stretched(biased_net(4, 32, 400)), 8)
 
 
 class TestValidationAndSerialization:
