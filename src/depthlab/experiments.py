@@ -621,9 +621,15 @@ def _exp_xavier_audit(p):
         "lhat_x": rep.lhat_x,
         "lhat_sup": rep.lhat_sup,
         "slack": rep.slack,
+        "grad_gap": rep.grad_gap,
     }
     series = [{"metric": k, "value": v} for k, v in metrics.items()]
-    return metrics, {"pass_fraction_min": p["threshold"]}, rep.pass_fraction >= p["threshold"], series
+    # the smallest rung's ratio against the gradient's slope: O(2^-20)
+    # apart on working code (at most 2.9e-8 over 40 default seeds)
+    grad_gap_tol = 1e-6
+    passed = rep.pass_fraction >= p["threshold"] and rep.grad_gap <= grad_gap_tol
+    thresholds = {"pass_fraction_min": p["threshold"], "grad_gap_max": grad_gap_tol}
+    return metrics, thresholds, passed, series
 
 
 _BODIES = {

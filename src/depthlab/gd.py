@@ -3,7 +3,10 @@
 The gradient at each step is the distribution-weighted average of per-point
 hinge subgradients (exact on enumerated supports, midpoint quadrature on
 [0,1]).  A run records loss, gradient norm and parameter distance at
-every iterate.
+every iterate.  It copies theta_0 once into a vector it owns, builds one
+net over it and steps that vector in place (theta -= eta * g, the same
+bits as theta - eta * g); the vector is never handed out, the input net
+is left as it was, and the returned net holds a copy.
 
 Against the 1-D square wave on a midpoint grid of at least CELL_MIN_GRID
 points, each step takes the grid's loss and gradient from two rows per
@@ -153,19 +156,24 @@ def gd_train(net: Mlp, target, dist, cfg: GdConfig) -> Trajectory:
 
     Records (loss, grad norm, distance from theta_0) at every iterate
     including the initial one, so the arrays have iters+1 entries and
-    loss[-1] is the loss of the returned net.
+    loss[-1] is the loss of the returned net: a new net, or ``net`` itself
+    when eta = 0.
     """
     if _groups_into_cells(target, dist):
         grad = _moment_grad(target, dist)
     else:
         def grad(net):
             return population_hinge_grad(net, target, dist)
-    theta = theta0 = net.flat_params()
+    theta0 = net.flat_params()
     T = cfg.iters
     loss = np.empty(T + 1)
     gnorm = np.empty(T + 1)
     pdist = np.empty(T + 1)
-    current = net
+    if cfg.eta == 0.0:  # the zero step is exact: the input net throughout
+        theta, current = theta0, net
+    else:  # one net over a vector the run owns, stepped in place
+        theta = theta0.copy()
+        current = net.with_flat_params(theta)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T + 1):
             l, g = grad(current)
@@ -176,11 +184,9 @@ def gd_train(net: Mlp, target, dist, cfg: GdConfig) -> Trajectory:
             loss[t] = l
             gnorm[t] = l2_norm(g)
             pdist[t] = l2_norm(theta - theta0)
-            if t < T:
-                if cfg.eta != 0.0:
-                    theta = theta - cfg.eta * g
-                    if not np.isfinite(theta).all():
-                        raise GdDivergence(f"non-finite parameters at iteration {t + 1}")
-                    current = net.with_flat_params(theta)
-                # eta == 0 keeps the exact same object: the zero step is exact
-    return Trajectory(np.arange(T + 1), loss, gnorm, pdist, current)
+            if t < T and cfg.eta != 0.0:
+                theta -= cfg.eta * g
+                if not np.isfinite(theta).all():
+                    raise GdDivergence(f"non-finite parameters at iteration {t + 1}")
+    final = net if cfg.eta == 0.0 else net.with_flat_params(theta.copy())
+    return Trajectory(np.arange(T + 1), loss, gnorm, pdist, final)

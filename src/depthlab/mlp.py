@@ -4,8 +4,11 @@ Networks are weight/bias lists with ReLU on every layer except the last,
 in float64 numpy.  A net stores its parameters once, as a read-only flat
 vector (layer by layer, W row-major then b); ``layers`` are (W, b) views
 into it.  ``with_flat_params`` keeps the vector it is given, not a copy:
-the caller must not write that vector afterwards.  The hinge subgradient
-is one forward and one backward pass over weighted rows
+the caller must not write that vector afterwards.  One caller does:
+``gd.gd_train`` steps its net's vector in place, a vector the run owns
+and never hands out.  ``forward_stacked`` evaluates many parameter
+vectors of one shape at one input without building a net for each.  The
+hinge subgradient is one forward and one backward pass over weighted rows
 (``hinge_grad_rows``); ``population_hinge_grad`` weights the points of a
 distribution, and at a single point (x, y) it is that function on the
 one-point support {x} with weight 1 and label y.
@@ -22,6 +25,7 @@ __all__ = [
     "DimensionError",
     "forward",
     "forward_many",
+    "forward_stacked",
     "output_grad_params",
     "hinge",
     "hinge_grad_rows",
@@ -37,12 +41,13 @@ class DimensionError(ValueError):
 
 
 def _layer_views(layers, theta: np.ndarray):
-    """(W, b) views into the flat vector ``theta``, shaped like ``layers``."""
-    views, k = [], 0
+    """(W, b) views into the flat vector ``theta``, shaped like ``layers``.
+    Leading axes of ``theta`` stack flat vectors and lead every view."""
+    views, k, lead = [], 0, theta.shape[:-1]
     for W, b in layers:
-        w = theta[k : k + W.size].reshape(W.shape)
+        w = theta[..., k : k + W.size].reshape(lead + W.shape)
         k += W.size
-        views.append((w, theta[k : k + b.size]))
+        views.append((w, theta[..., k : k + b.size]))
         k += b.size
     return tuple(views)
 
@@ -136,15 +141,38 @@ def forward_many(net: Mlp, X: np.ndarray) -> np.ndarray:
     return A[:, 0]
 
 
+def forward_stacked(net: Mlp, thetas: np.ndarray, x) -> np.ndarray:
+    """Outputs at the one input ``x`` of the nets shaped like ``net`` whose
+    flat parameters are the rows of ``thetas`` (..., n_params).
+
+    One stacked matmul per layer, (K, 1, in) @ (K, in, out): numpy runs it
+    item by item with the kernel ``forward`` runs on one net, so each
+    output is ``forward``'s bit for bit, without building the nets.
+    """
+    if thetas.shape[-1] != net.n_params:
+        raise DimensionError(f"expected {net.n_params} parameters, got {thetas.shape}")
+    A = np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :]
+    last = len(net.layers) - 1
+    for i, (W, b) in enumerate(_layer_views(net.layers, thetas)):
+        A = A @ np.swapaxes(W, -1, -2) + b[..., None, :]
+        if i != last:
+            np.maximum(A, 0.0, out=A)
+    return A[..., 0, 0]
+
+
 def _forward_trace(net: Mlp, X: np.ndarray):
     """Forward pass keeping activations and ReLU masks; returns
-    (activations, masks, out).  The mask convention is preact >= 0."""
+    (activations, masks, out).  The mask convention is preact >= 0.
+
+    The traced passes multiply with ``np.dot``: on 2-D float64 operands it
+    makes matmul's BLAS call, bit for bit, without the ufunc set-up, which
+    is ~2 us of a ~5 us product on the small nets that GD steps."""
     A = np.asarray(X, dtype=np.float64)
     acts = [A]
     masks = []
     last = len(net.layers) - 1
     for i, (W, b) in enumerate(net.layers):
-        Z = np.matmul(A, W.T)
+        Z = np.dot(A, W.T)
         Z += b
         if i != last:
             masks.append(Z >= 0.0)
@@ -166,10 +194,10 @@ def _backward(net: Mlp, acts, masks, dout: np.ndarray) -> np.ndarray:
     G = dout[:, None]
     for i in range(len(net.layers) - 1, -1, -1):
         gW, gb = grads[i]
-        np.matmul(G.T, acts[i], out=gW)
-        G.sum(axis=0, out=gb)
+        np.dot(G.T, acts[i], out=gW)
+        np.add.reduce(G, axis=0, out=gb)
         if i > 0:
-            G = np.matmul(G, net.layers[i][0])
+            G = np.dot(G, net.layers[i][0])
             G *= masks[i - 1]
     return grad
 

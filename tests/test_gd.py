@@ -61,23 +61,52 @@ def test_divergence_aborts_with_diagnostic():
         gd_train(net, target, dist, GdConfig(eta=1e300, iters=50))
 
 
+def rebuild_per_step(net, grad, cfg):
+    """GD as a net per step: theta <- theta - eta * g, each iterate a new
+    net over a new vector; (loss, grad norm, param dist, final params)."""
+    theta0 = theta = net.flat_params()
+    current, loss, gnorm, pdist = net, [], [], []
+    for t in range(cfg.iters + 1):
+        l, g = grad(current)
+        loss.append(l)
+        gnorm.append(mlp.l2_norm(g))
+        pdist.append(mlp.l2_norm(theta - theta0))
+        if t < cfg.iters:
+            theta = theta - cfg.eta * g
+            current = net.with_flat_params(theta)
+    return np.array(loss), np.array(gnorm), np.array(pdist), theta
+
+
+@pytest.mark.parametrize("target, grid, depth, iters", [
+    (telgarsky_target(2), 64, 12, 200),  # gd-sanity's shape: the dense path
+    (telgarsky_target(6), CELL_MIN_GRID, 6, 50),  # the moment rows
+])
+def test_in_place_steps_match_a_net_per_step(target, grid, depth, iters):
+    dist = uniform_cube(grid=grid)
+    net = xavier_init(depth, 32, 1, seed=4)
+    theta0 = net.flat_params().copy()
+    cfg = GdConfig(eta=0.1, iters=iters)
+    traj = gd_train(net, target, dist, cfg)
+    if grid < CELL_MIN_GRID:
+        grad = lambda m: population_hinge_grad(m, target, dist)
+    else:
+        grad = gd._moment_grad(target, dist)
+    loss, gnorm, pdist, theta = rebuild_per_step(net, grad, cfg)
+    assert np.array_equal(traj.loss, loss)
+    assert np.array_equal(traj.grad_norm, gnorm)
+    assert np.array_equal(traj.param_dist, pdist)
+    assert np.array_equal(traj.final_net.flat_params(), theta)
+    # the input net is untouched, and the returned net is the run's own copy
+    assert np.array_equal(net.flat_params(), theta0)
+    assert traj.final_net is not net and pdist[-1] > 0.0
+    assert gd_train(net, target, dist, GdConfig(eta=0.0, iters=2)).final_net is net
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GdConfig(eta=-1.0, iters=10)
     with pytest.raises(ValueError):
         GdConfig(eta=0.1, iters=0)
-
-
-def dense_reference(net, target, dist, cfg):
-    """(loss, grad norm) series of population_hinge_grad stepped on ``dist``."""
-    theta = net.flat_params()
-    loss, gnorm = [], []
-    for t in range(cfg.iters + 1):
-        l, g = population_hinge_grad(net.with_flat_params(theta), target, dist)
-        loss.append(l)
-        gnorm.append(np.sqrt(np.add.reduce(g * g)))  # gd_train's fixed-order norm
-        theta = theta - cfg.eta * g
-    return np.array(loss), np.array(gnorm)
 
 
 def rows_fed(monkeypatch):
@@ -106,7 +135,8 @@ def test_dense_fallback_is_bit_identical(monkeypatch, target, grid):
     cfg = GdConfig(eta=0.1, iters=8)
     traj = gd_train(net, target, dist, cfg)
     assert rows == [grid] * (cfg.iters + 1)
-    loss, gnorm = dense_reference(net, target, dist, cfg)
+    dense = lambda m: population_hinge_grad(m, target, dist)
+    loss, gnorm, _, _ = rebuild_per_step(net, dense, cfg)
     assert np.array_equal(traj.loss, loss)
     assert np.array_equal(traj.grad_norm, gnorm)
 
