@@ -121,8 +121,8 @@ class ParityFamily:
 
     Member k is the parity over {t : bit t of k}; member 0 is the constant
     +1 parity.  ``F[j]`` is member j's int8 row, and a slice, an index
-    list or a mask gives the explicit (k, 2^n) int8 rows, each built
-    coordinate by coordinate; ``F[:]`` is the whole matrix.  Every other
+    list or a mask gives the explicit (k, 2^n) int8 rows, built by doubling
+    over the point bits; ``F[:]`` is the whole matrix.  Every other
     read is a ``product``.
 
     Entry (k, i) is (-1)^popcount(k & rev(i)), with rev the n-bit
@@ -146,10 +146,12 @@ class ParityFamily:
     def __getitem__(self, key) -> np.ndarray:
         idx = np.arange(len(self))[key]
         sel = np.reshape(idx, (-1, 1))
-        rows = np.ones((sel.shape[0], len(self)), dtype=np.int8)
-        for t in range(self.n):
-            np.multiply(rows, _coordinate(self.n, t), out=rows,
-                        where=((sel >> t) & 1).astype(bool))
+        # point bit j is coordinate n-1-j: each pass doubles the row length,
+        # the upper half being the lower one times that coordinate's sign
+        rows = np.ones((sel.shape[0], 1), dtype=np.int8)
+        for j in range(self.n):
+            sign = (1 - 2 * ((sel >> (self.n - 1 - j)) & 1)).astype(np.int8)
+            rows = np.concatenate([rows, rows * sign], axis=1)
         return rows[0] if np.ndim(idx) == 0 else rows
 
     def product(self, V) -> np.ndarray:

@@ -37,11 +37,12 @@ from .pwl import grid_cells
 __all__ = ["GdConfig", "Trajectory", "GdDivergence", "gd_train", "CELL_MIN_GRID"]
 
 # Smallest grid whose gradient is taken from cell moments.  One gradient
-# with one BLAS thread, dense vs moment rows (propagation included): a
-# trained depth-12 net with 443 pieces, 0.27 vs 3.1 ms at 64 points, 2.6 vs
-# 3.4 ms at 512, 4.4 vs 4.3 ms at 1024, 9.1 vs 6.7 ms at 2048; the depth-5
-# flatline net after 100 steps at 512 points, 0.77 vs 0.70 ms; depth 6 at
-# 1024, 2.6 vs 0.49 ms; depth 8 at 4096, 16 vs 0.38 ms.
+# with one BLAS thread on a 2-core Xeon, dense vs moment rows (propagation
+# included): gd-sanity's depth-12 net after 2000 steps, 443 pieces, 0.23
+# vs 2.5 ms at 64 points, 1.9 vs 3.0 ms at 512, 4.7 vs 4.1 ms at 1024, 9.7
+# vs 4.0 ms at 2048; the depth-5 flatline net after 100 steps at 512
+# points, 0.42 vs 0.63 ms; depth 6 after 100 steps at 1024, 2.0 vs 0.43 ms;
+# depth 8 after 25 steps at 4096, 13 vs 0.48 ms.
 CELL_MIN_GRID = 1024
 
 

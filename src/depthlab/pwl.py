@@ -7,7 +7,11 @@ as breakpoints plus (cells x width) slope and intercept matrices.  An affine
 layer is one matrix product; a ReLU adds, in one vectorized pass, every
 root that falls strictly inside a cell, then zeroes the entries that are
 negative on their cell; a breakpoint is dropped when every unit is collinear
-across it.
+across it.  The roots are placed by cell counts: sorted by value they are
+grouped by cell, so the new breaks are scattered to positions read off
+the per-cell counts, and each new cell's row is its old cell's, repeated
+once per piece that cell splits into; propagation neither sorts nor
+searches the breaks.
 
 The hinge loss of sign(f) against the 2^n-band square wave f_n is closed
 form per run of constant sign: the integral of f_n over [0, x] is a
@@ -127,10 +131,14 @@ def _merge(b, s, c):
     """Drop each break whose neighbouring rows agree, within MERGE_TOL, in every unit."""
     if b.size == 0:
         return b, s, c
-    same = (np.abs(np.diff(s, axis=0)) <= MERGE_TOL) & (np.abs(np.diff(c, axis=0)) <= MERGE_TOL)
-    same = same.reshape(b.size, -1).all(axis=1)
-    rows = np.concatenate([[True], ~same])
-    return b[~same], s[rows], c[rows]
+    same = (np.abs(s[1:] - s[:-1]) <= MERGE_TOL) & (np.abs(c[1:] - c[:-1]) <= MERGE_TOL)
+    if same.ndim > 1:  # every unit agrees: one pass per unit over a contiguous row
+        same = np.logical_and.reduce(np.ascontiguousarray(same.T), axis=0)
+    if not same.any():
+        return b, s, c
+    keep = ~same
+    rows = np.flatnonzero(np.concatenate([[True], keep]))
+    return b[keep], s.take(rows, axis=0), c.take(rows, axis=0)
 
 
 def _check_cap(n):
@@ -139,20 +147,35 @@ def _check_cap(n):
 
 
 def _split_at_level(lo, hi, b, s, c, level):
-    """Insert breakpoints where some unit strictly crosses ``level`` inside a cell."""
+    """Insert breakpoints where some unit strictly crosses ``level`` inside a cell.
+
+    The cells are disjoint open intervals, so sorting the roots by value
+    also groups them by cell: the k-th new root of cell j lands at j + k
+    among the new breaks, old break j moves up by the roots in cells <= j,
+    and every new cell takes the row of the old cell that contains it.
+    """
     edges = _edges(lo, hi, b)
     col = edges.reshape(-1, *(1,) * (s.ndim - 1))  # broadcasts against the rows of s
-    hit = np.nonzero((s * col[:-1] + c - level) * (s * col[1:] + c - level) < 0.0)
-    roots = (level - c[hit]) / s[hit]
-    cell = hit[0]
-    roots = roots[(roots > edges[cell]) & (roots < edges[cell + 1])]
+    hit = np.flatnonzero((s * col[:-1] + c - level) * (s * col[1:] + c - level) < 0.0)
+    if not hit.size:
+        return b, s, c
+    roots = (level - c.take(hit)) / s.take(hit)
+    cell = hit // (s.size // s.shape[0])  # the row of each flat index
+    inside = (roots > edges[cell]) & (roots < edges[cell + 1])
+    roots, cell = roots[inside], cell[inside]
     if not roots.size:
         return b, s, c
-    new_b = np.unique(np.concatenate([b, roots]))
-    _check_cap(new_b.size + 1)
-    edges = _edges(lo, hi, new_b)
-    src = np.searchsorted(b, 0.5 * (edges[:-1] + edges[1:]), side="right")
-    return new_b, s[src], c[src]
+    order = np.argsort(roots, kind="stable")
+    roots, cell = roots[order], cell[order]
+    fresh = np.concatenate([[True], roots[1:] != roots[:-1]])  # units sharing a root
+    roots, cell = roots[fresh], cell[fresh]
+    counts = np.bincount(cell, minlength=b.size + 1)
+    _check_cap(b.size + roots.size + 1)
+    new_b = np.empty(b.size + roots.size)
+    new_b[cell + np.arange(roots.size)] = roots
+    new_b[np.arange(b.size) + np.cumsum(counts[:-1])] = b
+    src = np.repeat(np.arange(b.size + 1), counts + 1)
+    return new_b, s.take(src, axis=0), c.take(src, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +198,8 @@ def _propagate(net: Mlp, lo: float, hi: float, hidden_breaks: list | None = None
             b, S, C = _split_at_level(lo, hi, b, S, C, 0.0)
             edges = _edges(lo, hi, b)
             neg = S * (0.5 * (edges[:-1] + edges[1:]))[:, None] + C < 0.0
-            S[neg] = 0.0
-            C[neg] = 0.0
+            np.putmask(S, neg, 0.0)
+            np.putmask(C, neg, 0.0)
             if hidden_breaks is not None:
                 hidden_breaks.append(b)
         b, S, C = _merge(b, S, C)

@@ -117,6 +117,31 @@ def test_parity_operator_matches_the_dense_matrix(n):
     assert np.array_equal(fam[list(idx)], table[idx])
 
 
+def _masked_multiply_rows(n, key):
+    """Parity rows built coordinate by coordinate: row k is the all-ones
+    row multiplied by x_t wherever bit t of k is set."""
+    idx = np.arange(2**n)[key]
+    sel = np.reshape(idx, (-1, 1))
+    rows = np.ones((sel.shape[0], 2**n), dtype=np.int8)
+    X = enumerate_signs(n)
+    for t in range(n):
+        np.multiply(rows, X[:, t], out=rows, where=((sel >> t) & 1).astype(bool))
+    return rows[0] if np.ndim(idx) == 0 else rows
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_parity_rows_match_the_masked_multiply(n):
+    fam, m, rng = ParityFamily(n), 2**n, np.random.default_rng(300 + n)
+    keys = [0, m - 1, -1, -m, int(rng.integers(m)), slice(None), slice(None, None, -1),
+            slice(1, None, 3), slice(m - 1, 0, -2), slice(0, 0),
+            rng.integers(m, size=7), rng.integers(-m, m, size=(2, 3)),
+            rng.integers(m, size=7).tolist(), rng.random(m) < 0.3]
+    for key in keys:
+        got, want = fam[key], _masked_multiply_rows(n, key)
+        assert got.dtype == np.int8 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_parity_operator_refuses_bad_input():
     fam = ParityFamily(4)
     with pytest.raises(ValueError):

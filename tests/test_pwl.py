@@ -450,3 +450,155 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError):
             PwlFunction(0.0, 1.0, np.array([0.6, 0.4]),
                         np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# The propagation as it was written before the roots were placed by cell
+# counts: the old breaks and the new roots sorted together by np.unique,
+# each new cell's source row found by a midpoint search, and the merge mask
+# reduced row by row.  ``stats`` records what the population exercised.
+
+def reference_merge(b, s, c, stats=None):
+    if b.size == 0:
+        return b, s, c
+    same = (np.abs(np.diff(s, axis=0)) <= pwl.MERGE_TOL) & (np.abs(np.diff(c, axis=0)) <= pwl.MERGE_TOL)
+    same = same.reshape(b.size, -1).all(axis=1)
+    if stats is not None and same.any():
+        stats["merged"] += 1
+    rows = np.concatenate([[True], ~same])
+    return b[~same], s[rows], c[rows]
+
+
+def reference_split(lo, hi, b, s, c, level, stats=None):
+    edges = pwl._edges(lo, hi, b)
+    col = edges.reshape(-1, *(1,) * (s.ndim - 1))
+    hit = np.nonzero((s * col[:-1] + c - level) * (s * col[1:] + c - level) < 0.0)
+    roots = (level - c[hit]) / s[hit]
+    cell = hit[0]
+    roots = roots[(roots > edges[cell]) & (roots < edges[cell + 1])]
+    if not roots.size:
+        return b, s, c
+    new_b = np.unique(np.concatenate([b, roots]))
+    if stats is not None:
+        distinct = np.unique(roots)
+        stats["shared_roots"] += distinct.size < roots.size
+        stats["max_roots_per_cell"] = max(stats["max_roots_per_cell"], int(
+            np.bincount(np.searchsorted(b, distinct)).max()))
+    edges = pwl._edges(lo, hi, new_b)
+    src = np.searchsorted(b, 0.5 * (edges[:-1] + edges[1:]), side="right")
+    return new_b, s[src], c[src]
+
+
+def reference_propagate(net, lo, hi, hidden_breaks, stats):
+    b = np.array([], dtype=np.float64)
+    S, C = np.ones((1, 1)), np.zeros((1, 1))
+    last = len(net.layers) - 1
+    for i, (W, bias) in enumerate(net.layers):
+        S, C = S @ W.T, C @ W.T + bias
+        if i != last:
+            b, S, C = reference_split(lo, hi, b, S, C, 0.0, stats)
+            edges = pwl._edges(lo, hi, b)
+            neg = S * (0.5 * (edges[:-1] + edges[1:]))[:, None] + C < 0.0
+            S[neg] = 0.0
+            C[neg] = 0.0
+            hidden_breaks.append(b)
+            b, S, C = reference_merge(b, S, C, stats)
+        else:
+            b, S, C = reference_merge(b, S, C)
+    return b, S, C
+
+
+def reference_outputs(net, x, stats):
+    """Every array the certificates and the moment gradient read, by the
+    sorting reference."""
+    hidden = []
+    b, S, C = reference_propagate(net, 0.0, 1.0, hidden, stats)
+    f = PwlFunction(0.0, 1.0, b, S[:, 0], C[:, 0])
+    zb, zs, zc = reference_split(0.0, 1.0, f.breaks, f.slopes, f.intercepts, 0.0, stats)
+    edges = pwl._edges(0.0, 1.0, zb)
+    signs = np.where(zs * (0.5 * (edges[:-1] + edges[1:])) + zc >= 0.0, 1, -1).astype(np.int8)
+    flips = np.flatnonzero(np.diff(signs))
+    runs = (np.concatenate([edges[:1], edges[1 + flips], edges[-1:]]),
+            signs[np.concatenate([[0], flips + 1])])
+    pieces = reference_merge(f.breaks, f.slopes, f.intercepts)[1].shape[0]
+    pb, pS, pC = b, S, C
+    for level in (1.0, -1.0):
+        pb, pS, pC = reference_split(0.0, 1.0, pb, pS, pC, level, stats)
+    cuts = np.unique(np.concatenate([pb, *hidden]))
+    bounds = np.unique(np.concatenate([
+        [0, x.size], np.searchsorted(x, cuts), np.searchsorted(x, cuts - pwl.KINK_TOL),
+        np.searchsorted(x, cuts + pwl.KINK_TOL, side="right")]))
+    return [b, S, C, *hidden, pb, pS, pC, zb, zs, zc, *runs, np.array(pieces), bounds]
+
+
+def lab_outputs(net, x):
+    hidden = []
+    b, S, C = pwl._propagate(net, 0.0, 1.0, hidden)
+    f = from_mlp_1d(net)
+    zb, zs, zc = pwl._split_at_level(0.0, 1.0, f.breaks, f.slopes, f.intercepts, 0.0)
+    pb, pS, pC = b, S, C
+    for level in (1.0, -1.0):
+        pb, pS, pC = pwl._split_at_level(0.0, 1.0, pb, pS, pC, level)
+    return [b, S, C, *hidden, pb, pS, pC, zb, zs, zc, *f.sign_runs,
+            np.array(count_pieces(f)), grid_cells(net, x)]
+
+
+def twin_unit_net(seed):
+    """A biased 3 x 4 net whose first two hidden units are the same unit,
+    so every root of the first layer is found twice."""
+    (W, b), *rest = biased_net(3, 4, seed).layers
+    W, b = W.copy(), b.copy()
+    W[1], b[1] = W[0], b[0]
+    return Mlp([(W, b), *rest])
+
+
+def propagation_population():
+    nets = [telgarsky_net(m) for m in (1, 2, 4, 8, 12, 16)]
+    nets += [biased_net(depth, 32, 500 + seed) for depth in (4, 12) for seed in range(5)]
+    nets += [xavier_init(depth, width, 1, seed=depth) for depth in (2, 4, 8) for width in (1, 3, 32)]
+    nets += [xavier_init(depth, width, 1, seed=1000 * seed + 100 * depth + width, bias_std=bias_std)
+             for seed in range(3) for bias_std in (1.0, 2.0)
+             for depth in range(2, 13) for width in (1, 3, 32)]
+    nets += [twin_unit_net(seed) for seed in range(4)]
+    return nets
+
+
+class TestCellCountSplit:
+    """The split places each layer's roots by cell counts and takes the
+    source rows by repeat; it equals the sorting reference bit for bit."""
+
+    def test_split_source_is_the_containing_cell(self):
+        # a cell one ulp wide: the midpoint of [r, 0.5] rounds to 0.5
+        r = np.nextafter(0.5, 0.0)
+        b, s, c = np.array([0.5]), np.array([1.0, 2.0]), np.array([-r, -0.5 - r])
+        new_b, new_s, new_c = pwl._split_at_level(0.0, 1.0, b, s, c, 0.0)
+        assert new_b.tolist() == [r, 0.5]
+        assert new_s.tolist() == [1.0, 1.0, 2.0]
+        assert new_c.tolist() == [-r, -r, -0.5 - r]
+
+    def test_propagation_matches_the_sorting_reference(self):
+        x = uniform_cube(grid=4096).points[:, 0]
+        stats = {"merged": 0, "shared_roots": 0, "max_roots_per_cell": 0}
+        for net in propagation_population():
+            want = reference_outputs(net, x, stats)
+            got = lab_outputs(net, x)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+        # the population drops hidden breaks by merging, finds one root
+        # twice, and puts two or more roots into one cell
+        assert stats["merged"] > 0
+        assert stats["shared_roots"] > 0
+        assert stats["max_roots_per_cell"] >= 2
+
+    def test_no_sort_or_search_of_the_breaks(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("propagation sorted or searched the breaks")
+
+        net = telgarsky_net(8)
+        monkeypatch.setattr(np, "unique", refuse)
+        monkeypatch.setattr(np, "searchsorted", refuse)
+        f = from_mlp_1d(net)
+        assert count_pieces(f) == 2**8 + 1
+        assert sign_crossings(f) == 2**8 - 1
