@@ -1,8 +1,8 @@
 """Run every experiment at its defaults and print the scoreboard.
 
-The full pass takes ~14 s on a 2-core machine with one BLAS thread
-(gd-flatline, ~8 s, dominates); --quick shrinks the expensive runs to
-~4 s.
+The full pass takes ~4 s on a 2-core machine with one BLAS thread;
+kernel-hardness and xavier-audit (~1 s each) are the longest runs, and
+gd-flatline takes ~0.3 s.  --quick shrinks the pass to ~2 s.
 """
 
 import argparse

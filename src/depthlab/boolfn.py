@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "BooleanFn",
     "enumerate_signs",
-    "sign_index",
     "on_support",
     "parity_fn",
     "ParityFamily",
@@ -53,14 +52,6 @@ def enumerate_signs(n: int) -> np.ndarray:
     """All of {+-1}^n in canonical order, shape (2^n, n), int8."""
     _check_bits(n)
     return np.stack([_coordinate(n, t) for t in range(n)], axis=1)
-
-
-def sign_index(X: np.ndarray) -> np.ndarray:
-    """Canonical enumeration index of each +-1 row of X."""
-    X = np.asarray(X)
-    n = X.shape[1]
-    bits = (X < 0).astype(np.int64)
-    return bits @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
 def on_support(tables, dist):

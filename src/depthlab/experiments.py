@@ -414,11 +414,14 @@ def _exp_sq_parity_lower_bound(p):
 
 
 def _certify_weak_learn(p, draws):
-    """Recover each (target index, oracle seed) draw's target from an honest oracle."""
+    """Recover each (target index, oracle seed) draw's target from an honest oracle,
+    whose answer for the returned member (the learner's pick) must lie within tau
+    of that member's direct row dot with the target, which no family product sets."""
     n = p["n"]
     dist = dists.uniform_signs(n)
     family = boolfn.parity_family(n)
     ok = True
+    gap = 0.0
     series = []
     for t, (j, oracle_seed) in enumerate(draws):
         target = boolfn.BooleanFn(n, family[j])
@@ -428,13 +431,17 @@ def _certify_weak_learn(p, draws):
         loss = float(np.dot(dist.weights, np.maximum(0.0, 1.0 - y * h)))
         recovered = bool(np.array_equal(got.table, target.table))
         ok = ok and recovered and loss == 0.0
+        answer = oracle.log[int(np.argmax(np.abs(oracle.log)))]
+        gap = max(gap, abs(answer - boolfn.inner_product(got.table, target.table, dist)))
         series.append({"trial": t, "target_index": j, "recovered": recovered, "loss": loss})
     metrics = {
         "n": n, "tau": p["tau"], "targets": len(draws),
         "all_recovered": ok,
         "max_loss_hinge": max(r["loss"] for r in series),
+        "max_answer_gap": gap,
     }
-    return metrics, {"loss_exact": 0.0}, ok, series
+    passed = ok and gap <= p["tau"]
+    return metrics, {"loss_exact": 0.0, "answer_gap_max": p["tau"]}, passed, series
 
 
 def _exp_sq_weak_learn(p):
@@ -451,11 +458,11 @@ def _exp_kernel_hardness(p):
     d = len(family)
     rng = np.random.default_rng(derive_seed(p["seed"], "features"))
     if p["feature_kind"] == "parity":
-        idx = rng.choice(d, size=p["features"], replace=False)
-        psi = kernel.feature_map_from_family(family[np.sort(idx)])
+        rows = family[np.sort(rng.choice(d, size=p["features"], replace=False))]
     else:
-        psi = kernel.random_sign_features(n, p["features"],
-                                          seed=derive_seed(p["seed"], "iid-features"))
+        iid = np.random.default_rng(derive_seed(p["seed"], "iid-features"))
+        rows = iid.integers(0, 2, size=(p["features"], d)) * 2.0 - 1.0
+    psi = kernel.FeatureMap(np.ascontiguousarray(rows.T, dtype=np.float64))
     report = kernel.verify_linear_hardness(psi, p["B"], family, dist,
                                            iters=p["iters"],
                                            seed=derive_seed(p["seed"], "fd"))
@@ -538,7 +545,7 @@ def _certify_f_family(p, z_prime, pairs, Z, net2):
     ghat = mlp.forward_many(red.rounded_net, Up)
     rounding_err = float(np.max(np.abs(g - ghat)))
     Xs = boolfn.enumerate_signs(n_red).astype(np.float64)
-    Psi = red.feature_map(Xs)
+    Psi = red.feature_map.table
     ident_err = 0.0
     n_x = 2**n_red
     for zi in range(n_x):
@@ -565,7 +572,7 @@ def _certify_f_family(p, z_prime, pairs, Z, net2):
     series = [{"check": k, "value": v if not isinstance(v, (bool, np.bool_)) else int(v)}
               for k, v in checks.items()]
     metrics = {**checks, "zset_max_abs_corr": cert.max_abs_inner,
-               "reduction_features": red.n_features}
+               "reduction_features": red.feature_map.n_features}
     return metrics, {"identity_err_max": identity_tol, "hamming_min": hamming_min}, passed, series
 
 

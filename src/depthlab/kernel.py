@@ -1,11 +1,13 @@
-"""Bounded-norm kernel classes: feature maps and hinge minimization.
+"""Bounded-norm kernel classes: feature tables and hinge minimization.
 
 The hypothesis class is {x -> <Psi(x), w> : ||w|| <= B} for a feature map
-Psi with components in [-1,1].  Minimization is projected averaged
-subgradient descent on the exact finite-sum objective over the full
-enumeration, one column per target of a family (a (d, 2^n) table matrix
-or the parity operator); it returns the averaged iterates with their
-losses, which upper-bound the minima, and the correlations
+Psi with components in [-1,1], held as one table: ``FeatureMap`` is Psi on
+the full enumeration of {+-1}^n, a (2^n, N) float64 matrix validated once
+and read only against that enumeration.  Minimization is projected
+averaged subgradient descent on the exact finite-sum objective over the
+full enumeration, one column per target of a family (a (d, 2^n) table
+matrix or the parity operator); it returns the averaged iterates with
+their losses, which upper-bound the minima, and the correlations
 c_j = Phi^T (p * y_j) of the features with every target, from one family
 product (a fast Walsh-Hadamard transform for the parities).  The first
 subgradient is -c_j, which the solver checks once against its labels; a
@@ -19,17 +21,15 @@ feature table, hold at most ``MAX_LABEL_ENTRIES`` entries each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import family_product, on_support, sign_index
+from .boolfn import enumerate_signs, family_product, on_support
 from .mlp import Mlp
 
 __all__ = [
     "FeatureMap",
-    "feature_map_from_family",
-    "random_sign_features",
     "min_hinge_family",
     "hardness_bound",
     "hardness_bound_variants",
@@ -45,38 +45,36 @@ MAX_LABEL_ENTRIES = 2**24  # 2^n points x k live targets, or x N features: 128 M
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Psi: X -> [-1,1]^N, evaluated row-wise on point matrices."""
+    """Psi: {+-1}^n -> [-1,1]^N as its read-only C-contiguous (2^n, N) float64
+    table Phi, row i at point i of the canonical enumeration."""
 
-    n_features: int
-    evaluate: callable = field(repr=False)
+    table: np.ndarray
 
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.evaluate(np.asarray(X)), dtype=np.float64)
-        if out.ndim != 2 or out.shape[1] != self.n_features:
-            raise ValueError(f"feature map returned shape {out.shape}")
-        if np.max(np.abs(out)) > 1.0 + 1e-12:
+    def __post_init__(self):
+        t = np.ascontiguousarray(self.table, dtype=np.float64)
+        if t.ndim != 2 or t.size == 0:
+            raise ValueError(f"a feature table is a nonempty (2^n, N) matrix, not {t.shape}")
+        if not max(-float(t.min()), float(t.max())) <= 1.0 + 1e-12:  # roundoff; NaN fails
             raise ValueError("feature values escape [-1,1]")
-        return out
+        t.flags.writeable = False
+        object.__setattr__(self, "table", t)
 
+    @property
+    def n_features(self) -> int:
+        return self.table.shape[1]
 
-def feature_map_from_family(rows) -> FeatureMap:
-    """Psi(x) = (f_1(x), ..., f_N(x)) for explicit rows, an (N, 2^n) +-1 table such as F[idx]."""
-    tables = np.asarray(rows, dtype=np.float64)
-    if tables.ndim != 2 or tables.shape[0] == 0:
-        raise ValueError("family must be a nonempty table matrix")
-    return FeatureMap(tables.shape[0], lambda X: tables[:, sign_index(X)].T)
-
-
-def random_sign_features(n: int, count: int, seed: int) -> FeatureMap:
-    """``count`` independent uniform sign tables on {+-1}^n."""
-    rng = np.random.default_rng(seed)
-    return feature_map_from_family(rng.integers(0, 2, size=(count, 2**n)) * 2.0 - 1.0)
+    def __call__(self, dist) -> np.ndarray:
+        """Phi, refused unless ``dist`` is the full enumeration of its 2^n points."""
+        if not dist.is_full_enumeration or dist.n_points != len(self.table):
+            raise ValueError(f"a table of {len(self.table)} feature rows needs their full "
+                             f"enumeration, not a {dist.kind} support of {dist.n_points}")
+        return self.table
 
 
 def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000):
     """Minimize the exact population hinge loss over the B-ball for every
     member of a family (a (d, 2^n) table matrix or a ``ParityFamily``) at
-    once, sharing Phi = psi(support).
+    once, sharing the feature table Phi = psi(dist).
 
     Projected averaged subgradient descent, all targets as columns: step
     eta_t = B/(sqrt(N) sqrt(t)), projection onto the B-ball per column,
@@ -105,7 +103,7 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
     m, d = dist.n_points, len(family)
     N = psi.n_features
     weights = dist.weights
-    Phi = psi(dist.points)
+    Phi = psi(dist)
     C = family_product(family, weights[:, None] * Phi).T
     # the first subgradient is -C; a zero column of C never moves
     live = np.any(C != 0.0, axis=0)
@@ -228,7 +226,7 @@ def verify_linear_hardness(psi: FeatureMap, B: float, family, dist,
     bound = hardness_bound(N, B, d)
     lower = np.maximum(0.0, np.sum(dist.weights) - B * np.linalg.norm(C, axis=0))
     lam = np.sqrt(2.0 * np.sqrt(5.0) * N) / (d ** (1.0 / 12.0) * max(B, 1e-12))
-    Phi = psi(dist.points)
+    Phi = psi.table  # the solver has read it on this dist
     err = _grad_identity_check(Phi, family, C, dist.weights, lam,
                                np.random.default_rng(seed))
     energy = float(np.sum(C * C))
@@ -250,10 +248,9 @@ def verify_linear_hardness(psi: FeatureMap, B: float, family, dist,
 
 @dataclass
 class Depth2KernelReduction:
-    feature_map: FeatureMap
-    selector: callable          # z -> coefficient vector of length n_features
+    feature_map: FeatureMap     # Psi on the x enumeration {+-1}^n
+    selector: callable          # z -> coefficient vector of length feature_map.n_features
     rounded_net: Mlp
-    n_features: int
     rounding_bound: float       # pointwise |g - g_hat| <= R sqrt(k) Delta n
     coefficient_bound: float    # ||u(z)|| <= 3 R sqrt(n) ||u||
 
@@ -305,13 +302,8 @@ def depth2_to_kernel(net: Mlp, delta: float, R: float, n: int) -> Depth2KernelRe
     n_j = grid.shape[0]
     N = k * n_j
 
-    def evaluate(X):
-        X = np.asarray(X, dtype=np.float64)
-        A = X @ w.T + b1  # (m, k)
-        feats = np.maximum(0.0, A[:, :, None] + delta * grid[None, None, :])
-        return (feats / scale).reshape(X.shape[0], N)
-
-    fmap = FeatureMap(N, evaluate)
+    A = enumerate_signs(n).astype(np.float64) @ w.T + b1  # (2^n, k)
+    feats = np.maximum(0.0, A[:, :, None] + delta * grid[None, None, :])
 
     def selector(z):
         z = np.asarray(z, dtype=np.float64).reshape(n)
@@ -323,10 +315,9 @@ def depth2_to_kernel(net: Mlp, delta: float, R: float, n: int) -> Depth2KernelRe
 
     rounded = Mlp([(np.concatenate([w, v_hat], axis=1), b1), (W2, b2)])
     return Depth2KernelReduction(
-        feature_map=fmap,
+        feature_map=FeatureMap((feats / scale).reshape(2**n, N)),
         selector=selector,
         rounded_net=rounded,
-        n_features=N,
         rounding_bound=R * np.sqrt(k) * delta * n,
         coefficient_bound=scale * float(np.linalg.norm(u)),
     )

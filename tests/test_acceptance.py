@@ -17,7 +17,7 @@ from depthlab.boolfn import parity_family
 from depthlab.constructions import telgarsky_net
 from depthlab.dists import uniform_signs
 from depthlab.experiments import ExperimentConfig, derive_seed, run
-from depthlab.kernel import min_hinge_family, random_sign_features
+from depthlab.kernel import FeatureMap, min_hinge_family
 from depthlab.mlp import forward_many, xavier_init
 from depthlab.pwl import count_pieces, evaluate, from_mlp_1d, piece_bound, \
     sign_hinge_loss_vs_fn
@@ -210,9 +210,10 @@ def test_c09_kernel_hardness():
     fam6 = parity_family(6)
     dist6 = uniform_signs(6)
     for N in (1, 2, 3):
-        psiN = random_sign_features(6, N, seed=300 + N)
+        draw = np.random.default_rng(300 + N).integers(0, 2, size=(N, 64)) * 2.0 - 1.0
+        psiN = FeatureMap(np.ascontiguousarray(draw.T))
         W, losses, _ = min_hinge_family(psiN, 1.5, fam6[11:12], dist6, iters=2 * 10**4)
-        oracle = grid_search_min(psiN(dist6.points), fam6[11].astype(np.float64),
+        oracle = grid_search_min(psiN(dist6), fam6[11].astype(np.float64),
                                  dist6.weights, 1.5)
         crossval_ok = (crossval_ok and abs(losses[0] - oracle) <= 2e-2
                        and np.linalg.norm(W[:, 0]) <= 1.5 + 1e-9)

@@ -10,10 +10,15 @@ from depthlab.boolfn import (
     or_parity_fn,
     parity_family,
     parity_fn,
-    sign_index,
 )
 from depthlab.dists import induced_pair, uniform_signs
 from depthlab.sq import f_family_gram
+
+
+def sign_index(X):
+    """Canonical enumeration index of each +-1 row of X."""
+    X = np.asarray(X)
+    return (X < 0).astype(np.int64) @ (1 << np.arange(X.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
 def test_enumeration_order_and_index_roundtrip():

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from depthlab.boolfn import or_parity_fn, parity_fn, sign_index
+from depthlab.boolfn import or_parity_fn, parity_fn
 from depthlab.dists import InputDistribution, induced_pair, uniform_cube, uniform_signs
+
+
+def sign_index(X):
+    """Canonical enumeration index of each +-1 row of X."""
+    X = np.asarray(X)
+    return (X < 0).astype(np.int64) @ (1 << np.arange(X.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
 def test_weights_sum_to_one_within_tolerance():

@@ -5,22 +5,31 @@ import pytest
 
 from depthlab import boolfn
 from depthlab.boolfn import parity_family
-from depthlab.dists import uniform_signs
+from depthlab.dists import uniform_cube, uniform_signs
 from depthlab.experiments import ExperimentConfig, run
 from depthlab.kernel import (
     FeatureMap,
     depth2_radius,
     depth2_to_kernel,
-    feature_map_from_family,
     hardness_bound,
     hardness_bound_variants,
     min_hinge_family,
-    random_sign_features,
     verify_linear_hardness,
 )
 from depthlab.boolfn import enumerate_signs, on_support
 from depthlab.mlp import Mlp, forward_many
 from conftest import report_bytes_by_blas_threads
+
+
+def rows_map(rows):
+    """The feature map whose features are the explicit table rows ``rows``."""
+    return FeatureMap(np.ascontiguousarray(rows.T, dtype=np.float64))
+
+
+def iid_map(n, count, seed):
+    """``count`` seeded uniform sign tables on {+-1}^n, as kernel-hardness draws them."""
+    rng = np.random.default_rng(seed)
+    return rows_map(rng.integers(0, 2, size=(count, 2**n)) * 2.0 - 1.0)
 
 
 def grid_search_min(Phi, y, weights, B, resolution=0.05):
@@ -48,7 +57,7 @@ def solve_one(psi, B, target, dist, iters=2000):
 class TestMinHinge:
     def test_zero_ball_loses_exactly_one(self, parity6):
         family, dist = parity6
-        psi = feature_map_from_family(family[:4])
+        psi = rows_map(family[:4])
         w, loss = solve_one(psi, 0.0, family[1], dist)
         assert loss == 1.0
         assert np.all(w == 0.0)
@@ -56,7 +65,7 @@ class TestMinHinge:
     def test_realizable_direction(self, parity6):
         family, dist = parity6
         target = family[9]
-        psi = feature_map_from_family(family[[9, 3, 5]])
+        psi = rows_map(family[[9, 3, 5]])
         w, loss = solve_one(psi, 1.0, target, dist, iters=10**4)
         assert loss <= 1e-3
         assert np.linalg.norm(w) <= 1.0 + 1e-9
@@ -64,7 +73,7 @@ class TestMinHinge:
     def test_doubling_b_never_hurts(self, parity6):
         family, dist = parity6
         target = family[21]
-        psi = random_sign_features(6, 4, seed=8)
+        psi = iid_map(6, 4, seed=8)
         _, l1 = solve_one(psi, 1.0, target, dist, iters=5000)
         _, l2 = solve_one(psi, 2.0, target, dist, iters=5000)
         assert l2 <= l1 + 2e-3
@@ -73,10 +82,10 @@ class TestMinHinge:
     def test_matches_grid_search(self, N, parity6):
         family, dist = parity6
         target = family[13]
-        psi = random_sign_features(6, N, seed=100 + N)
+        psi = iid_map(6, N, seed=100 + N)
         B = 1.5
         w, loss = solve_one(psi, B, target, dist, iters=2 * 10**4)
-        oracle = grid_search_min(psi(dist.points), target.astype(np.float64),
+        oracle = grid_search_min(psi(dist), target.astype(np.float64),
                                  dist.weights, B)
         assert abs(loss - oracle) <= 2e-2
         assert loss >= oracle - 1e-9  # the solver is a feasible point
@@ -84,7 +93,7 @@ class TestMinHinge:
 
     def test_bad_radius_or_iteration_count_refused(self, parity6):
         family, dist = parity6
-        psi = feature_map_from_family(family[:4])
+        psi = rows_map(family[:4])
         with pytest.raises(ValueError):
             min_hinge_family(psi, -1.0, family[:2], dist)
         with pytest.raises(ValueError):
@@ -96,10 +105,10 @@ class TestMinHinge:
         cvxpy = pytest.importorskip("cvxpy")
         family, dist = parity6
         target = family[13]
-        psi = random_sign_features(6, 8, seed=4)
+        psi = iid_map(6, 8, seed=4)
         B = 5.0
         _, loss = solve_one(psi, B, target, dist, iters=4 * 10**4)
-        Phi = psi(dist.points)
+        Phi = psi(dist)
         y = target.astype(np.float64)
         w = cvxpy.Variable(8)
         obj = cvxpy.Minimize(dist.weights @ cvxpy.pos(1 - cvxpy.multiply(y, Phi @ w)))
@@ -110,21 +119,40 @@ class TestMinHinge:
 class TestFeatureMaps:
     def test_singleton_family(self, parity6):
         family, dist = parity6
-        psi = feature_map_from_family(family[[7]])
-        vals = psi(dist.points)
+        psi = rows_map(family[[7]])
+        vals = psi(dist)
         assert vals.shape == (64, 1)
         assert np.array_equal(vals[:, 0], family[7])
 
-    def test_range_enforced(self):
-        bad = FeatureMap(2, lambda X: np.full((len(X), 2), 1.5))
+    @pytest.mark.parametrize("table", [
+        np.full((4, 2), 1.5), np.full((4, 2), np.nan), np.ones(4), np.ones((4, 0)),
+    ], ids=["value-outside", "nan", "one-dimensional", "empty"])
+    def test_bad_table_refused_at_construction(self, table):
         with pytest.raises(ValueError):
-            bad(np.zeros((3, 1)))
+            FeatureMap(table)
+
+    def test_table_is_read_only_and_c_contiguous(self, parity6):
+        family, dist = parity6
+        psi = rows_map(family[[3, 5]])
+        assert psi.n_features == 2 and psi(dist).flags.c_contiguous
+        with pytest.raises(ValueError):
+            psi(dist)[0, 0] = 0.0
+
+    def test_other_support_refused_at_read(self, parity6):
+        family, _ = parity6
+        psi = rows_map(family[:4])
+        for support in (uniform_signs(5), uniform_cube(64)):
+            with pytest.raises(ValueError, match="feature rows"):
+                psi(support)
+        # targets that do line up with the smaller cube meet the table's refusal
+        with pytest.raises(ValueError, match="feature rows"):
+            min_hinge_family(psi, 1.0, parity_family(5)[:2], uniform_signs(5), iters=1)
 
     def test_weak_approximation_from_correlation(self, parity6):
         # loss <= 1 - max_i |<f_i, target>| + tol for random sign targets
         family, dist = parity6
         feats = family[:16]
-        psi = feature_map_from_family(feats)
+        psi = rows_map(feats)
         F = feats.astype(np.float64)
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -159,14 +187,14 @@ class TestVerifyLinearHardness:
         # features = the family itself: every target is a unit direction
         family, dist = parity6
         fam8 = family[:8]
-        psi = feature_map_from_family(fam8)
+        psi = rows_map(fam8)
         rep = verify_linear_hardness(psi, 1.0, fam8, dist, iters=4000)
         assert rep.average_loss <= 1e-3
         assert rep.bound_vacuous
 
     def test_grad_identity_and_report_shape(self, parity6):
         family, dist = parity6
-        psi = random_sign_features(6, 8, seed=0)
+        psi = iid_map(6, 8, seed=0)
         rep = verify_linear_hardness(psi, 2.0, family[:32], dist, iters=500)
         assert rep.grad_identity_max_err <= 1e-9
         assert rep.losses.shape == (32,)
@@ -209,7 +237,7 @@ class TestDepth2Reduction:
         ghat = forward_many(red.rounded_net, U)
         assert np.max(np.abs(g - ghat)) <= red.rounding_bound
         Xs = enumerate_signs(n).astype(np.float64)
-        Psi = red.feature_map(Xs)
+        Psi = red.feature_map(uniform_signs(n))
         n_x = 2**n
         for zi in range(0, n_x, 7):
             z = Xs[zi]
@@ -233,7 +261,7 @@ class TestDepth2Reduction:
 
 def test_min_hinge_family_matches_single_solves(parity6):
     family, dist = parity6
-    psi = feature_map_from_family(family[:6])
+    psi = rows_map(family[:6])
     targets = family[:4]
     W, batched, _ = min_hinge_family(psi, 1.5, targets, dist, iters=3000)
     singles = [solve_one(psi, 1.5, t, dist, iters=3000) for t in targets]
@@ -249,7 +277,7 @@ def dense_min_hinge_family(psi, B, family, dist, iters):
     m, d = Y.shape
     N = psi.n_features
     weights = dist.weights
-    Phi = psi(dist.points)
+    Phi = psi(dist)
     wY = weights[:, None] * Y
     W = np.zeros((N, d))
     Wsum = np.zeros((N, d))
@@ -279,11 +307,11 @@ def _mixed_family(family):
 
 
 @pytest.mark.parametrize("features,targets", [
-    (lambda fam: feature_map_from_family(fam[[3, 17, 42, 60]]), lambda fam: fam),
-    (lambda fam: random_sign_features(6, 8, seed=21), lambda fam: fam),
-    (lambda fam: feature_map_from_family(fam[[1, 2, 5, 9, 33]]), _mixed_family),
-    (lambda fam: feature_map_from_family(fam[:4]), lambda fam: fam[4:8]),
-    (lambda fam: feature_map_from_family(fam[[3, *range(32, 47)]]), lambda fam: fam[:32]),
+    (lambda fam: rows_map(fam[[3, 17, 42, 60]]), lambda fam: fam),
+    (lambda fam: iid_map(6, 8, seed=21), lambda fam: fam),
+    (lambda fam: rows_map(fam[[1, 2, 5, 9, 33]]), _mixed_family),
+    (lambda fam: rows_map(fam[:4]), lambda fam: fam[4:8]),
+    (lambda fam: rows_map(fam[[3, *range(32, 47)]]), lambda fam: fam[:32]),
 ], ids=["parity-features", "iid-features", "mixed-targets", "all-frozen", "one-live"])
 def test_fixed_point_skip_matches_dense_loop(parity6, features, targets):
     family, dist = parity6
@@ -292,7 +320,7 @@ def test_fixed_point_skip_matches_dense_loop(parity6, features, targets):
     Wd, losses_d = dense_min_hinge_family(psi, 2.0, fam, dist, iters=300)
     assert W.tobytes() == Wd.tobytes() and losses.tobytes() == losses_d.tobytes()
     Y = on_support(fam, dist)[:].T.astype(np.float64)
-    assert np.array_equal(C, psi(dist.points).T @ (dist.weights[:, None] * Y))
+    assert np.array_equal(C, psi(dist).T @ (dist.weights[:, None] * Y))
     frozen = ~np.any(C != 0.0, axis=0)
     assert np.all(W[:, frozen] == 0.0)
     assert np.all(losses[frozen] == np.sum(dist.weights))
@@ -300,12 +328,12 @@ def test_fixed_point_skip_matches_dense_loop(parity6, features, targets):
 
 def test_lower_bounds_bracket_the_minima(parity6):
     family, dist = parity6
-    psi = feature_map_from_family(family[[3, 17, 42, 60]])
+    psi = rows_map(family[[3, 17, 42, 60]])
     rep = verify_linear_hardness(psi, 10.0, family, dist, iters=50)
     assert rep.fixed_point_targets == 60
     assert np.all(rep.lower_bounds <= rep.losses + 1e-12)
     assert rep.max_bracket_gap == 0.0 and rep.average_lower_bound == 60 / 64
-    iid = verify_linear_hardness(random_sign_features(6, 8, seed=21), 1.0, family, dist,
+    iid = verify_linear_hardness(iid_map(6, 8, seed=21), 1.0, family, dist,
                                  iters=300)
     assert iid.fixed_point_targets == 0
     assert np.all(iid.lower_bounds <= iid.losses + 1e-12) and iid.max_bracket_gap > 0.0
@@ -336,8 +364,14 @@ def test_zero_family_product_fails_the_run(tmp_path, monkeypatch):
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for 2 BLAS threads")
-def test_kernel_report_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """kernel-hardness at n = 10 (products of 1,024 rows) writes the same
-    bytes whether BLAS runs on one thread or two."""
-    outputs = report_bytes_by_blas_threads(tmp_path, "kernel-hardness", {"iters": 50})
+@pytest.mark.parametrize("experiment,params", [
+    ("kernel-hardness", {"iters": 50}),
+    ("kernel-hardness", {"feature_kind": "iid", "iters": 30}),
+    ("f-family", {}),
+], ids=["parity-features", "iid-features", "depth2-features"])
+def test_kernel_report_bytes_do_not_depend_on_blas_threads(tmp_path, experiment, params):
+    """Every feature producer's run (kernel-hardness at n = 10, products of
+    1,024 rows, and f-family's depth-2 reduction) writes the same bytes
+    whether BLAS runs on one thread or two."""
+    outputs = report_bytes_by_blas_threads(tmp_path, experiment, params)
     assert outputs[0] == outputs[1]

@@ -8,7 +8,7 @@ working code from broken code.
 
 import numpy as np
 
-from depthlab import audit
+from depthlab import audit, boolfn
 from depthlab.experiments import ExperimentConfig, run
 
 
@@ -22,4 +22,18 @@ def test_zero_stacked_outputs_fail_the_audit(tmp_path, monkeypatch):
     assert not report.error
     assert report.metrics["lhat_theta"] == 0.0 and report.metrics["pass_fraction"] == 1.0
     assert report.metrics["grad_gap"] > report.thresholds["grad_gap_max"]
+    assert not report.passed
+
+
+def test_negated_parity_product_fails_weak_learning(tmp_path, monkeypatch):
+    """A negated family product flips every oracle answer, which the learner's
+    |answer| cannot see: it still recovers each target.  The returned
+    member's answer against its direct row dot (no family product) is off by
+    ~2, and the answer gap turns the sq-weak-learn pass flag false."""
+    product = boolfn.ParityFamily.product
+    monkeypatch.setattr(boolfn.ParityFamily, "product", lambda self, V: -product(self, V))
+    report = run(ExperimentConfig("sq-weak-learn", {"targets": 5}), outdir=tmp_path)
+    assert not report.error
+    assert report.metrics["all_recovered"]
+    assert report.metrics["max_answer_gap"] > report.thresholds["answer_gap_max"]
     assert not report.passed

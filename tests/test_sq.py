@@ -10,7 +10,7 @@ from depthlab.boolfn import (
     parity_family,
 )
 from depthlab.dists import induced_pair, uniform_signs
-from depthlab.kernel import feature_map_from_family, min_hinge_family, verify_linear_hardness
+from depthlab.kernel import FeatureMap, min_hinge_family, verify_linear_hardness
 from depthlab.sq import (
     AdversarialOracle,
     HonestNoisyOracle,
@@ -221,7 +221,7 @@ class TestFamilySupport:
         # the family is checked before the features are evaluated on the pairs
         family, _ = parity10
         pairs = induced_pair(8, enumerate_signs(8)[:4])
-        psi = feature_map_from_family(family[:4])
+        psi = FeatureMap(np.ascontiguousarray(family[:4].T, dtype=np.float64))
         with pytest.raises(ValueError):
             min_hinge_family(psi, 1.0, family[:8], pairs, iters=1)
         with pytest.raises(ValueError):
