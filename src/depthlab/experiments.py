@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -736,6 +735,8 @@ def sweep(configs, outdir="runs", workers: int = 1):
     """
     configs = list(configs)
     if workers > 1 and len(configs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run skips this import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_for_pool, [(c, outdir) for c in configs]))
     else:

@@ -15,12 +15,14 @@ at the hidden-unit kinks and the net's +-1 crossings only.  On a cell
 every ReLU mask and the hinge regime are fixed, so the output's parameter
 gradient is affine in x and the cell's share of the grid sum needs only
 two integer moments of its hinge factors.  Those come from prefix sums of
-the labels, computed once per run; the band edges are never cut, so the
-rows do not grow with the number of bands.  The loss and gradient equal
-the grid's up to rounding.  Every other target or distribution, smaller
-grids, where the symbolic propagation costs more than it saves, and grids
-above MAX_GRID_POINTS, where the moments could stop being exact, take the
-grid itself.
+the labels, read per step at the cell bounds off where the 2^n + 1 band
+edges fall on the grid: the target is never evaluated on the grid, and a
+run's label state is O(2^n).  The band edges are never cut, so the rows do
+not grow with the number of bands.  The loss and gradient equal the
+grid's up to rounding.  Every other target or distribution, smaller grids,
+where the symbolic propagation costs more than it saves, grids with fewer
+points than bands, and grids above MAX_GRID_POINTS, where the moments
+could stop being exact, take the grid itself.
 """
 
 from __future__ import annotations
@@ -74,19 +76,30 @@ class Trajectory:
 
 
 def _groups_into_cells(target, dist) -> bool:
+    # 2^n <= m bounds the band-edge label state by the grid's size; up to
+    # MAX_GRID_POINTS, P1 <= m^2 <= 2^48 in int64 and its float64 differences are exact
     m = dist.n_points
     return (isinstance(target, TelgarskyTarget) and dist.kind == "uniform_cube"
-            and CELL_MIN_GRID <= m <= MAX_GRID_POINTS)
+            and max(CELL_MIN_GRID, 2**target.n) <= m <= MAX_GRID_POINTS)
 
 
-def _label_moments(y: np.ndarray):
-    """Prefix sums P0[j] = sum_{i<j} y_i and P1[j] = sum_{i<j} y_i (2i+1)
-    of the +-1 labels on the midpoint grid x_i = (2i+1)/(2m), exact in
-    int64 (and their differences in float64) up to MAX_GRID_POINTS."""
-    y = y.astype(np.int64)
-    odd = 2 * np.arange(y.size, dtype=np.int64) + 1
-    zero = np.zeros(1, dtype=np.int64)
-    return np.concatenate([zero, np.cumsum(y)]), np.concatenate([zero, np.cumsum(y * odd)])
+def _label_prefix(x, n):
+    """(j -> (P0[j], P1[j])): the label prefix sums P0[j] = sum_{i<j} y_i
+    and P1[j] = sum_{i<j} y_i (2i+1) of the 2^n-band wave on the midpoint
+    grid x, read off the band edges.  Band k, of sign +1 iff k is even,
+    holds the points E_k <= i < E_(k+1), E_k = #{x_i < k 2^-n}: a point on
+    an edge opens its band, as the wave's floor rule says.  Over
+    E_k <= i < j, sum (2i+1) = j^2 - E_k^2; every sum is exact in int64."""
+    E = np.searchsorted(x, np.arange(2**n + 1) * 2.0**-n)
+    s = 1 - 2 * (np.arange(2**n + 1) % 2)
+    P0E = np.concatenate([[0], np.cumsum(s[:-1] * np.diff(E))])
+    P1E = np.concatenate([[0], np.cumsum(s[:-1] * np.diff(E * E))])
+
+    def at(j):
+        k = np.searchsorted(E, j, side="right") - 1
+        return P0E[k] + s[k] * (j - E[k]), P1E[k] + s[k] * (j * j - E[k] * E[k])
+
+    return at
 
 
 def _factor_moments(f, L, S0, S1, T1):
@@ -130,10 +143,11 @@ def _moment_grad(target, dist):
     """
     x = dist.points[:, 0]
     w = dist.weights[0]
-    P0, P1 = _label_moments(target(dist.points))
+    prefix = _label_prefix(x, target.n)
 
     def grad(net):
         bounds = grid_cells(net, x)
+        P0, P1 = prefix(bounds)
         lo, hi = bounds[:-1], bounds[1:]
         L = hi - lo
         two = L > 1
@@ -142,7 +156,7 @@ def _moment_grad(target, dist):
         def moment_rows(out):
             f = out[:lo.size].copy()
             f[two] = 0.5 * (f[two] + out[lo.size:])  # f at the cell's centre
-            c0, c1, active = _factor_moments(f, L, P0[hi] - P0[lo], P1[hi] - P1[lo],
+            c0, c1, active = _factor_moments(f, L, np.diff(P0), np.diff(P1),
                                              hi * hi - lo * lo)
             dout = np.concatenate(_row_weights(w, c0, c1, lo, L))
             return float(w * active.sum() + np.dot(dout, out)), dout

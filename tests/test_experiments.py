@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -121,6 +124,28 @@ def test_sweep_isolates_failures_and_aggregates(tmp_path):
     assert summary["grad_norm_decay"]["points"] == 2
     csv_lines = (tmp_path / "summary.csv").read_text().splitlines()
     assert sum(line.startswith("gd-flatline,") for line in csv_lines) == 2
+
+
+def test_sweep_pool_writes_the_serial_summary(tmp_path):
+    cfgs = [ExperimentConfig("gd-flatline", {"n": 6, "iters": 5}),
+            ExperimentConfig("gd-flatline", {"n": 8, "iters": 5})]
+    serial = sweep(cfgs, tmp_path / "serial")
+    pooled = sweep(cfgs, tmp_path / "pool", workers=2)
+    assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+    for name in ("summary.json", "summary.csv"):
+        assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+    assert "grad_norm_decay" in json.loads((tmp_path / "pool" / "summary.json").read_text())
+
+
+def test_import_leaves_the_process_pool_out():
+    """Only a sweep with workers > 1 imports the process pool."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, depthlab.experiments; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_empty_sweep(tmp_path):

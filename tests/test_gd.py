@@ -1,10 +1,11 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from depthlab import gd, mlp
-from depthlab.constructions import telgarsky_target
+from depthlab.constructions import TelgarskyTarget, telgarsky_target
 from depthlab.dists import uniform_cube, InputDistribution
 from depthlab.gd import CELL_MIN_GRID, GdConfig, GdDivergence, gd_train
 from depthlab.mlp import Mlp, population_hinge_grad, xavier_init
@@ -127,6 +128,7 @@ def rows_fed(monkeypatch):
 @pytest.mark.parametrize("target, grid", [
     (lambda X: telgarsky_target(4)(X), 4 * CELL_MIN_GRID),  # not the wave itself
     (telgarsky_target(2), 64),                               # below CELL_MIN_GRID
+    (telgarsky_target(11), CELL_MIN_GRID),                   # fewer points than bands
 ])
 def test_dense_fallback_is_bit_identical(monkeypatch, target, grid):
     rows = rows_fed(monkeypatch)
@@ -168,14 +170,78 @@ def test_cells_track_dense_trajectory_n12(monkeypatch):
     assert_cells_track_dense(monkeypatch, 12, 100)
 
 
+def direct_prefix(n, dist):
+    """The label prefix sums P0, P1 summed directly from the wave's labels."""
+    y = telgarsky_target(n)(dist.points).astype(np.int64)
+    odd = 2 * np.arange(dist.n_points) + 1
+    return np.concatenate([[0], np.cumsum(y)]), np.concatenate([[0], np.cumsum(y * odd)])
+
+
+def assert_prefix_is_direct(n, grid):
+    """gd's band-edge prefix sums, read at every bound 0..grid, equal the
+    direct ones."""
+    dist = uniform_cube(grid=grid)
+    P0, P1 = gd._label_prefix(dist.points[:, 0], n)(np.arange(grid + 1))
+    D0, D1 = direct_prefix(n, dist)
+    assert P0.dtype == P1.dtype == np.int64
+    assert np.array_equal(P0, D0) and np.array_equal(P1, D1)
+
+
 def test_label_moments_are_direct_sums():
     dist = uniform_cube(grid=1000)
     y = telgarsky_target(7)(dist.points)
-    P0, P1 = gd._label_moments(y)
+    P0, P1 = gd._label_prefix(dist.points[:, 0], 7)(np.arange(1001))
     assert P0.dtype == P1.dtype == np.int64 and P0.shape == P1.shape == (1001,)
     for j in (0, 1, 62, 500, 999, 1000):
         assert P0[j] == sum(int(y[i]) for i in range(j))
         assert P1[j] == sum(int(y[i]) * (2 * i + 1) for i in range(j))
+    # every n up to 14, on grids of 2^n points upwards (the experiments
+    # refuse fewer points than bands), dyadic or not
+    for n in range(1, 15):
+        for grid in (2**n, 2 ** (n + 4), 1000, 1025, 3001, 5 * 2**n + 3):
+            assert_prefix_is_direct(n, min(max(grid, 2**n), 2**20))
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_label_prefix_on_grid_points_at_band_edges(monkeypatch, n):
+    # on 3 * 2^(n-1) points, x_i = (2i+1)/(3 * 2^n) is the edge k/2^n for
+    # every odd k: 2^(n-1) grid points open the band they lie on
+    grid = 3 * 2 ** (n - 1)
+    x = uniform_cube(grid=grid).points[:, 0]
+    assert np.count_nonzero(np.isin(x, np.arange(2**n + 1) * 2.0**-n)) == 2 ** (n - 1)
+    assert_prefix_is_direct(n, grid)
+    # band starts searched with side right give each such point to the
+    # band it closes, and the sums no longer match
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda a, v, side="left": search(a, v, side="right"))
+    with pytest.raises(AssertionError):
+        assert_prefix_is_direct(n, grid)
+
+
+def test_moment_path_never_evaluates_the_wave(monkeypatch):
+    def refuse(self, X):
+        raise AssertionError("the wave was evaluated on the grid")
+
+    monkeypatch.setattr(TelgarskyTarget, "__call__", refuse)
+    traj = gd_train(xavier_init(12, 32, 1, seed=0, bias_std=1.0), telgarsky_target(12),
+                    uniform_cube(grid=2**16), GdConfig(eta=0.1, iters=2))
+    assert np.isfinite(traj.loss).all()
+
+
+def test_moment_path_holds_no_grid_sized_label_arrays():
+    """At n = 16 the 2^20-point grid's labels and each of their prefix sums
+    take 8 MiB; the band-edge sums keep O(2^16) state, and gd_train's traced
+    peak stays under 8 MiB."""
+    dist = uniform_cube(grid=2**20)
+    net = xavier_init(16, 32, 1, seed=0)
+    tracemalloc.start()
+    try:
+        gd_train(net, telgarsky_target(16), dist, GdConfig(eta=0.1, iters=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
 
 
 def test_zero_bias_gradient_takes_a_handful_of_rows(monkeypatch):

@@ -415,8 +415,8 @@ class TestGridCells:
         dist = uniform_cube(grid=1000)
         assert dist.points[62, 0] == 0.0625
         self.assert_matches_grid(stretched(biased_net(4, 32, 5)), 12, 1000)
-        P0, P1 = gd._label_moments(telgarsky_target(12)(dist.points))
-        assert P0[63] - P0[62] == 1 and P1[63] - P1[62] == 125
+        P0, P1 = gd._label_prefix(dist.points[:, 0], 12)(np.array([62, 63]))
+        assert P0[1] - P0[0] == 1 and P1[1] - P1[0] == 125
 
     @pytest.mark.parametrize("mutant", ["f above 1 as inside", "no second row"])
     def test_wrong_moment_rule_fails(self, monkeypatch, mutant):
