@@ -217,4 +217,4 @@ def inner_product(f, g, dist) -> float:
     if len(f) != len(g):
         raise ValueError(f"table length mismatch: {len(f)} vs {len(g)}")
     f_vals, g_vals = on_support([f, g], dist)
-    return float(np.dot(dist.weights, f_vals.astype(np.float64) * g_vals))
+    return float(np.add.reduce(f_vals.astype(np.float64) * g_vals) / dist.n_points)

@@ -1,9 +1,10 @@
-"""Input distributions as explicit (points, weights) supports.
+"""Input distributions as explicit uniform supports.
 
 Three variants: uniform on [0,1] (a midpoint quadrature grid), exhaustive
 enumeration of {+-1}^n, and the induced pair distribution on
-{+-1}^n x {z-set}.  All weights are explicit so every expectation in the
-lab is a plain weighted sum.
+{+-1}^n x {z-set}.  Every support is uniform: each of its m points has
+weight 1/m, so every expectation in the lab is the mean of the m values.
+A distribution stores its points and nothing else.
 """
 
 from __future__ import annotations
@@ -29,20 +30,19 @@ MAX_GRID_POINTS = 2**24  # GD grid cap (the default 2^(n+4) grid at n = 20): 128
 class InputDistribution:
     kind: str
     points: np.ndarray  # (m, dim); int8 for sign domains, float64 otherwise
-    weights: np.ndarray  # (m,), sums to 1
-    is_full_enumeration: bool = False
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {w.sum()}, expected 1")
-        if w.shape[0] != self.points.shape[0]:
-            raise ValueError("points/weights length mismatch")
-        w.flags.writeable = False
-        p = self.points
-        p.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "points", p)
+        self.points.flags.writeable = False
+
+    @property
+    def weight(self) -> float:
+        """The weight 1/m of each of the m support points."""
+        return 1.0 / self.n_points
+
+    @property
+    def is_full_enumeration(self) -> bool:
+        """Whether the points are the canonical enumeration of {+-1}^n."""
+        return self.kind == "uniform_signs"
 
     @property
     def n_points(self) -> int:
@@ -65,19 +65,17 @@ def uniform_cube(grid: int) -> InputDistribution:
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    pts = ((np.arange(grid) + 0.5) / grid)[:, None]
-    w = np.full(grid, 1.0 / grid)
-    return InputDistribution("uniform_cube", pts, w)
+    x = np.arange(grid, dtype=np.float64)  # built in place: one grid-sized array
+    x += 0.5
+    x /= grid
+    return InputDistribution("uniform_cube", x[:, None])
 
 
 def uniform_signs(n: int) -> InputDistribution:
     """Exhaustive uniform enumeration of {+-1}^n, n <= 20."""
     if n > MAX_ENUM_BITS:
         raise ValueError(f"enumeration cap is n <= {MAX_ENUM_BITS}")
-    pts = enumerate_signs(n)
-    m = 2**n
-    w = np.full(m, 1.0 / m)
-    return InputDistribution("uniform_signs", pts, w, is_full_enumeration=True)
+    return InputDistribution("uniform_signs", enumerate_signs(n))
 
 
 def induced_pair(n: int, zset: np.ndarray) -> InputDistribution:
@@ -96,6 +94,4 @@ def induced_pair(n: int, zset: np.ndarray) -> InputDistribution:
     pts = np.concatenate(
         [np.repeat(X, d, axis=0), np.tile(zset, (2**n, 1))], axis=1
     )
-    m = (2**n) * d
-    w = np.full(m, 1.0 / m)
-    return InputDistribution("induced_pair", pts, w)
+    return InputDistribution("induced_pair", pts)

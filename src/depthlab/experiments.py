@@ -427,7 +427,7 @@ def _certify_weak_learn(p, draws):
         oracle = sq.HonestNoisyOracle(target, dist, tau=p["tau"], seed=oracle_seed)
         got = sq.correlation_weak_learner(oracle, family)
         y, h = boolfn.on_support([target.table, got.table], dist).astype(np.float64)
-        loss = float(np.dot(dist.weights, np.maximum(0.0, 1.0 - y * h)))
+        loss = float(np.add.reduce(np.maximum(0.0, 1.0 - y * h)) / dist.n_points)
         recovered = bool(np.array_equal(got.table, target.table))
         ok = ok and recovered and loss == 0.0
         answer = oracle.log[int(np.argmax(np.abs(oracle.log)))]

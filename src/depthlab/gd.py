@@ -1,8 +1,8 @@
 """Population-gradient descent on the hinge loss, with full trajectories.
 
-The gradient at each step is the distribution-weighted average of per-point
-hinge subgradients (exact on enumerated supports, midpoint quadrature on
-[0,1]).  A run records loss, gradient norm and parameter distance at
+The gradient at each step is the mean of the per-point hinge subgradients
+over a uniform support (exact on enumerated supports, midpoint quadrature
+on [0,1]).  A run records loss, gradient norm and parameter distance at
 every iterate.  It copies theta_0 once into a vector it owns, builds one
 net over it and steps that vector in place (theta -= eta * g, the same
 bits as theta - eta * g); the vector is never handed out, the input net
@@ -142,7 +142,7 @@ def _moment_grad(target, dist):
     is one row, which the factor rule decides exactly as the grid does.
     """
     x = dist.points[:, 0]
-    w = dist.weights[0]
+    w = dist.weight
     prefix = _label_prefix(x, target.n)
 
     def grad(net):

@@ -8,15 +8,15 @@ averaged subgradient descent on the exact finite-sum objective over the
 full enumeration, one column per target of a family (a (d, 2^n) table
 matrix or the parity operator); it returns the averaged iterates with
 their losses, which upper-bound the minima, and the correlations
-c_j = Phi^T (p * y_j) of the features with every target, from one family
-product (a fast Walsh-Hadamard transform for the parities).  The first
-subgradient is -c_j, which the solver checks once against its labels; a
-target with c_j exactly zero is a fixed point of the descent (w_j stays
-0), and only the other targets are iterated.  The same c_j bound every
-minimum from below, L_j >= sum(p) - B ||c_j||, and are the reference of
-the gradient-identity check.  The descent's labels are the table rows of
-the live targets alone; in a kernel-hardness config they, and the
-feature table, hold at most ``MAX_LABEL_ENTRIES`` entries each.
+c_j = E[y_j Psi] = 2^-n Phi^T y_j of the features with every target, from
+one family product (a fast Walsh-Hadamard transform for the parities).
+The first subgradient is -c_j, which the solver checks once against its
+labels; a target with c_j exactly zero is a fixed point of the descent
+(w_j stays 0), and only the other targets are iterated.  The same c_j
+bound every minimum from below, L_j >= 1 - B ||c_j||, and are the
+reference of the gradient-identity check.  The descent's labels are the
+table rows of the live targets alone; in a kernel-hardness config they,
+and the feature table, hold at most ``MAX_LABEL_ENTRIES`` entries each.
 """
 
 from __future__ import annotations
@@ -79,8 +79,9 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
     Projected averaged subgradient descent, all targets as columns: step
     eta_t = B/(sqrt(N) sqrt(t)), projection onto the B-ball per column,
     running iterate average.  Returns (W, losses, C): W the (N, d) averaged
-    iterates, losses their hinge losses and C = Phi^T (p * Y) the (N, d)
-    feature-target correlations, one transposed family product with p * Phi.
+    iterates, losses their hinge losses and C = Phi^T Y / m the (N, d)
+    feature-target correlations, one transposed family product with Phi
+    times the uniform weight 1/m of each of the m points.
 
     At W = 0 every margin is 0 <= 1, so the first subgradient is -C.  It
     is computed from the labels as well and compared with -C once, so a
@@ -88,7 +89,7 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
     whose column of C is exactly zero keeps W_j = 0 at every step (zero
     update, norm 0, scale 1), so only the other k columns are iterated,
     against the (m, k) labels of those targets alone; the frozen ones are
-    returned as the zero column, whose loss is sum(p), as is every loss at
+    returned as the zero column, whose loss is exactly 1, as is every loss at
     B = 0 (step 0, scale 0).  Every bit equals the all-columns loop's
     wherever BLAS computes a product column the same way whatever the
     other columns are; tests/test_kernel.py checks this against a dense
@@ -102,14 +103,14 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
     family = on_support(family, dist)
     m, d = dist.n_points, len(family)
     N = psi.n_features
-    weights = dist.weights
+    w = dist.weight
     Phi = psi(dist)
-    C = family_product(family, weights[:, None] * Phi).T
+    C = family_product(family, w * Phi).T
     # the first subgradient is -C; a zero column of C never moves
     live = np.any(C != 0.0, axis=0)
     # (m, k) float64 labels, C-contiguous: column j is live member j's table row
     Yl = np.ascontiguousarray(family[live].T, dtype=np.float64)
-    wYl = weights[:, None] * Yl
+    wYl = w * Yl
     k = Yl.shape[1]
     W = np.zeros((N, k))
     Wsum = np.zeros((N, k))
@@ -125,7 +126,7 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
         # equal bit for bit on +-1 features; 1e-12 covers any map into [-1,1]
         if t == 1 and np.any(np.abs(G + C[:, live]) > 1e-12):
             raise RuntimeError("the family product disagrees with the first "
-                               "subgradient -Phi^T (p * Y)")
+                               "subgradient -Phi^T Y / m")
         eta = base / np.sqrt(t)
         W -= eta * G
         norms = np.linalg.norm(W, axis=0)
@@ -135,8 +136,8 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
     Wl = Wsum / iters
     Wavg = np.zeros((N, d))
     Wavg[:, live] = Wl
-    losses = np.full(d, float(np.sum(weights)))
-    losses[live] = np.einsum("m,mk->k", weights, np.maximum(0.0, 1.0 - Yl * (Phi @ Wl)))
+    losses = np.full(d, 1.0)
+    losses[live] = w * np.add.reduce(np.maximum(0.0, 1.0 - Yl * (Phi @ Wl)), axis=0)
     return Wavg, losses, C
 
 
@@ -160,7 +161,7 @@ def hardness_bound_variants(N: int, B: float, d: int) -> dict:
 class LinearHardnessReport:
     losses: np.ndarray
     average_loss: float
-    lower_bounds: np.ndarray    # max(0, sum(p) - B ||c_j||) <= min over the B-ball
+    lower_bounds: np.ndarray    # max(0, 1 - B ||c_j||) <= min over the B-ball
     average_lower_bound: float
     max_bracket_gap: float      # max over j of losses[j] - lower_bounds[j]
     fixed_point_targets: int    # targets with c_j = 0: the solver never moves them
@@ -168,10 +169,10 @@ class LinearHardnessReport:
     bound_variants: dict
     bound_vacuous: bool
     grad_identity_max_err: float
-    parseval_rel_err: float     # | ||C||_F^2 - m sum_x p_x^2 ||Phi(x)||^2 | / the latter
+    parseval_rel_err: float     # | ||C||_F^2 - (1/m) sum_x ||Phi(x)||^2 | / the latter
 
 
-def _grad_identity_check(Phi, family, C, weights, lam, rng, pairs=20) -> float:
+def _grad_identity_check(Phi, family, C, lam, rng, pairs=20) -> float:
     """Central finite differences of G_j at 0 vs the solver's correlation.
 
     G_j(w) = L_j(w) + (lam/2)||w||^2 is affine in w near 0 (all margins
@@ -179,6 +180,7 @@ def _grad_identity_check(Phi, family, C, weights, lam, rng, pairs=20) -> float:
     must equal -E[f_j Psi_i] = -C[i, j] exactly up to roundoff.
     """
     N, d = C.shape
+    m = len(Phi)
     h = 1e-6
     worst = 0.0
     for _ in range(pairs):
@@ -191,7 +193,7 @@ def _grad_identity_check(Phi, family, C, weights, lam, rng, pairs=20) -> float:
         def G(w):
             margins = y * (Phi @ w)
             return float(
-                np.dot(weights, np.maximum(0.0, 1.0 - margins))
+                np.add.reduce(np.maximum(0.0, 1.0 - margins)) / m
                 + 0.5 * lam * np.dot(w, w)
             )
 
@@ -206,7 +208,7 @@ def verify_linear_hardness(psi: FeatureMap, B: float, family, dist,
 
     The solver's losses bound each minimum from above.  From below,
     hinge(z) >= alpha (1 - z) at alpha = 1 gives, by Cauchy-Schwarz over
-    the B-ball, L_j(w) >= sum(p) - B ||c_j|| with c_j = Phi^T (p * y_j),
+    the B-ball, L_j(w) >= 1 - B ||c_j|| with c_j = E[y_j Psi],
     the solver's own correlations; the report keeps both sides, their
     largest gap and the count of zero-correlation targets.  At desk scale
     the d^(1/12) bound is usually vacuous; the report says so explicitly
@@ -216,21 +218,20 @@ def verify_linear_hardness(psi: FeatureMap, B: float, family, dist,
 
     C is checked as a whole by Parseval: the m members of the full parity
     family on m = 2^n points have sum_j y_j(x) y_j(x') = m [x = x'], so
-    ||C||_F^2 = m sum_x p_x^2 ||Phi(x)||^2, which ``parseval_rel_err``
-    compares.  On +-1 features and dyadic weights both sides are exact.
+    ||C||_F^2 = (1/m) sum_x ||Phi(x)||^2, which ``parseval_rel_err``
+    compares.  On +-1 features and the dyadic weight 1/m both sides are exact.
     For another family the identity need not hold, and the error is only
     reported.
     """
     _, losses, C = min_hinge_family(psi, B, family, dist, iters)
     N, d = C.shape
     bound = hardness_bound(N, B, d)
-    lower = np.maximum(0.0, np.sum(dist.weights) - B * np.linalg.norm(C, axis=0))
+    lower = np.maximum(0.0, 1.0 - B * np.linalg.norm(C, axis=0))
     lam = np.sqrt(2.0 * np.sqrt(5.0) * N) / (d ** (1.0 / 12.0) * max(B, 1e-12))
     Phi = psi.table  # the solver has read it on this dist
-    err = _grad_identity_check(Phi, family, C, dist.weights, lam,
-                               np.random.default_rng(seed))
+    err = _grad_identity_check(Phi, family, C, lam, np.random.default_rng(seed))
     energy = float(np.sum(C * C))
-    parseval = dist.n_points * float(np.sum(dist.weights**2 * np.sum(Phi * Phi, axis=1)))
+    parseval = dist.weight * float(np.sum(np.sum(Phi * Phi, axis=1)))
     return LinearHardnessReport(
         losses=losses,
         average_loss=float(np.mean(losses)),

@@ -9,9 +9,9 @@ the caller must not write that vector afterwards.  One caller does:
 and never hands out.  ``forward_stacked`` evaluates many parameter
 vectors of one shape at one input without building a net for each.  The
 hinge subgradient is one forward and one backward pass over weighted rows
-(``hinge_grad_rows``); ``population_hinge_grad`` weights the points of a
-distribution, and at a single point (x, y) it is that function on the
-one-point support {x} with weight 1 and label y.
+(``hinge_grad_rows``); ``population_hinge_grad`` averages over the points
+of a distribution, and at a single point (x, y) it is that function on
+the one-point support {x} with label y.
 """
 
 from __future__ import annotations
@@ -223,18 +223,14 @@ def output_grad_params(net: Mlp, x) -> np.ndarray:
 def population_hinge_loss(net: Mlp, target, dist) -> float:
     """Expected hinge loss of the net against a +-1 target over ``dist``.
 
-    ``target`` maps a (m, d) point array to +-1 labels.  Exact weighted sum
-    over the distribution's support; on uniform weights the loss is the
-    plain arithmetic mean of the per-point hinge values, bit for bit.
+    ``target`` maps a (m, d) point array to +-1 labels.  The support is
+    uniform, so the loss is the mean of the m per-point hinge values,
+    np.add.reduce(h) / m: the loss ``population_hinge_grad`` returns, bit
+    for bit.
     """
     X = dist.points_float()
     y = np.asarray(target(X), dtype=np.float64)
-    out = forward_many(net, X)
-    h = hinge(y, out)
-    w = dist.weights
-    if np.all(w == w[0]):
-        return float(np.mean(h) * (w[0] * w.shape[0]))
-    return float(np.dot(w, h))
+    return float(np.add.reduce(hinge(y, forward_many(net, X))) / dist.n_points)
 
 
 def hinge_grad_rows(net: Mlp, X: np.ndarray, loss_and_dout):
@@ -252,8 +248,8 @@ def hinge_grad_rows(net: Mlp, X: np.ndarray, loss_and_dout):
 def population_hinge_grad(net: Mlp, target, dist):
     """Population hinge loss and its flat subgradient over ``dist``.
 
-    Returns (loss, grad).  The gradient is the weight-averaged per-sample
-    hinge subgradient.  Conventions at kinks: ReLU derivative 1 at zero
+    Returns (loss, grad).  The gradient is the mean per-sample hinge
+    subgradient.  Conventions at kinks: ReLU derivative 1 at zero
     pre-activation, hinge derivative -y at margin exactly 1.
     """
     X = dist.points_float()
@@ -261,8 +257,8 @@ def population_hinge_grad(net: Mlp, target, dist):
 
     def per_point(out):
         margins = y * out
-        loss = float(np.dot(dist.weights, np.maximum(0.0, 1.0 - margins)))
-        return loss, np.where(margins <= 1.0, -y, 0.0) * dist.weights
+        loss = float(np.add.reduce(np.maximum(0.0, 1.0 - margins)) / dist.n_points)
+        return loss, np.where(margins <= 1.0, -y, 0.0) * dist.weight
 
     return hinge_grad_rows(net, X, per_point)
 

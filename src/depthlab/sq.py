@@ -119,9 +119,9 @@ class HonestNoisyOracle(SqOracle):
         self._rng = np.random.default_rng(seed)
 
     def _answers(self, even, odd) -> np.ndarray:
-        truth = family_product(odd, self.dist.weights * self._labels)
+        truth = family_product(odd, self.dist.weight * self._labels)
         if even is not None:
-            truth += family_product(even, self.dist.weights)
+            truth += np.add.reduce(even, axis=1) / self.dist.n_points
         # a size-k uniform draw consumes the stream as k scalar draws do
         return truth + self._rng.uniform(-self.tau, self.tau, size=len(odd))
 
@@ -146,9 +146,10 @@ class AdversarialOracle(SqOracle):
         self.weighted_gbars: list[np.ndarray] = []  # w * gbar, in query order
 
     def _answers(self, even, odd) -> np.ndarray:
-        w = self.dist.weights
+        w = self.dist.weight
         self.weighted_gbars.extend(w * g for g in np.asarray(odd, dtype=np.float64))
-        return np.zeros(len(odd)) if even is None else family_product(even, w)
+        return np.zeros(len(odd)) if even is None else \
+            np.add.reduce(even, axis=1) / self.dist.n_points
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,7 @@ def certify_sqdim(family, dist) -> SqDimCertificate:
     """
     values = on_support(family, dist)
     d = len(values)
-    w = float(dist.weights[0])
+    w = dist.weight
     mx = 0.0
     for k in range(0, d, _GRAM_BLOCK):
         block = family_product(values, values[k : k + _GRAM_BLOCK].astype(np.float64).T) * w
@@ -292,7 +293,7 @@ def adversarial_game(family, learner, budget: int, tau: float, dist) -> GameResu
     h = learner(oracle)
     h_vals = _hypothesis_values(h, dist)
     h_clip = np.clip(h_vals, -1.0, 1.0)
-    columns = oracle.weighted_gbars + [dist.weights * h_clip]
+    columns = oracle.weighted_gbars + [dist.weight * h_clip]
     corr = family_product(oracle.values, np.stack(columns, axis=1))
     ruled_out = np.abs(corr[:, :-1]) > oracle.consistency_radius
     ok = ~ruled_out.any(axis=1) & (corr[:, -1] < 2.0 / np.sqrt(d))
@@ -307,7 +308,7 @@ def adversarial_game(family, learner, budget: int, tau: float, dist) -> GameResu
         )
     j = int(np.argmax(ok))
     labels = oracle.values[j].astype(np.float64)
-    loss = float(np.dot(dist.weights, np.maximum(0.0, 1.0 - labels * h_vals)))
+    loss = float(np.add.reduce(np.maximum(0.0, 1.0 - labels * h_vals)) / dist.n_points)
     return GameResult(j, loss, np.count_nonzero(ruled_out, axis=0).tolist())
 
 
@@ -327,7 +328,7 @@ def correlation_count_check(family, h, tau: float, dist,
     if not certificate.passed or certificate.size != d:
         raise ValueError("family is not a certified almost-orthogonal set")
     h_vals = np.clip(_hypothesis_values(h, dist), -1.0, 1.0)
-    corr = family_product(values, dist.weights * h_vals)
+    corr = family_product(values, dist.weight * h_vals)
     count = int(np.count_nonzero(np.abs(corr) >= tau))
     bound = 2.0 / (tau**2 - 1.0 / d)
     if count > bound:

@@ -13,9 +13,9 @@ from depthlab.mlp import forward, hinge, population_hinge_grad
 
 def point_hinge_grad(net, x, y):
     """Hinge subgradient at one point: ``population_hinge_grad`` on the
-    one-point support {x} with weight 1 and label y."""
+    one-point support {x} with label y."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    point = InputDistribution("point", x[None, :], np.ones(1))
+    point = InputDistribution("point", x[None, :])
     return population_hinge_grad(net, lambda X: np.full(len(X), float(y)), point)[1]
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,14 +14,18 @@ def sign_index(X):
 
 
 def test_weights_sum_to_one_within_tolerance():
+    # every support is uniform: one weight 1/m for each of its m points
     for dist in (uniform_cube(grid=37), uniform_signs(7)):
-        assert abs(dist.weights.sum() - 1.0) <= 1e-12
+        assert dist.weight == 1 / dist.n_points
+        assert abs(dist.weight * dist.n_points - 1.0) <= 1e-12
 
 
-def test_bad_weights_rejected():
-    pts = np.zeros((4, 1))
-    with pytest.raises(ValueError):
-        InputDistribution("uniform_cube", pts, np.full(4, 0.3))
+def test_only_the_sign_enumeration_is_full():
+    Z = np.array([[1, -1, 1]], dtype=np.int8)
+    assert uniform_signs(3).is_full_enumeration
+    assert not uniform_cube(grid=8).is_full_enumeration
+    assert not induced_pair(3, Z).is_full_enumeration
+    assert not InputDistribution("point", np.zeros((1, 1))).is_full_enumeration
 
 
 def test_grid_is_midpoint_rule():
@@ -27,6 +33,24 @@ def test_grid_is_midpoint_rule():
     assert np.array_equal(dist.points[:, 0], (np.arange(8) + 0.5) / 8)
     # dyadic band edges are never support points
     assert not np.isin(dist.points[:, 0], np.arange(9) / 8).any()
+
+
+@pytest.mark.parametrize("grid", [1, 3, 49, 1000, 3001, 2**16])
+def test_grid_built_in_place_is_the_midpoint_formula(grid):
+    x = uniform_cube(grid).points
+    assert x.shape == (grid, 1) and x.dtype == np.float64
+    assert x.tobytes() == ((np.arange(grid) + 0.5) / grid).tobytes()
+
+
+def test_grid_build_holds_one_grid_sized_array():
+    # 2^20 float64 points are 8 MiB; a second grid-sized temporary would be 16
+    tracemalloc.start()
+    try:
+        uniform_cube(2**20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20
 
 
 def test_sign_enumeration_lists_each_point_once():
@@ -49,10 +73,11 @@ def test_induced_pair_structure():
     assert dist.dim == 2 * n
     assert len({tuple(r) for r in dist.points.tolist()}) == dist.n_points
     # every (x, z^(j)) pair carries weight 1/(2^n d)
-    assert np.all(dist.weights == 1.0 / (2**n * 2))
+    assert dist.weight == 1.0 / (2**n * 2)
     # the x-marginal is uniform: an x-only parity keeps its mean
     vals = parity_fn([0], n)[sign_index(dist.points[:, :n])]
-    assert float(np.dot(dist.weights, vals)) == 0.0
+    weights = np.full(dist.n_points, 1.0 / dist.n_points)
+    assert float(np.dot(weights, vals)) == 0.0
 
 
 def test_induced_pair_expectation_matches_manual():
@@ -61,7 +86,8 @@ def test_induced_pair_expectation_matches_manual():
     dist = induced_pair(n, Z)
     # induced_pair is not the 2n-bit enumeration: gather the table explicitly
     table = or_parity_fn(Z[0], n).astype(np.float64)
-    got = float(np.dot(dist.weights, table[sign_index(dist.points)]))
+    weights = np.full(dist.n_points, 1.0 / dist.n_points)
+    got = float(np.dot(weights, table[sign_index(dist.points)]))
     # manual: average over x of the OR-parity at each fixed z
     from depthlab.boolfn import enumerate_signs
     X = enumerate_signs(n)

@@ -14,7 +14,7 @@ from conftest import report_bytes_by_blas_threads
 
 def two_point_dist():
     pts = np.array([[-1.0], [1.0]])
-    return InputDistribution("uniform_signs", pts, np.array([0.5, 0.5]))
+    return InputDistribution("two_point", pts)
 
 
 def sign_target(X):
@@ -141,6 +141,17 @@ def test_dense_fallback_is_bit_identical(monkeypatch, target, grid):
     loss, gnorm, _, _ = rebuild_per_step(net, dense, cfg)
     assert np.array_equal(traj.loss, loss)
     assert np.array_equal(traj.grad_norm, gnorm)
+
+
+@pytest.mark.parametrize("grid", [64, 49, 1000])
+def test_dense_run_records_the_population_loss(grid):
+    """A dense-path run's recorded loss is ``population_hinge_loss`` of its
+    final net bit for bit: both are the mean of the same hinge values."""
+    dist = uniform_cube(grid=grid)
+    target = telgarsky_target(8)
+    net = xavier_init(8, 32, 1, seed=3, bias_std=1.0)
+    traj = gd_train(net, target, dist, GdConfig(eta=0.1, iters=50))
+    assert traj.loss[-1] == mlp.population_hinge_loss(traj.final_net, target, dist)
 
 
 def assert_cells_track_dense(monkeypatch, n, iters):

@@ -86,7 +86,7 @@ class TestMinHinge:
         B = 1.5
         w, loss = solve_one(psi, B, target, dist, iters=2 * 10**4)
         oracle = grid_search_min(psi(dist), target.astype(np.float64),
-                                 dist.weights, B)
+                                 np.full(dist.n_points, 1.0 / dist.n_points), B)
         assert abs(loss - oracle) <= 2e-2
         assert loss >= oracle - 1e-9  # the solver is a feasible point
         assert np.linalg.norm(w) <= B + 1e-9
@@ -111,7 +111,8 @@ class TestMinHinge:
         Phi = psi(dist)
         y = target.astype(np.float64)
         w = cvxpy.Variable(8)
-        obj = cvxpy.Minimize(dist.weights @ cvxpy.pos(1 - cvxpy.multiply(y, Phi @ w)))
+        weights = np.full(dist.n_points, 1.0 / dist.n_points)
+        obj = cvxpy.Minimize(weights @ cvxpy.pos(1 - cvxpy.multiply(y, Phi @ w)))
         cvxpy.Problem(obj, [cvxpy.norm(w, 2) <= B]).solve()
         assert abs(loss - obj.value) <= 2e-2
 
@@ -154,10 +155,11 @@ class TestFeatureMaps:
         feats = family[:16]
         psi = rows_map(feats)
         F = feats.astype(np.float64)
+        weights = np.full(dist.n_points, 1.0 / dist.n_points)
         rng = np.random.default_rng(3)
         for _ in range(10):
             table = (rng.integers(0, 2, size=64) * 2 - 1).astype(np.int8)
-            corr = np.abs(F @ (dist.weights * table.astype(np.float64)))
+            corr = np.abs(F @ (weights * table.astype(np.float64)))
             _, loss = solve_one(psi, 1.0, table, dist, iters=10**4)
             assert loss <= 1.0 - corr.max() + 1e-2
 
@@ -276,7 +278,7 @@ def dense_min_hinge_family(psi, B, family, dist, iters):
     Y = np.ascontiguousarray(on_support(family, dist)[:].T, dtype=np.float64)
     m, d = Y.shape
     N = psi.n_features
-    weights = dist.weights
+    weights = np.full(dist.n_points, 1.0 / dist.n_points)
     Phi = psi(dist)
     wY = weights[:, None] * Y
     W = np.zeros((N, d))
@@ -320,10 +322,11 @@ def test_fixed_point_skip_matches_dense_loop(parity6, features, targets):
     Wd, losses_d = dense_min_hinge_family(psi, 2.0, fam, dist, iters=300)
     assert W.tobytes() == Wd.tobytes() and losses.tobytes() == losses_d.tobytes()
     Y = on_support(fam, dist)[:].T.astype(np.float64)
-    assert np.array_equal(C, psi(dist).T @ (dist.weights[:, None] * Y))
+    weights = np.full(dist.n_points, 1.0 / dist.n_points)
+    assert np.array_equal(C, psi(dist).T @ (weights[:, None] * Y))
     frozen = ~np.any(C != 0.0, axis=0)
     assert np.all(W[:, frozen] == 0.0)
-    assert np.all(losses[frozen] == np.sum(dist.weights))
+    assert np.all(losses[frozen] == np.sum(weights))
 
 
 def test_lower_bounds_bracket_the_minima(parity6):

@@ -41,9 +41,10 @@ class TestOracles:
         target = BooleanFn(10, family[77])
         oracle = HonestNoisyOracle(target, dist, tau=0.05, seed=3)
         labels = target.table
+        weights = np.full(dist.n_points, 1.0 / dist.n_points)
         for j in (0, 77, 400, 1023):
             (v,) = oracle.query(family[j])
-            truth = np.dot(dist.weights, labels * family[j])
+            truth = np.dot(weights, labels * family[j])
             assert abs(v - truth) <= 0.05
         assert len(oracle.log) == 4
 
@@ -188,8 +189,9 @@ class TestPinnedAnswers:
         assert [v.hex() for v in honest.log] == self.HONEST
         assert [v.hex() for v in adversary.log] == self.ADVERSARY
         odd = np.vstack([np.ones(m), np.zeros(m), r_odd, family[:8], 0.5 * r2])
+        weights = np.full(m, 1.0 / m)
         assert [g.tobytes() for g in adversary.weighted_gbars] == [
-            (dist.weights * g).tobytes() for g in odd]
+            (weights * g).tobytes() for g in odd]
 
 
 class TestFamilySupport:
@@ -352,7 +354,8 @@ class TestWeakLearner:
         got = correlation_weak_learner(oracle, others)
         for answer in oracle.log:
             assert abs(answer) <= tau  # truth is 0 for every member
-        loss = float(np.dot(dist.weights, np.maximum(0.0, 1.0 - target.table * got.table)))
+        weights = np.full(dist.n_points, 1.0 / dist.n_points)
+        loss = float(np.dot(weights, np.maximum(0.0, 1.0 - target.table * got.table)))
         assert loss >= 1.0 - 2 * tau
 
 
@@ -418,7 +421,7 @@ class _PruneEachQuery(SqOracle):
         self.counts = []
 
     def _answers(self, even, odd):
-        w = self.dist.weights
+        w = np.full(self.dist.n_points, 1.0 / self.dist.n_points)
         for g in odd:
             bad = np.abs(self.values @ (w * g)) > self.radius
             self.counts.append(int(np.count_nonzero(bad)))
@@ -430,7 +433,7 @@ def _reference_game(family, learner, budget, tau, dist):
     oracle = _PruneEachQuery(family, dist, tau, budget)
     h = learner(oracle)
     h_vals = np.asarray(h, dtype=np.float64)
-    w = dist.weights
+    w = np.full(dist.n_points, 1.0 / dist.n_points)
     corr = oracle.values @ (w * np.clip(h_vals, -1.0, 1.0))
     ok = oracle.consistent & (corr < 2.0 / np.sqrt(len(family)))
     j = int(np.argmax(ok))
