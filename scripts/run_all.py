@@ -1,8 +1,9 @@
 """Run every experiment at its defaults and print the scoreboard.
 
-The full pass takes ~4 s on a 2-core machine with one BLAS thread;
-kernel-hardness and xavier-audit (~1 s each) are the longest runs, and
-gd-flatline takes ~0.3 s.  --quick shrinks the pass to ~2 s.
+The full pass takes ~3 s on a 2-core machine with one BLAS thread;
+kernel-hardness (~1 s) is the longest run, then xavier-audit and
+gd-sanity (~0.5 s each), and gd-flatline takes ~0.25 s.  --quick shrinks
+the pass to ~2 s.
 """
 
 import argparse

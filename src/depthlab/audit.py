@@ -12,12 +12,16 @@ within 1.1 * ||x|| (times a slack factor).  Probe radii form a dyadic
 ladder of absolute radii capped at rho, so enlarging rho probes a strict
 superset and reported ratios are monotone in rho.
 
-A probe's rungs are taken in blocks: the theta / theta' pairs of a block
-are rows of one reused buffer, and their outputs come from one stacked
-forward pass (``mlp.forward_stacked``), so no net is built per rung.  As
-a cross-check, the ratio on the smallest rung must match the directional
-derivative |<grad_theta g_theta0(x), u>| along the unit vector u from
-theta' to theta, up to O(radius); the report carries the largest gap.
+A probe's pair theta = theta0 + r s0 d0, theta' = theta0 + r s1 d1 lies
+on two rays from theta0, one per unit direction d, with scales s in
+[0, 1) and r on the ladder.  Every rung of both rays is evaluated in one
+pass per layer along the rays (``mlp._forward_rays``), with no parameter
+vector per rung and no net built per rung, and ||theta - theta'|| is
+r ||s0 d0 - s1 d1||, one norm per probe.  As a cross-check, the ratio on
+the smallest rung must match the directional derivative
+|<grad_theta g_theta0(x), u>| along the unit vector u from theta' to
+theta, taken by backprop, up to O(radius); the report carries the
+largest gap.
 """
 
 from __future__ import annotations
@@ -26,15 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import forward_stacked, output_grad_params
+from .mlp import _forward_rays, l2_norm, output_grad_params
 
 __all__ = ["LStandardReport", "audit_l_standard"]
 
 _LADDER_FLOOR = 2.0**-20
 _SLACK = 1.05  # tolerance factor on the 1.1 ||x|| ratio bound
-# floats in one probe's (2, rungs, n_params) buffer, 512 KiB: a buffer for
-# the whole ladder raised small-nets' peak RSS by ~3.6 MB (+8 %)
-_BLOCK_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,23 @@ def _probe_radii(rho: float) -> np.ndarray:
     return np.array(sorted(rungs, reverse=True))
 
 
+def _probe_ladder(net, x, dirs: np.ndarray, scales: np.ndarray, radii: np.ndarray):
+    """One probe's parameter-side ratios |g_theta(x) - g_theta'(x)| /
+    ||theta - theta'|| on every rung r of ``radii``, theta = theta0 + r s0 d0
+    and theta' = theta0 + r s1 d1 for the rows d of ``dirs`` and the
+    ``scales`` s, and the slope of g at theta0 along the unit vector from
+    theta' to theta, by backprop: (ratios, slope).  theta - theta' is
+    r u_step on every rung, so its norm is r ||u_step||."""
+    out = _forward_rays(net, x, dirs, scales[:, None] * radii)
+    u_step = scales[0] * dirs[0] - scales[1] * dirs[1]
+    u_norm = l2_norm(u_step)
+    if not u_norm:
+        raise ValueError("probe points coincide")
+    ratios = np.abs(out[0] - out[1]) / (radii * u_norm)
+    slope = abs(np.add.reduce(output_grad_params(net, x) * u_step)) / u_norm
+    return ratios, slope
+
+
 def audit_l_standard(
     net_factory,
     rho: float,
@@ -94,44 +112,28 @@ def audit_l_standard(
     max_sup = 0.0
     grad_gap = 0.0
     passed = 0
+    dirs = np.empty((probe_count, 2, 0))
     for trial in range(trials):
         net = net_factory(int(rng.integers(2**63)))
         theta0 = net.flat_params()
-        r_params = theta0.shape[0]
         d = net.in_dim
-        # directions are drawn once per trial and reused on every rung
-        dirs = rng.normal(size=(probe_count, 2, r_params))
+        # directions are drawn once per trial, into one array that the
+        # trials of one shape share, and reused on every rung
+        if dirs.shape[2] != theta0.shape[0]:
+            dirs = np.empty((probe_count, 2, theta0.shape[0]))
+        rng.standard_normal(out=dirs)  # the draws of rng.normal(size=dirs.shape)
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         scales = rng.random((probe_count, 2))  # probe inside the ball, not only the sphere
         xs = rng.random((probe_count, d))
         x_pairs = rng.random((probe_count, 2, d))
-        # theta (row 0) and theta' (row 1) of up to c rungs at a time
-        c = max(1, _BLOCK_FLOATS // (2 * r_params))
-        buf = np.empty((2, min(c, radii.size), r_params))
         trial_ok = True
         for p in range(probe_count):
             x = xs[p]
             xnorm = np.linalg.norm(x)
-            rs = scales[p][:, None] * radii  # (2, rungs): r * s per pair side
-            for j in range(0, radii.size, c):
-                block = buf[:, : min(c, radii.size - j)]
-                np.multiply(rs[:, j : j + block.shape[1], None], dirs[p][:, None], out=block)
-                block += theta0  # theta0 + (r s) d
-                out = forward_stacked(net, block, x)
-                diff = np.subtract(block[0], block[1], out=block[0])
-                dist = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=block[1]), axis=1))
-                # a non-finite entry in either row makes its pair's distance non-finite
-                if not np.isfinite(dist).all():
-                    raise ValueError("non-finite parameter values")
-                if not dist.all():
-                    raise ValueError("probe points coincide")
-                ratios = np.abs(out[0] - out[1]) / dist
-                max_theta_ratio = max(max_theta_ratio, ratios.max())
-                if (ratios > 1.1 * xnorm * _SLACK).any():
-                    trial_ok = False
-            # the last block ends on the smallest rung: its ratio against the
-            # slope of g along u = diff / ||diff|| at theta0
-            slope = abs(np.add.reduce(output_grad_params(net, x) * diff[-1])) / dist[-1]
+            ratios, slope = _probe_ladder(net, x, dirs[p], scales[p], radii)
+            max_theta_ratio = max(max_theta_ratio, ratios.max())
+            if (ratios > 1.1 * xnorm * _SLACK).any():
+                trial_ok = False
             grad_gap = max(grad_gap, abs(ratios[-1] - slope))
             # input-side ratios at one in-ball parameter point per probe
             pert = net.with_flat_params(theta0 + radii[-1] * scales[p, 0] * dirs[p, 0])

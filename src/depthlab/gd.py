@@ -6,7 +6,9 @@ on [0,1]).  A run records loss, gradient norm and parameter distance at
 every iterate.  It copies theta_0 once into a vector it owns, builds one
 net over it and steps that vector in place (theta -= eta * g, the same
 bits as theta - eta * g); the vector is never handed out, the input net
-is left as it was, and the returned net holds a copy.
+is left as it was, and the returned net holds a copy.  The loop's
+bookkeeping (the norms of g and of theta - theta_0, and the step eta g)
+goes through one scratch vector.
 
 Against the 1-D square wave on a midpoint grid of at least CELL_MIN_GRID
 points, each step takes the grid's loss and gradient from two rows per
@@ -19,32 +21,42 @@ the labels, read per step at the cell bounds off where the 2^n + 1 band
 edges fall on the grid: the target is never evaluated on the grid, and a
 run's label state is O(2^n).  The band edges are never cut, so the rows do
 not grow with the number of bands.  The loss and gradient equal the
-grid's up to rounding.  Every other target or distribution, smaller grids,
-where the symbolic propagation costs more than it saves, grids with fewer
-points than bands, and grids above MAX_GRID_POINTS, where the moments
-could stop being exact, take the grid itself.
+grid's up to rounding.
+
+Every other target or distribution, smaller grids, where the symbolic
+propagation costs more than it saves, grids with fewer points than bands,
+and grids above MAX_GRID_POINTS, where the moments could stop being
+exact, take the dense gradient over every point from
+``mlp._population_hinge_grad_fn``.  The points, labels and hinge weights
+are computed once per run, and each step's forward and backward passes
+write into buffers that the run allocates once: the run's net keeps its
+layer views for the whole run.  Its losses and gradients are
+``population_hinge_grad``'s, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constructions import TelgarskyTarget
 from .dists import MAX_GRID_POINTS
-from .mlp import Mlp, hinge_grad_rows, l2_norm, population_hinge_grad
+from .mlp import Mlp, _population_hinge_grad_fn, hinge_grad_rows
 from .pwl import grid_cells
 
 __all__ = ["GdConfig", "Trajectory", "GdDivergence", "gd_train", "CELL_MIN_GRID"]
 
 # Smallest grid whose gradient is taken from cell moments.  One gradient
-# with one BLAS thread on a 2-core Xeon, dense vs moment rows (propagation
-# included): gd-sanity's depth-12 net after 2000 steps, 443 pieces, 0.23
-# vs 2.5 ms at 64 points, 1.9 vs 3.0 ms at 512, 4.7 vs 4.1 ms at 1024, 9.7
-# vs 4.0 ms at 2048; the depth-5 flatline net after 100 steps at 512
-# points, 0.42 vs 0.63 ms; depth 6 after 100 steps at 1024, 2.0 vs 0.43 ms;
-# depth 8 after 25 steps at 4096, 13 vs 0.48 ms.
+# with one BLAS thread on a 2-core Xeon, a dense step of a run (its labels
+# and buffers already held) vs moment rows (propagation included):
+# gd-sanity's depth-12 net after 2000 steps, 443 pieces, 0.21 vs 2.3 ms at
+# 64 points, 1.2 vs 3.1 ms at 512, 2.9 vs 2.9 ms at 1024, 5.6 vs 4.2 ms at
+# 2048; the depth-5 flatline net after 100 steps at 512 points, 0.39 vs
+# 0.55 ms; depth 6 after 100 steps at 1024, 1.2 vs 0.24 ms; depth 8 after
+# 25 steps at 4096, 7.5 vs 0.30 ms.  The faster dense step moves the
+# crossover on the 443-piece net up to 1024, where the two tie.
 CELL_MIN_GRID = 1024
 
 
@@ -177,31 +189,35 @@ def gd_train(net: Mlp, target, dist, cfg: GdConfig) -> Trajectory:
     if _groups_into_cells(target, dist):
         grad = _moment_grad(target, dist)
     else:
-        def grad(net):
-            return population_hinge_grad(net, target, dist)
+        grad = _population_hinge_grad_fn(net, target, dist)
     theta0 = net.flat_params()
     T = cfg.iters
     loss = np.empty(T + 1)
     gnorm = np.empty(T + 1)
-    pdist = np.empty(T + 1)
+    pdist = np.zeros(T + 1)
     if cfg.eta == 0.0:  # the zero step is exact: the input net throughout
         theta, current = theta0, net
     else:  # one net over a vector the run owns, stepped in place
         theta = theta0.copy()
         current = net.with_flat_params(theta)
+    # the squares of g, the step eta g and the squares of theta - theta0;
+    # a finite norm implies finite entries, so the entries are scanned
+    # only when a norm is not finite
+    s = np.empty_like(theta0)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T + 1):
             l, g = grad(current)
-            if not (np.isfinite(l) and np.isfinite(g).all()):
+            gnorm[t] = math.sqrt(np.add.reduce(np.multiply(g, g, out=s)))
+            if not (math.isfinite(l) and (math.isfinite(gnorm[t]) or np.isfinite(g).all())):
                 raise GdDivergence(
                     f"non-finite loss or gradient at iteration {t} (loss={l})"
                 )
             loss[t] = l
-            gnorm[t] = l2_norm(g)
-            pdist[t] = l2_norm(theta - theta0)
             if t < T and cfg.eta != 0.0:
-                theta -= cfg.eta * g
-                if not np.isfinite(theta).all():
+                theta -= np.multiply(g, cfg.eta, out=s)
+                np.subtract(theta, theta0, out=s)
+                pdist[t + 1] = math.sqrt(np.add.reduce(np.multiply(s, s, out=s)))
+                if not (math.isfinite(pdist[t + 1]) or np.isfinite(theta).all()):
                     raise GdDivergence(f"non-finite parameters at iteration {t + 1}")
     final = net if cfg.eta == 0.0 else net.with_flat_params(theta.copy())
     return Trajectory(np.arange(T + 1), loss, gnorm, pdist, final)

@@ -6,12 +6,18 @@ vector (layer by layer, W row-major then b); ``layers`` are (W, b) views
 into it.  ``with_flat_params`` keeps the vector it is given, not a copy:
 the caller must not write that vector afterwards.  One caller does:
 ``gd.gd_train`` steps its net's vector in place, a vector the run owns
-and never hands out.  ``forward_stacked`` evaluates many parameter
-vectors of one shape at one input without building a net for each.  The
-hinge subgradient is one forward and one backward pass over weighted rows
-(``hinge_grad_rows``); ``population_hinge_grad`` averages over the points
-of a distribution, and at a single point (x, y) it is that function on
-the one-point support {x} with label y.
+and never hands out.  The hinge subgradient is one forward and one
+backward pass over weighted rows, and every gradient in the lab takes
+its passes from one implementation, ``_Backprop``: ``hinge_grad_rows``
+and ``output_grad_params`` run a fresh one per call.
+``_population_hinge_grad_fn`` computes a distribution's points, labels
+and hinge weights once and keeps one ``_Backprop`` for the nets of one
+shape: GD's dense path takes every step of a run from it, allocating no
+more than a row of hinge weights per step, and ``population_hinge_grad``
+is its single call.  At a single point (x, y) the hinge subgradient is
+``population_hinge_grad`` on the one-point support {x} with label y.
+``_forward_rays`` evaluates a net at many parameter points along rays
+from its own, at one input, without forming the points.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ __all__ = [
     "DimensionError",
     "forward",
     "forward_many",
-    "forward_stacked",
     "output_grad_params",
     "hinge",
     "hinge_grad_rows",
@@ -129,77 +134,92 @@ def forward(net: Mlp, x) -> float:
 
 
 def forward_many(net: Mlp, X: np.ndarray) -> np.ndarray:
-    """Vectorized forward pass: X of shape (m, in_dim) -> outputs (m,)."""
+    """Vectorized forward pass: X of shape (m, in_dim) -> outputs (m,).
+
+    Each layer allocates its output once and adds the bias and applies the
+    ReLU in place, so at most two layers' activations are alive at a time."""
     A = np.asarray(X, dtype=np.float64)
     if A.ndim != 2 or A.shape[1] != net.in_dim:
         raise DimensionError(f"expected inputs of shape (m, {net.in_dim}), got {A.shape}")
     last = len(net.layers) - 1
     for i, (W, b) in enumerate(net.layers):
-        A = A @ W.T + b
+        A = np.dot(A, W.T)
+        A += b
         if i != last:
             np.maximum(A, 0.0, out=A)
     return A[:, 0]
 
 
-def forward_stacked(net: Mlp, thetas: np.ndarray, x) -> np.ndarray:
-    """Outputs at the one input ``x`` of the nets shaped like ``net`` whose
-    flat parameters are the rows of ``thetas`` (..., n_params).
+def _forward_rays(net: Mlp, x, dirs: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Outputs (k, R) at the one input ``x`` of the nets at theta0 + t d,
+    theta0 the parameters of ``net``, for each row d of ``dirs``
+    (k, n_params) and each step t in the same row of ``steps`` (k, R).
 
-    One stacked matmul per layer, (K, 1, in) @ (K, in, out): numpy runs it
-    item by item with the kernel ``forward`` runs on one net, so each
-    output is ``forward``'s bit for bit, without building the nets.
+    All k R points go through one pass per layer.  At theta0 + t d a layer
+    maps its input rows A to A (W + t D)^T + b + t e, with (D, e) the
+    layer's views of d; it is computed as A W^T + b + t (A D^T + e), so no
+    parameter vector is formed.  The first layer's input is the one row x.
     """
-    if thetas.shape[-1] != net.n_params:
-        raise DimensionError(f"expected {net.n_params} parameters, got {thetas.shape}")
-    A = np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :]
+    A = np.asarray(x, dtype=np.float64)[None, None, :]
+    t = steps[..., None]
     last = len(net.layers) - 1
-    for i, (W, b) in enumerate(_layer_views(net.layers, thetas)):
-        A = A @ np.swapaxes(W, -1, -2) + b[..., None, :]
+    for i, ((W, b), (D, e)) in enumerate(zip(net.layers, _layer_views(net.layers, dirs))):
+        base = A @ W.T
+        base += b
+        Z = A @ np.swapaxes(D, -1, -2)
+        Z += e[:, None, :]
+        Z = t * Z
+        Z += base
         if i != last:
-            np.maximum(A, 0.0, out=A)
-    return A[..., 0, 0]
-
-
-def _forward_trace(net: Mlp, X: np.ndarray):
-    """Forward pass keeping activations and ReLU masks; returns
-    (activations, masks, out).  The mask convention is preact >= 0.
-
-    The traced passes multiply with ``np.dot``: on 2-D float64 operands it
-    makes matmul's BLAS call, bit for bit, without the ufunc set-up, which
-    is ~2 us of a ~5 us product on the small nets that GD steps."""
-    A = np.asarray(X, dtype=np.float64)
-    acts = [A]
-    masks = []
-    last = len(net.layers) - 1
-    for i, (W, b) in enumerate(net.layers):
-        Z = np.dot(A, W.T)
-        Z += b
-        if i != last:
-            masks.append(Z >= 0.0)
             np.maximum(Z, 0.0, out=Z)
         A = Z
-        acts.append(A)
-    return acts, masks, acts[-1][:, 0]
+    return A[..., 0]
 
 
-def _backward(net: Mlp, acts, masks, dout: np.ndarray) -> np.ndarray:
-    """Backprop ``dout`` (m,) through the traced forward pass.
+class _Backprop:
+    """One forward and one backward pass over the rows of nets shaped like
+    ``net``.  The first call allocates the activation and ReLU-mask arrays
+    for its rows, and each later call, on as many rows, writes into them;
+    every call overwrites them, the returned gradient included.  A layer's
+    delta overwrites its input's activations once its weight gradient has
+    read them, so the backward pass allocates nothing.
 
-    Returns the flat parameter gradient summed over the batch.  ReLU
-    subgradient is 1 at exactly zero pre-activation (masks carry
-    preact >= 0).
+    The passes multiply with ``np.dot``: on 2-D float64 operands it makes
+    matmul's BLAS call, bit for bit, without the ufunc set-up, which is
+    ~2 us of a ~5 us product on the small nets that GD steps, and it
+    writes into an array through ``out=`` (``out=None`` allocates one).
     """
-    grad = np.empty(net.n_params)
-    grads = _layer_views(net.layers, grad)
-    G = dout[:, None]
-    for i in range(len(net.layers) - 1, -1, -1):
-        gW, gb = grads[i]
-        np.dot(G.T, acts[i], out=gW)
-        np.add.reduce(G, axis=0, out=gb)
-        if i > 0:
-            G = np.dot(G, net.layers[i][0])
-            G *= masks[i - 1]
-    return grad
+
+    def __init__(self, net: Mlp):
+        self.acts = [None] * (net.depth + 1)
+        self.masks = [None] * (net.depth - 1)
+        self.grad = np.empty(net.n_params)
+        self.grads = _layer_views(net.layers, self.grad)
+
+    def grad_rows(self, net: Mlp, X: np.ndarray, loss_and_dout):
+        """(loss, grad) over the float64 rows X (m, in_dim); ``loss_and_dout``
+        as in ``hinge_grad_rows``.  The mask convention is preact >= 0, so
+        the ReLU subgradient is 1 at exactly zero pre-activation; ``grad``
+        is this object's array."""
+        acts, masks = self.acts, self.masks
+        acts[0] = X
+        last = len(net.layers) - 1
+        for i, (W, b) in enumerate(net.layers):
+            acts[i + 1] = Z = np.dot(acts[i], W.T, out=acts[i + 1])
+            Z += b
+            if i != last:
+                masks[i] = np.greater_equal(Z, 0.0, out=masks[i])
+                np.maximum(Z, 0.0, out=Z)
+        loss, dout = loss_and_dout(acts[-1][:, 0])
+        G = dout[:, None]
+        for i in range(last, -1, -1):
+            gW, gb = self.grads[i]
+            np.dot(G.T, acts[i], out=gW)
+            np.add.reduce(G, axis=0, out=gb)
+            if i > 0:
+                G = np.dot(G, net.layers[i][0], out=acts[i])
+                G *= masks[i - 1]
+        return loss, self.grad
 
 
 def hinge(y, yhat):
@@ -216,8 +236,7 @@ def l2_norm(v: np.ndarray) -> float:
 def output_grad_params(net: Mlp, x) -> np.ndarray:
     """Gradient of the network output itself w.r.t. the flat parameters."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    acts, masks, _ = _forward_trace(net, x[None, :])
-    return _backward(net, acts, masks, np.array([1.0]))
+    return _Backprop(net).grad_rows(net, x[None, :], lambda out: (None, np.ones(1)))[1]
 
 
 def population_hinge_loss(net: Mlp, target, dist) -> float:
@@ -240,9 +259,31 @@ def hinge_grad_rows(net: Mlp, X: np.ndarray, loss_and_dout):
     signed row weights ``dout`` (m,) that are backpropagated: the gradient
     is the sum over the rows of dout times the output's parameter gradient.
     """
-    acts, masks, out = _forward_trace(net, X)
-    loss, dout = loss_and_dout(out)
-    return loss, _backward(net, acts, masks, dout)
+    X = np.asarray(X, dtype=np.float64)
+    return _Backprop(net).grad_rows(net, X, loss_and_dout)
+
+
+def _population_hinge_grad_fn(net: Mlp, target, dist):
+    """(net -> (loss, grad)): ``population_hinge_grad`` over ``dist`` for
+    nets shaped like ``net``, bit for bit.
+
+    The points, the labels and the hinge weights -y/m are computed once,
+    and every call's passes run through buffers allocated once, so the
+    returned gradient is a buffer that the next call overwrites.
+    """
+    X = dist.points_float()
+    y = np.asarray(target(X), dtype=np.float64)
+    m = dist.n_points
+    hinge_weight = -y * dist.weight  # a point's dout while its margin is <= 1
+    margins, h = np.empty(m), np.empty(m)
+
+    def per_point(out):
+        np.multiply(y, out, out=margins)
+        np.maximum(0.0, np.subtract(1.0, margins, out=h), out=h)
+        return float(np.add.reduce(h) / m), np.where(margins <= 1.0, hinge_weight, 0.0)
+
+    passes = _Backprop(net)
+    return lambda net: passes.grad_rows(net, X, per_point)
 
 
 def population_hinge_grad(net: Mlp, target, dist):
@@ -252,15 +293,7 @@ def population_hinge_grad(net: Mlp, target, dist):
     subgradient.  Conventions at kinks: ReLU derivative 1 at zero
     pre-activation, hinge derivative -y at margin exactly 1.
     """
-    X = dist.points_float()
-    y = np.asarray(target(X), dtype=np.float64)
-
-    def per_point(out):
-        margins = y * out
-        loss = float(np.add.reduce(np.maximum(0.0, 1.0 - margins)) / dist.n_points)
-        return loss, np.where(margins <= 1.0, -y, 0.0) * dist.weight
-
-    return hinge_grad_rows(net, X, per_point)
+    return _population_hinge_grad_fn(net, target, dist)(net)
 
 
 def xavier_init(depth: int, width: int, in_dim: int, seed: int, bias_std: float = 0.0) -> Mlp:

@@ -112,35 +112,39 @@ def test_config_validation():
 
 def rows_fed(monkeypatch):
     """Record the row count of every gradient gd_train takes: the grid's
-    points on the dense path, the cells' moment rows on the wave."""
+    points on the dense path, the cells' moment rows on the wave.  Both
+    paths run their passes through ``mlp._Backprop.grad_rows``."""
     rows = []
-    grad_rows = mlp.hinge_grad_rows
+    grad_rows = mlp._Backprop.grad_rows
 
-    def recording(net, X, loss_and_dout):
+    def recording(self, net, X, loss_and_dout):
         rows.append(X.shape[0])
-        return grad_rows(net, X, loss_and_dout)
+        return grad_rows(self, net, X, loss_and_dout)
 
-    monkeypatch.setattr(mlp, "hinge_grad_rows", recording)
-    monkeypatch.setattr(gd, "hinge_grad_rows", recording)
+    monkeypatch.setattr(mlp._Backprop, "grad_rows", recording)
     return rows
 
 
-@pytest.mark.parametrize("target, grid", [
-    (lambda X: telgarsky_target(4)(X), 4 * CELL_MIN_GRID),  # not the wave itself
-    (telgarsky_target(2), 64),                               # below CELL_MIN_GRID
-    (telgarsky_target(11), CELL_MIN_GRID),                   # fewer points than bands
-])
-def test_dense_fallback_is_bit_identical(monkeypatch, target, grid):
+@pytest.mark.parametrize("target, grid, depth, width, iters", [
+    (lambda X: telgarsky_target(4)(X), 4 * CELL_MIN_GRID, 6, 16, 8),  # not the wave itself
+    (telgarsky_target(2), 64, 6, 16, 8),                              # below CELL_MIN_GRID
+    (telgarsky_target(11), CELL_MIN_GRID, 6, 16, 8),                  # fewer points than bands
+    # gd-sanity's shape, long enough for its chaos to turn any one changed
+    # rounding into a different trajectory
+    (telgarsky_target(2), 64, 12, 32, 400),
+], ids=["<lambda>-4096", "target1-64", "target2-1024", "gd-sanity-shape-400"])
+def test_dense_fallback_is_bit_identical(monkeypatch, target, grid, depth, width, iters):
     rows = rows_fed(monkeypatch)
     dist = uniform_cube(grid=grid)
-    net = xavier_init(6, 16, 1, seed=3)
-    cfg = GdConfig(eta=0.1, iters=8)
+    net = xavier_init(depth, width, 1, seed=3)
+    cfg = GdConfig(eta=0.1, iters=iters)
     traj = gd_train(net, target, dist, cfg)
     assert rows == [grid] * (cfg.iters + 1)
     dense = lambda m: population_hinge_grad(m, target, dist)
-    loss, gnorm, _, _ = rebuild_per_step(net, dense, cfg)
-    assert np.array_equal(traj.loss, loss)
-    assert np.array_equal(traj.grad_norm, gnorm)
+    loss, gnorm, pdist, _ = rebuild_per_step(net, dense, cfg)
+    assert traj.loss.tobytes() == loss.tobytes()
+    assert traj.grad_norm.tobytes() == gnorm.tobytes()
+    assert traj.param_dist.tobytes() == pdist.tobytes()
 
 
 @pytest.mark.parametrize("grid", [64, 49, 1000])

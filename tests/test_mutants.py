@@ -13,11 +13,11 @@ from depthlab.experiments import ExperimentConfig, run
 
 
 def test_zero_stacked_outputs_fail_the_audit(tmp_path, monkeypatch):
-    """Outputs stuck at zero make every parameter-side ratio 0, which the
-    1.1 ||x|| bound alone accepts; the smallest rung's ratio against the
-    gradient's slope at theta0 turns the default xavier-audit run false."""
-    monkeypatch.setattr(audit, "forward_stacked",
-                        lambda net, thetas, x: np.zeros(thetas.shape[:-1]))
+    """Ladder outputs stuck at zero make every parameter-side ratio 0, which
+    the 1.1 ||x|| bound alone accepts; the smallest rung's ratio against
+    the gradient's slope at theta0 turns the default xavier-audit run false."""
+    monkeypatch.setattr(audit, "_forward_rays",
+                        lambda net, x, dirs, steps: np.zeros(steps.shape))
     report = run(ExperimentConfig("xavier-audit"), outdir=tmp_path)
     assert not report.error
     assert report.metrics["lhat_theta"] == 0.0 and report.metrics["pass_fraction"] == 1.0

@@ -59,10 +59,18 @@ TRACED_RUNS = [
 
 def test_traced_runs_record_their_spans(worker, tmp_path):
     # a span whose attrs no longer bind the call's arguments fails the run,
-    # and a moved call site leaves its span unrecorded
+    # and a moved call site leaves its span unrecorded.  gd_train's dense
+    # steps keep their own gradient passes, so population_hinge_grad's one
+    # caller is gd-wave's probe, on the GD run its checked round captured.
+    wave = worker.workloads.GdWave(0, True, tmp_path / "gd-wave")
+    captured = {"gd_train": []}
+    with worker.tracing.patched([(worker.gd, "gd_train",
+                                  worker.tracing.recorder(captured["gd_train"]))]):
+        wave.check(wave.round(), captured, worker.workloads.Checks())
     tracer = worker.tracing.Tracer()
     with worker.tracing.patched(worker.layer_spans(tracer)):
         reports = [run(ExperimentConfig(e, p), tmp_path) for e, p in TRACED_RUNS]
+        wave.probe()
     assert [r.error for r in reports] == [""] * len(TRACED_RUNS)
     recorded = {s.name for s in tracer.spans}
     assert {"kernel.solve", "mlp.population_hinge_grad", "gd.gd_train",
