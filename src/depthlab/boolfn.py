@@ -7,7 +7,9 @@ and always aligned to this order, so on the full enumeration a function
 is its table row: a single function is one int8 row of length 2^n, and a
 family of d functions is one (d, 2^n) int8 matrix whose row j is member
 j's table.  ``BooleanFn`` is the validated record of one row with its
-arity.
+arity.  A family is its own support: its m = 2^n table columns are the
+points of the enumeration, each of weight 1/m, so nothing on the Boolean
+side takes a distribution.
 
 The 2^n parities are the one family that is never stored: ``ParityFamily``
 holds only n.  Every family is read in exactly two ways: rows by index
@@ -25,7 +27,6 @@ import numpy as np
 __all__ = [
     "BooleanFn",
     "enumerate_signs",
-    "on_support",
     "parity_fn",
     "ParityFamily",
     "parity_family",
@@ -52,19 +53,6 @@ def enumerate_signs(n: int) -> np.ndarray:
     """All of {+-1}^n in canonical order, shape (2^n, n), int8."""
     _check_bits(n)
     return np.stack([_coordinate(n, t) for t in range(n)], axis=1)
-
-
-def on_support(tables, dist):
-    """The (d, 2^n) table matrix, or a ``ParityFamily`` unchanged, refused
-    unless ``dist`` is its full canonical enumeration (the only support its
-    columns line up with)."""
-    if not isinstance(tables, ParityFamily):
-        tables = np.asarray(tables)
-    if len(tables.shape) != 2 or not dist.is_full_enumeration \
-            or tables.shape[1] != dist.n_points:
-        raise ValueError(f"a family of {tables.shape} tables needs the full enumeration "
-                         f"of its 2^n points, not a {dist.kind} support of {dist.n_points}")
-    return tables
 
 
 @dataclass(frozen=True)
@@ -206,15 +194,13 @@ def or_parity_fn(z_prime, n: int) -> np.ndarray:
     return table
 
 
-def inner_product(f, g, dist) -> float:
-    """Signed expectation E[f(x) g(x)] of two table rows under the full
-    enumeration of {+-1}^n.
+def inner_product(f, g) -> float:
+    """Signed expectation E[f(x) g(x)] of two table rows under the uniform
+    distribution on {+-1}^n, the points their columns enumerate.
 
     Exact: the sum of +-1 products is an integer and the uniform weight is
-    dyadic.  Rows of different lengths, and any other support, are
-    refused, since the tables line up with no other.
+    dyadic.  Rows of different lengths are refused.
     """
     if len(f) != len(g):
         raise ValueError(f"table length mismatch: {len(f)} vs {len(g)}")
-    f_vals, g_vals = on_support([f, g], dist)
-    return float(np.add.reduce(f_vals.astype(np.float64) * g_vals) / dist.n_points)
+    return float(np.add.reduce(np.asarray(f, dtype=np.float64) * g) / len(f))

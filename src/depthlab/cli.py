@@ -71,6 +71,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"{args.dir} is not a directory")
             files = sorted(p for p in cfg_dir.iterdir()
                            if p.suffix in {".cfg", ".txt", ".conf"})
+            if not files:  # a sweep of nothing would pass vacuously
+                raise ConfigError(f"{args.dir} holds no .cfg, .txt or .conf file")
             configs = [parse_config_file(p) for p in files]
             reports = sweep(configs, outdir=args.outdir, workers=args.workers)
             for c, r in zip(configs, reports):

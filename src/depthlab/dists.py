@@ -4,7 +4,10 @@ Three variants: uniform on [0,1] (a midpoint quadrature grid), exhaustive
 enumeration of {+-1}^n, and the induced pair distribution on
 {+-1}^n x {z-set}.  Every support is uniform: each of its m points has
 weight 1/m, so every expectation in the lab is the mean of the m values.
-A distribution stores its points and nothing else.
+A distribution stores its points and nothing else.  The Boolean side
+(``boolfn``, ``sq``) takes none: a table's columns are its own support.
+Only kernel-hardness builds the sign enumeration, and only for
+``FeatureMap.__call__``, which checks the feature table's read against it.
 """
 
 from __future__ import annotations
@@ -47,10 +50,6 @@ class InputDistribution:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
     def points_float(self) -> np.ndarray:
         """The points as float64: the points themselves on a float grid, else a copy."""

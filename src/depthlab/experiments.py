@@ -377,7 +377,6 @@ def _learners(p):
 def _certify_sq_games(p, learner_seeds):
     """One budgeted adversarial game per seed of each (learner, seeds) entry."""
     n = p["n"]
-    dist = dists.uniform_signs(n)
     family = boolfn.parity_family(n)
     d = len(family)
     floor_loss = 1.0 - 2.0 / math.sqrt(d)
@@ -387,7 +386,7 @@ def _certify_sq_games(p, learner_seeds):
     for name, seeds in learner_seeds:
         for s, seed in enumerate(seeds):
             learner = _LEARNER_FACTORIES[name](family, seed)
-            res = sq.adversarial_game(family, learner, p["budget"], p["tau"], dist)
+            res = sq.adversarial_game(family, learner, p["budget"], p["tau"])
             worst_count = max(res.inconsistent_counts, default=0)
             ok = ok and res.loss >= floor_loss and worst_count <= count_cap
             series.append({
@@ -417,21 +416,20 @@ def _certify_weak_learn(p, draws):
     whose answer for the returned member (the learner's pick) must lie within tau
     of that member's direct row dot with the target, which no family product sets."""
     n = p["n"]
-    dist = dists.uniform_signs(n)
     family = boolfn.parity_family(n)
     ok = True
     gap = 0.0
     series = []
     for t, (j, oracle_seed) in enumerate(draws):
         target = boolfn.BooleanFn(n, family[j])
-        oracle = sq.HonestNoisyOracle(target, dist, tau=p["tau"], seed=oracle_seed)
+        oracle = sq.HonestNoisyOracle(target, tau=p["tau"], seed=oracle_seed)
         got = sq.correlation_weak_learner(oracle, family)
-        y, h = boolfn.on_support([target.table, got.table], dist).astype(np.float64)
-        loss = float(np.add.reduce(np.maximum(0.0, 1.0 - y * h)) / dist.n_points)
+        y, h = target.table.astype(np.float64), got.table
+        loss = float(np.add.reduce(np.maximum(0.0, 1.0 - y * h)) / len(y))
         recovered = bool(np.array_equal(got.table, target.table))
         ok = ok and recovered and loss == 0.0
         answer = oracle.log[int(np.argmax(np.abs(oracle.log)))]
-        gap = max(gap, abs(answer - boolfn.inner_product(got.table, target.table, dist)))
+        gap = max(gap, abs(answer - boolfn.inner_product(got.table, target.table)))
         series.append({"trial": t, "target_index": j, "recovered": recovered, "loss": loss})
     metrics = {
         "n": n, "tau": p["tau"], "targets": len(draws),
@@ -524,14 +522,13 @@ def _certify_f_family(p, z_prime, pairs, Z, net2):
     # closed-form correlations vs enumeration
     closed_ok = True
     for m, pick in pairs:
-        pair_dist = dists.uniform_signs(2 * m)
         zs = boolfn.enumerate_signs(m)
         half = len(pick) // 2
         G = sq.f_family_gram(zs[pick])
         for a, i in enumerate(pick[:half]):
             for b, j in enumerate(pick[half:], half):
                 ip = abs(boolfn.inner_product(boolfn.or_parity_fn(zs[i], m),
-                                              boolfn.or_parity_fn(zs[j], m), pair_dist))
+                                              boolfn.or_parity_fn(zs[j], m)))
                 closed_ok = closed_ok and ip == G[a, b]
     # selector set with pairwise Hamming >= n/4, certified via the closed form
     hamming = sq.min_hamming(Z)
@@ -543,12 +540,10 @@ def _certify_f_family(p, z_prime, pairs, Z, net2):
     g = mlp.forward_many(net2, Up)
     ghat = mlp.forward_many(red.rounded_net, Up)
     rounding_err = float(np.max(np.abs(g - ghat)))
-    Xs = boolfn.enumerate_signs(n_red).astype(np.float64)
     Psi = red.feature_map.table
     ident_err = 0.0
     n_x = 2**n_red
-    for zi in range(n_x):
-        u = red.selector(Xs[zi])
+    for zi, u in enumerate(red.coefficients):
         rows = np.arange(n_x) * n_x + zi
         ident_err = max(ident_err, float(np.max(np.abs(Psi @ u - ghat[rows]))))
     identity_tol, hamming_min = 1e-9, p["n_zset"] / 4.0

@@ -6,10 +6,12 @@ the full enumeration of {+-1}^n, a (2^n, N) float64 matrix validated once
 and read only against that enumeration.  Minimization is projected
 averaged subgradient descent on the exact finite-sum objective over the
 full enumeration, one column per target of a family (a (d, 2^n) table
-matrix or the parity operator); it returns the averaged iterates with
-their losses, which upper-bound the minima, and the correlations
-c_j = E[y_j Psi] = 2^-n Phi^T y_j of the features with every target, from
-one family product (a fast Walsh-Hadamard transform for the parities).
+matrix or the parity operator, whose columns are the same 2^n points: a
+family of another width fails the family product); it returns the
+averaged iterates with their losses, which upper-bound the minima, and
+the correlations c_j = E[y_j Psi] = 2^-n Phi^T y_j of the features with
+every target, from one family product (a fast Walsh-Hadamard transform
+for the parities).
 The first subgradient is -c_j, which the solver checks once against its
 labels; a target with c_j exactly zero is a fixed point of the descent
 (w_j stays 0), and only the other targets are iterated.  The same c_j
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import enumerate_signs, family_product, on_support
+from .boolfn import enumerate_signs, family_product
 from .mlp import Mlp
 
 __all__ = [
@@ -74,7 +76,8 @@ class FeatureMap:
 def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000):
     """Minimize the exact population hinge loss over the B-ball for every
     member of a family (a (d, 2^n) table matrix or a ``ParityFamily``) at
-    once, sharing the feature table Phi = psi(dist).
+    once, sharing the feature table Phi = psi(dist).  ``dist`` reaches only
+    the feature table; the family's columns are the same m points.
 
     Projected averaged subgradient descent, all targets as columns: step
     eta_t = B/(sqrt(N) sqrt(t)), projection onto the B-ball per column,
@@ -100,7 +103,6 @@ def min_hinge_family(psi: FeatureMap, B: float, family, dist, iters: int = 2000)
         raise ValueError("B must be >= 0")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    family = on_support(family, dist)
     m, d = dist.n_points, len(family)
     N = psi.n_features
     w = dist.weight
@@ -250,7 +252,7 @@ def verify_linear_hardness(psi: FeatureMap, B: float, family, dist,
 @dataclass
 class Depth2KernelReduction:
     feature_map: FeatureMap     # Psi on the x enumeration {+-1}^n
-    selector: callable          # z -> coefficient vector of length feature_map.n_features
+    coefficients: np.ndarray    # (2^n, N): row i is u(z) at point i of the z enumeration
     rounded_net: Mlp
     rounding_bound: float       # pointwise |g - g_hat| <= R sqrt(k) Delta n
     coefficient_bound: float    # ||u(z)|| <= 3 R sqrt(n) ||u||
@@ -273,8 +275,9 @@ def depth2_to_kernel(net: Mlp, delta: float, R: float, n: int) -> Depth2KernelRe
     v down coordinatewise to Delta Z, a member of a finite feature family
     Psi_{i,j}(x) = relu(<w_i, x> + j + b_i) / (3 R sqrt(n)) indexed by the
     achievable grid values j; the rounded net evaluates exactly as
-    <u(z), Psi(x)> where u(z) places 3 R sqrt(n) u_i at (i, j_i(z)).
-    The grid covers every achievable j, extending past R sqrt(n) when
+    <u(z), Psi(x)> where u(z) places 3 R sqrt(n) u_i at (i, j_i(z)); the
+    coefficient table holds u(z) for every z of the enumeration, one row
+    each.  The grid covers every achievable j, extending past R sqrt(n) when
     floor-rounding grows a coordinate.
     """
     if not 0 < delta < 1:
@@ -303,21 +306,17 @@ def depth2_to_kernel(net: Mlp, delta: float, R: float, n: int) -> Depth2KernelRe
     n_j = grid.shape[0]
     N = k * n_j
 
-    A = enumerate_signs(n).astype(np.float64) @ w.T + b1  # (2^n, k)
-    feats = np.maximum(0.0, A[:, :, None] + delta * grid[None, None, :])
-
-    def selector(z):
-        z = np.asarray(z, dtype=np.float64).reshape(n)
-        j_int = np.rint(v_int @ z).astype(np.int64)
-        coeff = np.zeros(N)
-        for i in range(k):
-            coeff[i * n_j + (int(j_int[i]) + M)] = scale * u[i]
-        return coeff
+    X = enumerate_signs(n).astype(np.float64)
+    feats = np.maximum(0.0, (X @ w.T + b1)[:, :, None] + delta * grid[None, None, :])
+    # unit i's column at z is i n_j + M + j_i(z), with j_i(z) = <v_int_i, z>
+    cols = np.arange(k) * n_j + M + np.rint(X @ v_int.T).astype(np.int64)
+    coefficients = np.zeros((2**n, N))
+    np.put_along_axis(coefficients, cols, scale * u, axis=1)
 
     rounded = Mlp([(np.concatenate([w, v_hat], axis=1), b1), (W2, b2)])
     return Depth2KernelReduction(
         feature_map=FeatureMap((feats / scale).reshape(2**n, N)),
-        selector=selector,
+        coefficients=coefficients,
         rounded_net=rounded,
         rounding_bound=R * np.sqrt(k) * delta * n,
         coefficient_bound=scale * float(np.linalg.norm(u)),

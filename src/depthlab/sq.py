@@ -1,9 +1,10 @@
 """Statistical-query simulator: oracles, dimension certificates, games.
 
 A family of d functions on {+-1}^n has one int8 table row per member in
-the canonical enumeration, so it lines up with the support of
-``uniform_signs(n)`` and with no other distribution.  The parity family
-is an operator (``boolfn.ParityFamily``) that is never stored: its rows
+the canonical enumeration, and it is its own support: the m = 2^n table
+columns are the points, each of weight 1/m, so no function here takes a
+distribution and an oracle holds only m.  The parity family is an
+operator (``boolfn.ParityFamily``) that is never stored: its rows
 come by index and every product with it is a fast Walsh-Hadamard
 transform.  Any other family is an explicit (d, 2^n) table matrix.  Both
 go through one product entry, ``boolfn.family_product``.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFn, ParityFamily, family_product, on_support
+from .boolfn import BooleanFn, ParityFamily, family_product
 
 __all__ = [
     "QueryBudgetError",
@@ -59,12 +60,12 @@ class QueryBudgetError(RuntimeError):
 
 
 class SqOracle:
-    """Base oracle: enumerated support, tolerance, budget, answer log."""
+    """Base oracle: support size m, tolerance, budget, answer log."""
 
-    def __init__(self, dist, tau: float, budget: int | None = None):
+    def __init__(self, m: int, tau: float, budget: int | None = None):
         if not 0 < tau < 1:
             raise ValueError("tau must lie in (0,1)")
-        self.dist = dist
+        self.m = m
         self.tau = tau
         self.budget = budget
         self.log: list[float] = []  # answers in query order
@@ -87,9 +88,9 @@ class SqOracle:
         if not parities:
             odd = np.atleast_2d(odd)
             even = None if even is None else np.atleast_2d(even)
-        if odd.shape[1] != self.dist.n_points or even is not None and even.shape != odd.shape:
+        if odd.shape[1] != self.m or even is not None and even.shape != odd.shape:
             raise ValueError(f"odd and even rows must be alike and cover the "
-                             f"{self.dist.n_points} support points")
+                             f"{self.m} support points")
         if self.budget is not None and len(self.log) + len(odd) > self.budget:
             raise QueryBudgetError(f"budget of {self.budget} queries exhausted")
         if not parities:
@@ -109,19 +110,18 @@ class SqOracle:
 
 class HonestNoisyOracle(SqOracle):
     """True expectation of q(x, f(x)) plus uniform noise in [-tau, tau]; the
-    labels are the target's table row, so the support is its full enumeration."""
+    labels are the target's table row, whose 2^arity points are the support."""
 
-    def __init__(self, target: BooleanFn, dist, tau: float, seed: int,
+    def __init__(self, target: BooleanFn, tau: float, seed: int,
                  budget: int | None = None):
-        super().__init__(dist, tau, budget)
+        super().__init__(len(target.table), tau, budget)
         self.target = target
-        self._labels = on_support([target.table], dist)[0]
         self._rng = np.random.default_rng(seed)
 
     def _answers(self, even, odd) -> np.ndarray:
-        truth = family_product(odd, self.dist.weight * self._labels)
+        truth = family_product(odd, (1.0 / self.m) * self.target.table)
         if even is not None:
-            truth += np.add.reduce(even, axis=1) / self.dist.n_points
+            truth += np.add.reduce(even, axis=1) / self.m
         # a size-k uniform draw consumes the stream as k scalar draws do
         return truth + self._rng.uniform(-self.tau, self.tau, size=len(odd))
 
@@ -137,19 +137,19 @@ class AdversarialOracle(SqOracle):
     ``adversarial_game`` takes once the learner is done.
     """
 
-    def __init__(self, family, dist, tau: float, budget: int | None = None):
-        super().__init__(dist, tau, budget)
-        self.values = on_support(family, dist)
+    def __init__(self, family, tau: float, budget: int | None = None):
+        super().__init__(family.shape[1], tau, budget)
+        self.values = family
         self.consistency_radius = len(self.values) ** (-1.0 / 3.0)
         if tau < self.consistency_radius - 1e-12:
             raise ValueError("adversarial policy needs tau >= d^(-1/3)")
         self.weighted_gbars: list[np.ndarray] = []  # w * gbar, in query order
 
     def _answers(self, even, odd) -> np.ndarray:
-        w = self.dist.weight
+        w = 1.0 / self.m
         self.weighted_gbars.extend(w * g for g in np.asarray(odd, dtype=np.float64))
         return np.zeros(len(odd)) if even is None else \
-            np.add.reduce(even, axis=1) / self.dist.n_points
+            np.add.reduce(even, axis=1) / self.m
 
 
 @dataclass(frozen=True)
@@ -171,19 +171,18 @@ def certify_from_gram(abs_gram: np.ndarray) -> SqDimCertificate:
     return SqDimCertificate(d, float(off.max()) if d > 1 else 0.0)
 
 
-def certify_sqdim(family, dist) -> SqDimCertificate:
+def certify_sqdim(family) -> SqDimCertificate:
     """All pairwise |<f_i, f_j>| by enumeration; pass iff all < 1/d.
 
     Every entry is computed (C6 and C8 at n <= 12), as the family product
     with blocks of the family's own rows: an integer sum of +-1 products
     times the uniform weight 2^-n, so the gram is exact on either path.
     """
-    values = on_support(family, dist)
-    d = len(values)
-    w = dist.weight
+    d, m = family.shape
+    w = 1.0 / m
     mx = 0.0
     for k in range(0, d, _GRAM_BLOCK):
-        block = family_product(values, values[k : k + _GRAM_BLOCK].astype(np.float64).T) * w
+        block = family_product(family, family[k : k + _GRAM_BLOCK].astype(np.float64).T) * w
         for r in range(block.shape[1]):
             block[k + r, r] = 0.0
         mx = max(mx, float(np.max(np.abs(block))))
@@ -244,7 +243,6 @@ def _best_correlated(oracle: SqOracle, members) -> np.ndarray:
     other, so calls to ``correlation_weak_learner`` stay the weak-learning
     runs alone (perfbench times and checks exactly those).
     """
-    members = on_support(members, oracle.dist)
     answers = oracle.query(members)
     return members[int(np.argmax(np.abs(answers)))]
 
@@ -253,9 +251,10 @@ def correlation_weak_learner(oracle: SqOracle, family) -> BooleanFn:
     """One correlation query per family member, returning the best |answer|.
 
     Ties break to the lowest index.  The returned member's hinge loss
-    against the realized target is at most 1 - (|answer| - tau).
+    against the realized target is at most 1 - (|answer| - tau).  Its
+    arity is log2 of the support size m; ``BooleanFn`` checks m = 2^arity.
     """
-    return BooleanFn(oracle.dist.dim, _best_correlated(oracle, family))
+    return BooleanFn(oracle.m.bit_length() - 1, _best_correlated(oracle, family))
 
 
 @dataclass
@@ -265,14 +264,14 @@ class GameResult:
     inconsistent_counts: list[int]
 
 
-def _hypothesis_values(h, dist) -> np.ndarray:
+def _hypothesis_values(h, m: int) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
-    if h.shape != (dist.n_points,):
+    if h.shape != (m,):
         raise ValueError("hypothesis array must cover the support")
     return h
 
 
-def adversarial_game(family, learner, budget: int, tau: float, dist) -> GameResult:
+def adversarial_game(family, learner, budget: int, tau: float) -> GameResult:
     """Play the query-answering adversary against ``learner``.
 
     The learner gets an oracle limited to ``budget`` queries and must
@@ -288,12 +287,12 @@ def adversarial_game(family, learner, budget: int, tau: float, dist) -> GameResu
     AssertionError; above that budget, where the bound claims nothing, it
     is a ValueError.
     """
-    d = len(family)
-    oracle = AdversarialOracle(family, dist, tau, budget)
+    d, m = family.shape
+    oracle = AdversarialOracle(family, tau, budget)
     h = learner(oracle)
-    h_vals = _hypothesis_values(h, dist)
+    h_vals = _hypothesis_values(h, m)
     h_clip = np.clip(h_vals, -1.0, 1.0)
-    columns = oracle.weighted_gbars + [dist.weight * h_clip]
+    columns = oracle.weighted_gbars + [(1.0 / m) * h_clip]
     corr = family_product(oracle.values, np.stack(columns, axis=1))
     ruled_out = np.abs(corr[:, :-1]) > oracle.consistency_radius
     ok = ~ruled_out.any(axis=1) & (corr[:, -1] < 2.0 / np.sqrt(d))
@@ -308,27 +307,26 @@ def adversarial_game(family, learner, budget: int, tau: float, dist) -> GameResu
         )
     j = int(np.argmax(ok))
     labels = oracle.values[j].astype(np.float64)
-    loss = float(np.add.reduce(np.maximum(0.0, 1.0 - labels * h_vals)) / dist.n_points)
+    loss = float(np.add.reduce(np.maximum(0.0, 1.0 - labels * h_vals)) / m)
     return GameResult(j, loss, np.count_nonzero(ruled_out, axis=0).tolist())
 
 
-def correlation_count_check(family, h, tau: float, dist,
+def correlation_count_check(family, h, tau: float,
                             certificate: SqDimCertificate | None = None) -> int:
     """Count members with |<f_j, h>| >= tau and assert the packing bound.
 
     Requires tau^2 > 1/d and a family with pairwise |inner product| below
     1/d (pass a certificate to skip recomputing the gram).
     """
-    values = on_support(family, dist)
-    d = len(values)
+    d, m = family.shape
     if tau**2 <= 1.0 / d:
         raise ValueError("need tau^2 > 1/d")
     if certificate is None:
-        certificate = certify_sqdim(values, dist)
+        certificate = certify_sqdim(family)
     if not certificate.passed or certificate.size != d:
         raise ValueError("family is not a certified almost-orthogonal set")
-    h_vals = np.clip(_hypothesis_values(h, dist), -1.0, 1.0)
-    corr = family_product(values, dist.weight * h_vals)
+    h_vals = np.clip(_hypothesis_values(h, m), -1.0, 1.0)
+    corr = family_product(family, (1.0 / m) * h_vals)
     count = int(np.count_nonzero(np.abs(corr) >= tau))
     bound = 2.0 / (tau**2 - 1.0 / d)
     if count > bound:
@@ -360,7 +358,7 @@ def make_random_query_learner(family, seed: int):
         if oracle.budget is None:
             raise ValueError("the random-query learner needs an oracle with a query budget")
         rng = np.random.default_rng(seed)
-        m = oracle.dist.n_points
+        m = oracle.m
         while oracle.remaining_queries != 0:
             table = rng.integers(0, 2, size=m) * 2.0 - 1.0
             if rng.integers(0, 2):  # q = y * table, else q = table
@@ -377,10 +375,10 @@ def make_majority_learner():
 
     def learner(oracle: SqOracle):
         try:
-            bias = oracle.query(np.ones(oracle.dist.n_points))[0]
+            bias = oracle.query(np.ones(oracle.m))[0]
         except QueryBudgetError:
             bias = 0.0
         value = 1.0 if bias >= 0 else -1.0
-        return np.full(oracle.dist.n_points, value)
+        return np.full(oracle.m, value)
 
     return learner

@@ -7,11 +7,9 @@ from depthlab.boolfn import (
     enumerate_signs,
     family_product,
     inner_product,
-    or_parity_fn,
     parity_family,
     parity_fn,
 )
-from depthlab.dists import induced_pair, uniform_signs
 from depthlab.sq import f_family_gram
 
 
@@ -36,27 +34,18 @@ def test_table_validation():
 
 
 def test_self_inner_product_is_one():
-    dist = uniform_signs(5)
     f = parity_fn([0, 3], 5)
-    assert inner_product(f, f, dist) == 1.0
+    assert inner_product(f, f) == 1.0
 
 
 def test_distinct_parities_orthogonal():
-    dist = uniform_signs(6)
-    assert inner_product(parity_fn([0], 6), parity_fn([0, 1], 6), dist) == 0.0
-    assert inner_product(parity_fn([2], 6), parity_fn([4], 6), dist) == 0.0
+    assert inner_product(parity_fn([0], 6), parity_fn([0, 1], 6)) == 0.0
+    assert inner_product(parity_fn([2], 6), parity_fn([4], 6)) == 0.0
 
 
 def test_arity_mismatch():
     with pytest.raises(ValueError):
-        inner_product(parity_fn([0], 4), parity_fn([0], 5), uniform_signs(4))
-
-
-def test_inner_product_needs_the_full_enumeration():
-    n = 3
-    f = or_parity_fn(np.ones(n, dtype=np.int8), n)
-    with pytest.raises(ValueError):
-        inner_product(f, f, induced_pair(n, enumerate_signs(n)[:2]))
+        inner_product(parity_fn([0], 4), parity_fn([0], 5))
 
 
 def test_parity_family_indexing():

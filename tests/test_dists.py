@@ -70,7 +70,7 @@ def test_induced_pair_structure():
     Z = np.array([[1, 1, -1, -1], [-1, 1, 1, -1]], dtype=np.int8)
     dist = induced_pair(n, Z)
     assert dist.n_points == 2**n * 2
-    assert dist.dim == 2 * n
+    assert dist.points.shape[1] == 2 * n
     assert len({tuple(r) for r in dist.points.tolist()}) == dist.n_points
     # every (x, z^(j)) pair carries weight 1/(2^n d)
     assert dist.weight == 1.0 / (2**n * 2)

@@ -369,6 +369,16 @@ class TestCli:
         assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_sweep_of_no_config_exit_two(self, tmp_path, capsys):
+        # a directory with no config file is an error, not "0/0 passed"
+        d = tmp_path / "cfgs"
+        d.mkdir()
+        (d / "notes.md").write_text("experiment = xavier-audit\n")
+        assert cli_main(["sweep", str(d), "--outdir", str(tmp_path / "runs")]) == 2
+        captured = capsys.readouterr()
+        assert "no .cfg" in captured.err and "passed" not in captured.out
+        assert not (tmp_path / "runs").exists()
+
     def test_sweep_directory(self, tmp_path, capsys):
         d = tmp_path / "cfgs"
         d.mkdir()
@@ -391,6 +401,21 @@ def test_certification_csv_record_format(tmp_path):
     run(cfg, tmp_path)
     header = (tmp_path / cfg.run_name() / "series.csv").read_text().splitlines()[0]
     assert header == "depth,width,pieces,bound,crossings,loss,lower_bound"
+
+
+def test_boolean_experiments_build_no_sign_distribution(tmp_path, monkeypatch):
+    """A family is its own support: the SQ runs and f-family's closed-form
+    check read table columns and never build the sign enumeration's
+    distribution."""
+    def refuse(n):
+        raise AssertionError(f"dists.uniform_signs({n}) was built")
+
+    monkeypatch.setattr(dists, "uniform_signs", refuse)
+    for e, p in [("sq-parity-lower-bound", {"n": 9, "tau": 0.125, "seeds": 1}),
+                 ("sq-weak-learn", {"n": 6, "targets": 2}),
+                 ("f-family", {})]:
+        rep = run(ExperimentConfig(e, p), tmp_path)
+        assert rep.error == "" and rep.passed, (e, rep.error)
 
 
 def test_sq_experiments_never_build_the_parity_matrix(tmp_path):

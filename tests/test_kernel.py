@@ -16,7 +16,7 @@ from depthlab.kernel import (
     min_hinge_family,
     verify_linear_hardness,
 )
-from depthlab.boolfn import enumerate_signs, on_support
+from depthlab.boolfn import enumerate_signs
 from depthlab.mlp import Mlp, forward_many
 from conftest import report_bytes_by_blas_threads
 
@@ -209,6 +209,21 @@ def random_depth2_pair_net(rng, k, n, scale=0.3):
     return Mlp([(W1, b1), (W2, np.zeros(1))])
 
 
+def loop_coefficients(net, delta, R, n):
+    """Reference: u(z) for each z of the enumeration, one hidden unit at a
+    time, as the reduction's selector closure built it."""
+    (W1, _), (W2, _) = net.layers
+    v_int = np.floor(W1[:, n:] / delta).astype(np.int64)
+    M = max(int(np.floor(R * np.sqrt(n) / delta)), int(np.max(np.abs(v_int).sum(axis=1))))
+    n_j = 2 * M + 1
+    out = np.zeros((2**n, len(W1) * n_j))
+    for zi, z in enumerate(enumerate_signs(n).astype(np.float64)):
+        j_int = np.rint(v_int @ z).astype(np.int64)
+        for i in range(len(W1)):
+            out[zi, i * n_j + int(j_int[i]) + M] = 3.0 * R * np.sqrt(n) * W2[0, i]
+    return out
+
+
 class TestDepth2Reduction:
     def test_grid_weights_reproduce_exactly(self, rng):
         n, k, delta = 5, 3, 0.25
@@ -238,15 +253,13 @@ class TestDepth2Reduction:
         g = forward_many(net, U)
         ghat = forward_many(red.rounded_net, U)
         assert np.max(np.abs(g - ghat)) <= red.rounding_bound
-        Xs = enumerate_signs(n).astype(np.float64)
         Psi = red.feature_map(uniform_signs(n))
         n_x = 2**n
-        for zi in range(0, n_x, 7):
-            z = Xs[zi]
-            u = red.selector(z)
-            rows = np.arange(n_x) * n_x + zi
-            assert np.max(np.abs(Psi @ u - ghat[rows])) <= 1e-9
-            assert np.linalg.norm(u) <= red.coefficient_bound + 1e-12
+        assert red.coefficients.tobytes() == loop_coefficients(net, delta, R, n).tobytes()
+        # ghat at (x, z) is entry x 2^n + z; row z of the table is u(z)
+        assert np.max(np.abs(Psi @ red.coefficients.T - ghat.reshape(n_x, n_x))) <= 1e-9
+        assert np.all(np.linalg.norm(red.coefficients, axis=1)
+                      <= red.coefficient_bound + 1e-12)
         assert red.coefficient_bound <= 3 * R**2 * np.sqrt(n) + 1e-12
 
     def test_norm_precondition(self, rng):
@@ -275,7 +288,7 @@ def test_min_hinge_family_matches_single_solves(parity6):
 
 def dense_min_hinge_family(psi, B, family, dist, iters):
     """Reference: the projected subgradient loop over every column, frozen or not."""
-    Y = np.ascontiguousarray(on_support(family, dist)[:].T, dtype=np.float64)
+    Y = np.ascontiguousarray(family[:].T, dtype=np.float64)
     m, d = Y.shape
     N = psi.n_features
     weights = np.full(dist.n_points, 1.0 / dist.n_points)
@@ -321,7 +334,7 @@ def test_fixed_point_skip_matches_dense_loop(parity6, features, targets):
     W, losses, C = min_hinge_family(psi, 2.0, fam, dist, iters=300)
     Wd, losses_d = dense_min_hinge_family(psi, 2.0, fam, dist, iters=300)
     assert W.tobytes() == Wd.tobytes() and losses.tobytes() == losses_d.tobytes()
-    Y = on_support(fam, dist)[:].T.astype(np.float64)
+    Y = fam[:].T.astype(np.float64)
     weights = np.full(dist.n_points, 1.0 / dist.n_points)
     assert np.array_equal(C, psi(dist).T @ (weights[:, None] * Y))
     frozen = ~np.any(C != 0.0, axis=0)

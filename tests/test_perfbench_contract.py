@@ -84,3 +84,19 @@ def test_weak_learning_queries_are_traced(worker, tmp_path):
         report = run(ExperimentConfig("sq-weak-learn", {"n": 4, "targets": 1}), tmp_path)
     assert report.error == ""
     assert "sq.query" in {s.name for s in tracer.spans}
+
+
+def test_boolean_certify_checks_read_the_weak_learner(worker, tmp_path):
+    # boolean-certify's checks read each captured weak-learning call's
+    # args["oracle"].target.table and its result's .table: the checked
+    # round, as the worker runs it, must pass them all
+    wl = worker.workloads.BooleanCertify(0, True, tmp_path / "boolean-certify")
+    wl.outdir.mkdir()
+    captured = {attr: [] for _, attr in wl.capture}
+    with worker.tracing.patched([(o, a, worker.tracing.recorder(captured[a]))
+                                 for o, a in wl.capture]):
+        out = wl.round()
+    checks = worker.workloads.Checks()
+    wl.check(out, captured, checks)
+    assert len(captured["correlation_weak_learner"]) == 2
+    assert checks.attempted > 2 and checks.failures == []

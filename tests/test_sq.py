@@ -39,7 +39,7 @@ class TestOracles:
     def test_honest_answers_within_tolerance(self, parity10):
         family, dist = parity10
         target = BooleanFn(10, family[77])
-        oracle = HonestNoisyOracle(target, dist, tau=0.05, seed=3)
+        oracle = HonestNoisyOracle(target, tau=0.05, seed=3)
         labels = target.table
         weights = np.full(dist.n_points, 1.0 / dist.n_points)
         for j in (0, 77, 400, 1023):
@@ -50,7 +50,7 @@ class TestOracles:
 
     def test_budget_exhaustion(self, parity10):
         family, dist = parity10
-        oracle = HonestNoisyOracle(BooleanFn(10, family[1]), dist, tau=0.1, seed=0, budget=2)
+        oracle = HonestNoisyOracle(BooleanFn(10, family[1]), tau=0.1, seed=0, budget=2)
         q = family[1]
         oracle.query(q)
         oracle.query(q)
@@ -59,13 +59,13 @@ class TestOracles:
 
     def test_out_of_range_query_rejected(self, parity10):
         family, dist = parity10
-        oracle = HonestNoisyOracle(BooleanFn(10, family[0]), dist, tau=0.1, seed=0)
+        oracle = HonestNoisyOracle(BooleanFn(10, family[0]), tau=0.1, seed=0)
         with pytest.raises(ValueError):
             oracle.query(np.full(dist.n_points, 2.0))  # q = 2y
 
     def test_adversarial_answer_is_label_agnostic_mean(self, parity10):
         family, dist = parity10
-        oracle = AdversarialOracle(family[:64], dist, tau=0.5)
+        oracle = AdversarialOracle(family[:64], tau=0.5)
         x1 = dist.points[:, 0]
         # q(x, y) = x_1 ignores the label: C_g must equal E[x_1] = 0
         assert oracle.query(np.zeros(dist.n_points), x1).tolist() == [0.0]
@@ -75,20 +75,20 @@ class TestOracles:
     def test_tau_floor_for_adversary(self, parity10):
         family, dist = parity10
         with pytest.raises(ValueError):
-            AdversarialOracle(family, dist, tau=1e-4)
+            AdversarialOracle(family, tau=1e-4)
 
 
 class TestCorrelationBlocks:
     """A block of k correlation rows against k one-row queries."""
 
     @pytest.mark.parametrize("make", [
-        lambda fam, dist: HonestNoisyOracle(BooleanFn(10, fam[77]), dist, tau=0.05, seed=3),
-        lambda fam, dist: AdversarialOracle(fam, dist, tau=0.5),
+        lambda fam: HonestNoisyOracle(BooleanFn(10, fam[77]), tau=0.05, seed=3),
+        lambda fam: AdversarialOracle(fam, tau=0.5),
     ])
     def test_block_equals_sequential_queries(self, parity10, make):
         family, dist = parity10
         members = family[[0, 77, 5, 1023, 77, 640]]
-        block, seq = make(family, dist), make(family, dist)
+        block, seq = make(family), make(family)
         seq.query(np.ones(dist.n_points))  # q = y first, on both
         block.query(np.ones(dist.n_points))
         answers = block.query(members)
@@ -103,7 +103,7 @@ class TestCorrelationBlocks:
 
     def test_overrunning_block_is_refused_whole(self, parity10):
         family, dist = parity10
-        oracle = HonestNoisyOracle(BooleanFn(10, family[1]), dist, tau=0.1, seed=0, budget=3)
+        oracle = HonestNoisyOracle(BooleanFn(10, family[1]), tau=0.1, seed=0, budget=3)
         oracle.query(family[:2])
         log = list(oracle.log)
         with pytest.raises(QueryBudgetError):
@@ -114,7 +114,7 @@ class TestCorrelationBlocks:
 
     def test_block_range_and_width_checked(self, parity10):
         family, dist = parity10
-        oracle = HonestNoisyOracle(BooleanFn(10, family[1]), dist, tau=0.1, seed=0)
+        oracle = HonestNoisyOracle(BooleanFn(10, family[1]), tau=0.1, seed=0)
         with pytest.raises(ValueError):
             oracle.query(np.full((2, dist.n_points), 1.5))
         with pytest.raises(ValueError):
@@ -130,12 +130,12 @@ class TestParityFamilyQueries:
     def test_answers_match_the_dense_table(self, parity10, monkeypatch):
         family, dist = parity10
         target = BooleanFn(10, family[77])
-        dense = HonestNoisyOracle(target, dist, tau=0.1, seed=3).query(family[:])
+        dense = HonestNoisyOracle(target, tau=0.1, seed=3).query(family[:])
 
         def refuse(*args, **kwargs):
             raise AssertionError("the parity family was materialized")
 
-        fast_oracle = HonestNoisyOracle(target, dist, tau=0.1, seed=3)
+        fast_oracle = HonestNoisyOracle(target, tau=0.1, seed=3)
         with monkeypatch.context() as patch:
             # np.asarray's sequence fallback reads rows through __getitem__ too
             patch.setattr(ParityFamily, "__getitem__", refuse)
@@ -143,11 +143,11 @@ class TestParityFamilyQueries:
         assert fast.tobytes() == dense.tobytes()
         assert len(fast_oracle.log) == len(family)
         assert np.array_equal(correlation_weak_learner(
-            HonestNoisyOracle(target, dist, tau=0.1, seed=4), family).table, family[77])
+            HonestNoisyOracle(target, tau=0.1, seed=4), family).table, family[77])
 
     def test_budget_counts_every_member(self, parity10):
         family, dist = parity10
-        oracle = HonestNoisyOracle(BooleanFn(10, family[1]), dist, tau=0.1, seed=0,
+        oracle = HonestNoisyOracle(BooleanFn(10, family[1]), tau=0.1, seed=0,
                                    budget=len(family) - 1)
         with pytest.raises(QueryBudgetError):
             oracle.query(family)
@@ -155,7 +155,7 @@ class TestParityFamilyQueries:
 
     def test_family_of_another_width_refused(self, parity10):
         family, dist = parity10
-        oracle = HonestNoisyOracle(BooleanFn(10, family[1]), dist, tau=0.1, seed=0)
+        oracle = HonestNoisyOracle(BooleanFn(10, family[1]), tau=0.1, seed=0)
         with pytest.raises(ValueError):
             oracle.query(parity_family(9))
 
@@ -173,11 +173,11 @@ class TestPinnedAnswers:
 
     def test_answer_bits_pinned(self):
         n = 6
-        family, dist = parity_family(n), uniform_signs(n)
-        m = dist.n_points
+        family = parity_family(n)
+        m = family.shape[1]
         r_even, r_odd, r1, r2 = np.random.default_rng(5).integers(0, 2, size=(4, m)) * 2.0 - 1.0
-        honest = HonestNoisyOracle(BooleanFn(n, family[13]), dist, tau=0.25, seed=7)
-        adversary = AdversarialOracle(family, dist, tau=0.5)
+        honest = HonestNoisyOracle(BooleanFn(n, family[13]), tau=0.25, seed=7)
+        adversary = AdversarialOracle(family, tau=0.5)
         for oracle in (honest, adversary):
             oracle.query(np.ones(m))  # q = y
             oracle.query(np.zeros(m), r_even)  # q = r_even(x)
@@ -195,46 +195,52 @@ class TestPinnedAnswers:
 
 
 class TestFamilySupport:
-    """A family's table columns line up only with its full enumeration."""
+    """A family is its own support: its table columns are the points, and
+    rows over any other number of points are refused."""
 
     def test_family_off_its_enumeration_refused(self, parity10):
         family, _ = parity10
-        # 2^8 x 4 = 1024 pair points: the width matches, the order does not
-        pairs = induced_pair(8, enumerate_signs(8)[:4])
-        assert pairs.n_points == family.shape[1]
+        narrow = np.zeros(2**9)  # a hypothesis over 512 points, not the family's 1024
         with pytest.raises(ValueError):
-            certify_sqdim(family, pairs)
+            correlation_count_check(family, narrow, tau=0.5, certificate=certify_sqdim(family))
         with pytest.raises(ValueError):
-            AdversarialOracle(family, pairs, tau=0.5)
+            adversarial_game(family, lambda oracle: narrow, budget=0, tau=0.5)
+        oracle = AdversarialOracle(family, tau=0.5)
         with pytest.raises(ValueError):
-            correlation_count_check(family, np.zeros(pairs.n_points), tau=0.5, dist=pairs)
-        with pytest.raises(ValueError):
-            certify_sqdim(family, uniform_signs(9))
+            oracle.query(narrow)
+        assert oracle.log == []
 
     def test_honest_oracle_off_its_enumeration_refused(self):
-        # a 6-bit target on the 16 (x, z) pairs of induced_pair(3, .): the
-        # table's 64 columns are no labels for those points
-        target = BooleanFn(6, parity_family(6)[5])
-        pairs = induced_pair(3, enumerate_signs(3)[:2])
+        # a 6-bit target's 64 table columns are the support: 16-point rows
+        # and a family of 3-bit parities are no queries on it
+        oracle = HonestNoisyOracle(BooleanFn(6, parity_family(6)[5]), tau=0.5, seed=0)
         with pytest.raises(ValueError):
-            HonestNoisyOracle(target, pairs, tau=0.5, seed=0)
+            oracle.query(np.ones(16))
+        with pytest.raises(ValueError):
+            oracle.query(parity_family(3))
+        assert oracle.log == []
 
     def test_kernel_family_off_its_enumeration_refused(self, parity10):
-        # the family is checked before the features are evaluated on the pairs
         family, _ = parity10
+        # the feature table refuses a support that is not its enumeration
         pairs = induced_pair(8, enumerate_signs(8)[:4])
         psi = FeatureMap(np.ascontiguousarray(family[:4].T, dtype=np.float64))
         with pytest.raises(ValueError):
             min_hinge_family(psi, 1.0, family[:8], pairs, iters=1)
         with pytest.raises(ValueError):
             verify_linear_hardness(psi, 1.0, family[:8], pairs, iters=1)
+        # a family of 2^10 columns against features on 2^9 points fails its product
+        narrow = FeatureMap(np.ascontiguousarray(parity_family(9)[:4].T, dtype=np.float64))
+        for fam in (family, family[:8]):
+            with pytest.raises(ValueError):
+                min_hinge_family(narrow, 1.0, fam, uniform_signs(9), iters=1)
 
 
 class TestCertificates:
     @pytest.mark.parametrize("n", [4, 8, 10])
     def test_all_parities_certify_with_zero_gram(self, n):
         fam = parity_family(n)
-        cert = certify_sqdim(fam, uniform_signs(n))
+        cert = certify_sqdim(fam)
         assert cert.passed
         assert cert.max_abs_inner == 0.0
         assert cert.size == 2**n
@@ -243,14 +249,14 @@ class TestCertificates:
     @pytest.mark.parametrize("n", [12, 14])
     def test_all_parities_certify_large(self, n):
         fam = parity_family(n)
-        cert = certify_sqdim(fam, uniform_signs(n))
+        cert = certify_sqdim(fam)
         assert cert.passed and cert.max_abs_inner == 0.0
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_parity_gram_matches_the_explicit_table(self, n):
         # F[:] is an explicit table, so its gram takes the blocked matmul
-        fam, dist = parity_family(n), uniform_signs(n)
-        assert certify_sqdim(fam, dist) == certify_sqdim(fam[:], dist)
+        fam = parity_family(n)
+        assert certify_sqdim(fam) == certify_sqdim(fam[:])
 
     @staticmethod
     def _dense_off_diagonal_max(T, n):
@@ -261,7 +267,7 @@ class TestCertificates:
     def test_random_table_gram_matches_the_dense_matmul(self):
         n = 9
         T = (np.random.default_rng(909).integers(0, 2, size=(300, 2**n)) * 2 - 1).astype(np.int8)
-        cert = certify_sqdim(T, uniform_signs(n))
+        cert = certify_sqdim(T)
         assert cert.size == 300 and not cert.passed
         assert cert.max_abs_inner == self._dense_off_diagonal_max(T, n)
 
@@ -269,13 +275,13 @@ class TestCertificates:
         n = 8
         T = parity_family(n)[:]
         T[200] = T[17]
-        cert = certify_sqdim(T, uniform_signs(n))
+        cert = certify_sqdim(T)
         assert not cert.passed
         assert cert.max_abs_inner == self._dense_off_diagonal_max(T, n) == 1.0
 
     def test_duplicate_family_fails(self):
         fam = parity_family(4)
-        cert = certify_sqdim(fam[[3, 3]], uniform_signs(4))
+        cert = certify_sqdim(fam[[3, 3]])
         assert not cert.passed
         assert cert.max_abs_inner == 1.0
 
@@ -283,10 +289,9 @@ class TestCertificates:
         n = 4
         zs = enumerate_signs(n)[[1, 6, 11, 14]]
         G = f_family_gram(zs)
-        dist = uniform_signs(2 * n)
         for i in range(4):
             for j in range(4):
-                ip = abs(inner_product(or_parity_fn(zs[i], n), or_parity_fn(zs[j], n), dist))
+                ip = abs(inner_product(or_parity_fn(zs[i], n), or_parity_fn(zs[j], n)))
                 assert G[i, j] == ip
 
     def test_hoeffding_certificate_at_n48(self):
@@ -332,14 +337,14 @@ class TestWeakLearner:
     def test_recovers_planted_parity(self, parity10):
         family, dist = parity10
         target = BooleanFn(10, family[0b1000])  # the single-coordinate parity on bit 3
-        oracle = HonestNoisyOracle(target, dist, tau=1e-3, seed=1)
+        oracle = HonestNoisyOracle(target, tau=1e-3, seed=1)
         got = correlation_weak_learner(oracle, family)
         assert np.array_equal(got.table, target.table)
         assert len(oracle.log) == len(family)
 
     def test_family_of_one(self, parity10):
         family, dist = parity10
-        oracle = HonestNoisyOracle(BooleanFn(10, family[9]), dist, tau=0.5, seed=0)
+        oracle = HonestNoisyOracle(BooleanFn(10, family[9]), tau=0.5, seed=0)
         got = correlation_weak_learner(oracle, family[4:5])
         assert np.array_equal(got.table, family[4])
 
@@ -350,7 +355,7 @@ class TestWeakLearner:
         target = BooleanFn(n, family[255])
         others = family[np.arange(len(family)) != 255][:64]
         tau = 1e-3
-        oracle = HonestNoisyOracle(target, dist, tau=tau, seed=2)
+        oracle = HonestNoisyOracle(target, tau=tau, seed=2)
         got = correlation_weak_learner(oracle, others)
         for answer in oracle.log:
             assert abs(answer) <= tau  # truth is 0 for every member
@@ -362,33 +367,31 @@ class TestWeakLearner:
 class TestAdversarialGame:
     def test_loss_floor_small_family(self):
         n = 9
-        dist = uniform_signs(n)
         family = parity_family(n)
         d = len(family)
         floor = 1.0 - 2.0 / np.sqrt(d)
         for seed in range(10):
             learner = make_random_query_learner(family, seed)
-            res = adversarial_game(family, learner, budget=1, tau=d ** (-1 / 3), dist=dist)
+            res = adversarial_game(family, learner, budget=1, tau=d ** (-1 / 3))
             assert res.loss >= floor
             assert all(c <= 4 * d ** (2 / 3) for c in res.inconsistent_counts)
 
     def test_budget_zero_trivial_floor(self):
         n = 9
-        dist = uniform_signs(n)
         family = parity_family(n)
         learner = make_correlation_learner(family)
-        res = adversarial_game(family, learner, budget=0, tau=0.5, dist=dist)
+        res = adversarial_game(family, learner, budget=0, tau=0.5)
         assert res.loss >= 1.0 - 2.0 / np.sqrt(len(family))
         assert res.inconsistent_counts == []
 
     def test_no_survivor_beyond_the_bound_is_no_contradiction(self):
         # 64 correlation queries rule out all 64 members, far beyond d^(1/3)/8 = 1/2
-        family, dist = parity_family(6), uniform_signs(6)
+        family = parity_family(6)
         with pytest.raises(ValueError, match=r"budget = 64 .* d\^\(1/3\)/8 = 0.5"):
-            adversarial_game(family, make_correlation_learner(family), 64, 0.5, dist)
+            adversarial_game(family, make_correlation_learner(family), 64, 0.5)
 
     def test_random_query_learner_needs_a_budget(self):
-        oracle = AdversarialOracle(parity_family(4), uniform_signs(4), tau=0.5)
+        oracle = AdversarialOracle(parity_family(4), tau=0.5)
         with pytest.raises(ValueError, match="budget"):
             make_random_query_learner(parity_family(4), 0)(oracle)
         assert oracle.log == []
@@ -396,32 +399,31 @@ class TestAdversarialGame:
     def test_never_asserts_across_seeds(self):
         # the consistent low-correlation member always exists
         n = 9
-        dist = uniform_signs(n)
         family = parity_family(n)
         for seed in range(50):
             learner = make_random_query_learner(family, seed)
-            adversarial_game(family, learner, budget=1, tau=0.5, dist=dist)
+            adversarial_game(family, learner, budget=1, tau=0.5)
         for seed in range(6):
             for name, learner in [
                 ("corr", make_correlation_learner(family)),
                 ("rand", make_random_query_learner(family, seed)),
                 ("maj", make_majority_learner()),
             ]:
-                adversarial_game(family, learner, budget=1, tau=0.5, dist=dist)
+                adversarial_game(family, learner, budget=1, tau=0.5)
 
 
 class _PruneEachQuery(SqOracle):
     """Reference adversary: prunes the family right after every query."""
 
-    def __init__(self, family, dist, tau, budget):
-        super().__init__(dist, tau, budget)
+    def __init__(self, family, tau, budget):
+        super().__init__(family.shape[1], tau, budget)
         self.values = family[:].astype(np.float64)
         self.radius = len(family) ** (-1.0 / 3.0)
         self.consistent = np.ones(len(family), dtype=bool)
         self.counts = []
 
     def _answers(self, even, odd):
-        w = np.full(self.dist.n_points, 1.0 / self.dist.n_points)
+        w = np.full(self.m, 1.0 / self.m)
         for g in odd:
             bad = np.abs(self.values @ (w * g)) > self.radius
             self.counts.append(int(np.count_nonzero(bad)))
@@ -429,11 +431,11 @@ class _PruneEachQuery(SqOracle):
         return np.zeros(len(odd)) if even is None else even @ w
 
 
-def _reference_game(family, learner, budget, tau, dist):
-    oracle = _PruneEachQuery(family, dist, tau, budget)
+def _reference_game(family, learner, budget, tau):
+    oracle = _PruneEachQuery(family, tau, budget)
     h = learner(oracle)
     h_vals = np.asarray(h, dtype=np.float64)
-    w = np.full(dist.n_points, 1.0 / dist.n_points)
+    w = np.full(oracle.m, 1.0 / oracle.m)
     corr = oracle.values @ (w * np.clip(h_vals, -1.0, 1.0))
     ok = oracle.consistent & (corr < 2.0 / np.sqrt(len(family)))
     j = int(np.argmax(ok))
@@ -449,15 +451,14 @@ class TestGameMatchesPerQueryPruning:
     ])
     def test_same_choice_loss_and_counts(self, name, make):
         n = 9
-        dist = uniform_signs(n)
         family = parity_family(n)
         d = len(family)
         seen_counts = set()
         for budget, tau in [(1, d ** (-1 / 3)), (2, 0.5), (3, d ** (-1 / 3))]:
             for seed in range(4):
-                res = adversarial_game(family, make(family, seed), budget, tau, dist)
+                res = adversarial_game(family, make(family, seed), budget, tau)
                 j, loss, counts = _reference_game(family, make(family, seed),
-                                                  budget, tau, dist)
+                                                  budget, tau)
                 assert (res.chosen_index, res.loss, res.inconsistent_counts) == (
                     j, loss, counts)
                 seen_counts.update(counts)
@@ -470,30 +471,26 @@ class TestCorrelationCountCheck:
     def test_orthogonal_family_bound(self):
         # 100 orthogonal members: count <= 2/(0.25 - 0.01) -> at most 8
         n = 7
-        dist = uniform_signs(n)
         family = parity_family(n)[:100]
-        cert = certify_sqdim(family, dist)
+        cert = certify_sqdim(family)
         h = family[0]
-        count = correlation_count_check(family, h, tau=0.5, dist=dist, certificate=cert)
+        count = correlation_count_check(family, h, tau=0.5, certificate=cert)
         assert 1 <= count <= 8
 
     def test_self_correlation_counts(self):
         n = 6
-        dist = uniform_signs(n)
         family = parity_family(n)[:32]
-        cert = certify_sqdim(family, dist)
-        count = correlation_count_check(family, family[0], tau=0.9,
-                                        dist=dist, certificate=cert)
+        cert = certify_sqdim(family)
+        count = correlation_count_check(family, family[0], tau=0.9, certificate=cert)
         assert count >= 1
 
     def test_random_h_respects_bound(self, rng, parity10):
         family, dist = parity10
-        cert = certify_sqdim(family, dist)
+        cert = certify_sqdim(family)
         d = len(family)
         for _ in range(20):
             h = rng.uniform(-1.0, 1.0, size=dist.n_points)
-            count = correlation_count_check(family, h, tau=0.2, dist=dist,
-                                            certificate=cert)
+            count = correlation_count_check(family, h, tau=0.2, certificate=cert)
             assert count <= 2.0 / (0.04 - 1.0 / d)
 
     def test_c8_counts_match_the_dense_table(self, parity10):
@@ -501,18 +498,17 @@ class TestCorrelationCountCheck:
         # correlations may differ in the last bits, but no count moves
         family, dist = parity10
         table = family[:]
-        cert = certify_sqdim(family, dist)
+        cert = certify_sqdim(family)
         rng = np.random.default_rng(808)
         counts = []
         for tau in (0.2, 0.5):
             for _ in range(100):
                 h = rng.uniform(-1.0, 1.0, size=dist.n_points)
-                counts.append((correlation_count_check(family, h, tau, dist, certificate=cert),
-                               correlation_count_check(table, h, tau, dist, certificate=cert)))
+                counts.append((correlation_count_check(family, h, tau, certificate=cert),
+                               correlation_count_check(table, h, tau, certificate=cert)))
         assert len(counts) == 200 and all(fast == dense for fast, dense in counts)
 
     def test_tau_precondition(self, parity10):
         family, dist = parity10
         with pytest.raises(ValueError):
-            correlation_count_check(family, np.zeros(dist.n_points), tau=0.01,
-                                    dist=dist)
+            correlation_count_check(family, np.zeros(dist.n_points), tau=0.01)
