@@ -29,9 +29,11 @@ and grids above MAX_GRID_POINTS, where the moments could stop being
 exact, take the dense gradient over every point from
 ``mlp._population_hinge_grad_fn``.  The points, labels and hinge weights
 are computed once per run, and each step's forward and backward passes
-write into buffers that the run allocates once: the run's net keeps its
-layer views for the whole run.  Its losses and gradients are
-``population_hinge_grad``'s, bit for bit.
+stream the points in row blocks through buffers that the run allocates
+once, sized for one block: the run's net keeps its layer views for the
+whole run.  Its losses and gradients are ``population_hinge_grad``'s,
+bit for bit, and a grid of fewer than 2 ``mlp.ROW_BLOCK`` points, every
+dense run the experiments make, is one block: one pass over all rows.
 """
 
 from __future__ import annotations

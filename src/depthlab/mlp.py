@@ -14,8 +14,12 @@ and ``output_grad_params`` run a fresh one per call.
 and hinge weights once and keeps one ``_Backprop`` for the nets of one
 shape: GD's dense path takes every step of a run from it, allocating no
 more than a row of hinge weights per step, and ``population_hinge_grad``
-is its single call.  At a single point (x, y) the hinge subgradient is
-``population_hinge_grad`` on the one-point support {x} with label y.
+is its single call.  The dense passes over a distribution's points,
+``forward_many`` and ``_population_hinge_grad_fn``, stream the rows in
+the blocks of ``_row_blocks``, so they hold one block's activations,
+O(ROW_BLOCK x width), whatever the number of points.  At a single point
+(x, y) the hinge subgradient is ``population_hinge_grad`` on the
+one-point support {x} with label y.
 ``_forward_rays`` evaluates a net at many parameter points along rays
 from its own, at one input, without forming the points.
 """
@@ -43,6 +47,11 @@ __all__ = [
 
 class DimensionError(ValueError):
     """Input or layer shapes do not chain."""
+
+
+# Rows per block of the dense passes: a block's activations of a width-32
+# layer take 1 MiB, whatever the number of rows.
+ROW_BLOCK = 4096
 
 
 def _layer_views(layers, theta: np.ndarray):
@@ -133,21 +142,39 @@ def forward(net: Mlp, x) -> float:
     return float(forward_many(net, x[None, :])[0])
 
 
+def _row_blocks(m: int):
+    """(lo, hi) bounds of the row blocks that the dense passes stream:
+    blocks start at multiples of ROW_BLOCK and the last one takes the
+    remainder, so it holds ROW_BLOCK to 2 ROW_BLOCK - 1 rows and fewer than
+    2 ROW_BLOCK rows are one block.  With aligned starts and no short last
+    block, the blocked outputs of every net and size tried are the single
+    pass's, bit for bit, at one BLAS thread, and do not move at two, where
+    a single pass over more rows can move an output by an ulp."""
+    starts = range(0, max(m // ROW_BLOCK, 1) * ROW_BLOCK, ROW_BLOCK)
+    return list(zip(starts, [*starts[1:], m]))
+
+
 def forward_many(net: Mlp, X: np.ndarray) -> np.ndarray:
     """Vectorized forward pass: X of shape (m, in_dim) -> outputs (m,).
 
-    Each layer allocates its output once and adds the bias and applies the
-    ReLU in place, so at most two layers' activations are alive at a time."""
-    A = np.asarray(X, dtype=np.float64)
-    if A.ndim != 2 or A.shape[1] != net.in_dim:
-        raise DimensionError(f"expected inputs of shape (m, {net.in_dim}), got {A.shape}")
+    The rows go through in ``_row_blocks``, each block's outputs written
+    into the one (m,) result.  Each layer allocates its output once and
+    adds the bias and applies the ReLU in place, so at most two layers'
+    activations of one block are alive at a time."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != net.in_dim:
+        raise DimensionError(f"expected inputs of shape (m, {net.in_dim}), got {X.shape}")
+    out = np.empty(X.shape[0])
     last = len(net.layers) - 1
-    for i, (W, b) in enumerate(net.layers):
-        A = np.dot(A, W.T)
-        A += b
-        if i != last:
-            np.maximum(A, 0.0, out=A)
-    return A[:, 0]
+    for lo, hi in _row_blocks(X.shape[0]):
+        A = X[lo:hi]
+        for i, (W, b) in enumerate(net.layers):
+            A = np.dot(A, W.T)
+            A += b
+            if i != last:
+                np.maximum(A, 0.0, out=A)
+        out[lo:hi] = A[:, 0]
+    return out
 
 
 def _forward_rays(net: Mlp, x, dirs: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -179,10 +206,11 @@ def _forward_rays(net: Mlp, x, dirs: np.ndarray, steps: np.ndarray) -> np.ndarra
 class _Backprop:
     """One forward and one backward pass over the rows of nets shaped like
     ``net``.  The first call allocates the activation and ReLU-mask arrays
-    for its rows, and each later call, on as many rows, writes into them;
-    every call overwrites them, the returned gradient included.  A layer's
-    delta overwrites its input's activations once its weight gradient has
-    read them, so the backward pass allocates nothing.
+    for its rows.  A later call on as many rows writes into them, one on
+    fewer rows into their leading rows, and one on more rows allocates
+    them anew; every call overwrites them, the returned gradient included.
+    A layer's delta overwrites its input's activations once its weight
+    gradient has read them, so the backward pass allocates nothing.
 
     The passes multiply with ``np.dot``: on 2-D float64 operands it makes
     matmul's BLAS call, bit for bit, without the ufunc set-up, which is
@@ -197,11 +225,19 @@ class _Backprop:
         self.grads = _layer_views(net.layers, self.grad)
 
     def grad_rows(self, net: Mlp, X: np.ndarray, loss_and_dout):
-        """(loss, grad) over the float64 rows X (m, in_dim); ``loss_and_dout``
+        """(loss, grad) over the float64 rows X (k, in_dim); ``loss_and_dout``
         as in ``hinge_grad_rows``.  The mask convention is preact >= 0, so
         the ReLU subgradient is 1 at exactly zero pre-activation; ``grad``
         is this object's array."""
         acts, masks = self.acts, self.masks
+        k = X.shape[0]
+        if acts[-1] is not None and k != acts[-1].shape[0]:
+            if k > acts[-1].shape[0]:
+                acts = self.acts = [None] * len(acts)
+                masks = self.masks = [None] * len(masks)
+            else:
+                acts = [None] + [A[:k] for A in acts[1:]]
+                masks = [M[:k] for M in masks]
         acts[0] = X
         last = len(net.layers) - 1
         for i, (W, b) in enumerate(net.layers):
@@ -265,11 +301,18 @@ def hinge_grad_rows(net: Mlp, X: np.ndarray, loss_and_dout):
 
 def _population_hinge_grad_fn(net: Mlp, target, dist):
     """(net -> (loss, grad)): ``population_hinge_grad`` over ``dist`` for
-    nets shaped like ``net``, bit for bit.
+    nets shaped like ``net``.
 
-    The points, the labels and the hinge weights -y/m are computed once,
-    and every call's passes run through buffers allocated once, so the
-    returned gradient is a buffer that the next call overwrites.
+    The points, the labels and the hinge weights -y/m are computed once.
+    The rows go through in ``_row_blocks``, all of them through one
+    ``_Backprop``, whose buffers reach the size of the largest block (the
+    last) on the first call; so the returned gradient is a buffer that the
+    next call overwrites.  Each block's passes write its points' hinge
+    values into one (m,) array, and the loss is their one sum over all m
+    points: ``population_hinge_loss``, bit for bit.  One block's gradient
+    is the passes' own; above one block, the block gradients are added
+    into one more buffer in block order, which rounds differently from a
+    single pass over all m rows.
     """
     X = dist.points_float()
     y = np.asarray(target(X), dtype=np.float64)
@@ -277,13 +320,32 @@ def _population_hinge_grad_fn(net: Mlp, target, dist):
     hinge_weight = -y * dist.weight  # a point's dout while its margin is <= 1
     margins, h = np.empty(m), np.empty(m)
 
-    def per_point(out):
-        np.multiply(y, out, out=margins)
-        np.maximum(0.0, np.subtract(1.0, margins, out=h), out=h)
-        return float(np.add.reduce(h) / m), np.where(margins <= 1.0, hinge_weight, 0.0)
+    def hinge_rows(lo, hi):
+        """The passes' (X, loss_and_dout) for rows lo:hi: the hook writes
+        their margins and hinge values and returns their douts."""
+        yb, mb, hb, wb = y[lo:hi], margins[lo:hi], h[lo:hi], hinge_weight[lo:hi]
 
+        def dout(out):
+            np.multiply(yb, out, out=mb)
+            np.maximum(0.0, np.subtract(1.0, mb, out=hb), out=hb)
+            return None, np.where(mb <= 1.0, wb, 0.0)
+
+        return X[lo:hi], dout
+
+    (first, first_dout), *rest = [hinge_rows(lo, hi) for lo, hi in _row_blocks(m)]
     passes = _Backprop(net)
-    return lambda net: passes.grad_rows(net, X, per_point)
+    total = np.empty(net.n_params) if rest else None
+
+    def grad(net):
+        g = passes.grad_rows(net, first, first_dout)[1]
+        if rest:
+            np.copyto(total, g)
+            for Xb, dout in rest:
+                np.add(total, passes.grad_rows(net, Xb, dout)[1], out=total)
+            g = total
+        return float(np.add.reduce(h) / m), g
+
+    return grad
 
 
 def population_hinge_grad(net: Mlp, target, dist):

@@ -57,18 +57,23 @@ print(cfg.run_name())
 """
 
 
+def blas_threads_env(threads):
+    """The environment of a fresh interpreter that imports this checkout's
+    ``depthlab`` and runs ``threads`` (a string) OpenBLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def report_bytes_by_blas_threads(tmp_path, experiment, params):
     """report.json and series.csv bytes of one run in a fresh interpreter
     with 1 and with 2 OpenBLAS threads, in that order."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         outdir = tmp_path / f"threads-{threads}"
         name = subprocess.run([sys.executable, "-c", _RUN_ONE, experiment, json.dumps(params),
-                               str(outdir)], env=env, check=True, capture_output=True,
-                              text=True).stdout.strip()
+                               str(outdir)], env=blas_threads_env(threads), check=True,
+                              capture_output=True, text=True).stdout.strip()
         outputs.append([(outdir / name / f).read_bytes() for f in ("report.json", "series.csv")])
     return outputs
 

@@ -147,12 +147,15 @@ def test_dense_fallback_is_bit_identical(monkeypatch, target, grid, depth, width
     assert traj.param_dist.tobytes() == pdist.tobytes()
 
 
-@pytest.mark.parametrize("grid", [64, 49, 1000])
+@pytest.mark.parametrize("grid", [64, 49, 1000, 9000])
 def test_dense_run_records_the_population_loss(grid):
     """A dense-path run's recorded loss is ``population_hinge_loss`` of its
-    final net bit for bit: both are the mean of the same hinge values."""
+    final net bit for bit: both are the mean of the same hinge values, on
+    one row block or (9,000 points) on two.  Wrapping the wave in a lambda
+    keeps the grids of CELL_MIN_GRID points and more on the dense path."""
     dist = uniform_cube(grid=grid)
-    target = telgarsky_target(8)
+    wave = telgarsky_target(8)
+    target = lambda X: wave(X)
     net = xavier_init(8, 32, 1, seed=3, bias_std=1.0)
     traj = gd_train(net, target, dist, GdConfig(eta=0.1, iters=50))
     assert traj.loss[-1] == mlp.population_hinge_loss(traj.final_net, target, dist)
@@ -183,6 +186,25 @@ def test_cells_track_dense_trajectory(monkeypatch):
 @pytest.mark.slow
 def test_cells_track_dense_trajectory_n12(monkeypatch):
     assert_cells_track_dense(monkeypatch, 12, 100)
+
+
+@pytest.mark.parametrize("depth, width", [
+    (6, 16),
+    pytest.param(16, 32, marks=pytest.mark.slow),  # gd-flatline's shape at n = 16
+])
+def test_moment_gradient_tracks_dense_on_the_n16_grid(depth, width):
+    """At n = 16 the dense gradient over the 2^20-point grid streams its
+    rows in blocks (one pass over all rows would hold ~5 GiB at depth 16),
+    so one moment-path gradient is checked against it, within
+    ``assert_cells_track_dense``'s tolerances."""
+    n = 16
+    dist = uniform_cube(grid=2 ** (n + 4))
+    target = telgarsky_target(n)
+    net = xavier_init(depth, width, 1, seed=n, bias_std=1.0)
+    loss, g = gd._moment_grad(target, dist)(net)
+    dense_loss, dense_g = population_hinge_grad(net, target, dist)
+    assert abs(loss - dense_loss) <= 1e-12
+    assert mlp.l2_norm(g - dense_g) <= 1e-11 * mlp.l2_norm(dense_g)
 
 
 def direct_prefix(n, dist):

@@ -1,18 +1,31 @@
+import functools
+import os
+import subprocess
+import sys
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from depthlab import mlp
+from depthlab.constructions import telgarsky_target
 from depthlab.mlp import (
+    ROW_BLOCK,
     DimensionError,
     Mlp,
     forward,
     forward_many,
+    hinge,
+    hinge_grad_rows,
+    l2_norm,
     population_hinge_grad,
     population_hinge_loss,
     xavier_init,
 )
 from depthlab.dists import uniform_cube, uniform_signs
-from conftest import central_fd_hinge_grad, is_smooth_point, point_hinge_grad
+from conftest import blas_threads_env, central_fd_hinge_grad, is_smooth_point, point_hinge_grad
 
 
 def affine(w, b):
@@ -216,3 +229,124 @@ class TestXavierInit:
                    for (W, b), (Wn, bn) in zip(want, net.layers))
         with pytest.raises(ValueError):
             xavier_init(3, 16, 2, seed=4, bias_std=-1.0)
+
+
+# Run in a fresh interpreter: for each case, the outputs of forward_many
+# and of the single pass over all rows that forward_many made before it
+# streamed its rows in blocks, saved to the .npz file argv[1].
+_BLOCKED_AND_SINGLE = """
+import sys
+import numpy as np
+from depthlab.constructions import lipschitz_approx_net
+from depthlab.dists import uniform_cube
+from depthlab.mlp import ROW_BLOCK, forward_many, xavier_init
+
+def single_pass(net, X):
+    A = X
+    last = len(net.layers) - 1
+    for i, (W, b) in enumerate(net.layers):
+        A = np.dot(A, W.T)
+        A += b
+        if i != last:
+            np.maximum(A, 0.0, out=A)
+    return A[:, 0]
+
+deep = xavier_init(12, 32, 1, seed=0, bias_std=1.0)
+x1x2 = lipschitz_approx_net(lambda X: X[:, 0] * X[:, 1], 2.0, 1.0, 4, 2)
+wide = xavier_init(4, 100, 1, seed=0, bias_std=1.0)
+cases = [(deep, uniform_cube(grid=2**16).points),
+         (x1x2, np.random.default_rng(0).random((10**5, 2))),
+         (deep, uniform_cube(grid=2 * ROW_BLOCK + 1).points),
+         (wide, uniform_cube(grid=2 * ROW_BLOCK + 1).points),
+         (wide, uniform_cube(grid=3 * ROW_BLOCK + 1).points)]
+out = {}
+for k, (net, X) in enumerate(cases):
+    out[f"blocked{k}"] = forward_many(net, X)
+    out[f"single{k}"] = single_pass(net, X)
+np.savez(sys.argv[1], **out)
+"""
+
+
+@functools.lru_cache(maxsize=2)
+def blocked_and_single(threads):
+    """{name: outputs} of ``_BLOCKED_AND_SINGLE`` run with ``threads``
+    OpenBLAS threads."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "outputs.npz")
+        subprocess.run([sys.executable, "-c", _BLOCKED_AND_SINGLE, path],
+                       env=blas_threads_env(threads), check=True)
+        with np.load(path) as saved:
+            return {k: saved[k] for k in saved.files}
+
+
+class TestRowBlocks:
+    def test_blocks_start_aligned_and_the_last_takes_the_remainder(self):
+        B = ROW_BLOCK
+        assert mlp._row_blocks(0) == [(0, 0)]
+        assert mlp._row_blocks(2 * B - 1) == [(0, 2 * B - 1)]
+        assert mlp._row_blocks(2 * B) == [(0, B), (B, 2 * B)]
+        for m in (1, B, 2 * B + 1, 16 * B, 10**5):
+            blocks = mlp._row_blocks(m)
+            assert blocks[0][0] == 0 and blocks[-1][1] == m
+            assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+            assert all(lo % B == 0 for lo, _ in blocks)
+            assert all(B <= hi - lo < 2 * B for lo, hi in blocks) or len(blocks) == 1
+
+    def test_blocked_outputs_are_the_single_pass_bit_for_bit(self):
+        """At one BLAS thread, on 65,536 and 2 ROW_BLOCK + 1 rows of a deep
+        net, lipschitz-approx's x1x2 net on 10^5 rows and a width-100 net."""
+        outputs = blocked_and_single("1")
+        for k in range(5):
+            assert outputs[f"blocked{k}"].tobytes() == outputs[f"single{k}"].tobytes()
+
+    def test_blocked_outputs_do_not_depend_on_the_blas_thread_count(self):
+        """A single pass over all rows of the width-100 cases moves outputs
+        by up to 1.1e-16 between one and two OpenBLAS threads; the aligned
+        blocks move none."""
+        one, two = blocked_and_single("1"), blocked_and_single("2")
+        for k in range(5):
+            assert one[f"blocked{k}"].tobytes() == two[f"blocked{k}"].tobytes()
+
+    def test_dense_passes_hold_one_block(self):
+        """On 65,536 rows of a depth-12 width-32 net, a single pass over all
+        rows peaks at 32.0 MiB (forward_many) and 201.2 MiB (gradient)
+        traced; the blocked passes at ~2.5 and ~15 MiB."""
+        net = xavier_init(12, 32, 1, seed=0, bias_std=1.0)
+        dist = uniform_cube(grid=2**16)
+        target = telgarsky_target(12)
+        for run, bound_mib in ((lambda: forward_many(net, dist.points), 8),
+                               (lambda: population_hinge_grad(net, target, dist), 24)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mib * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+
+    def test_blocked_gradient_tracks_a_single_pass(self):
+        """Above one block the gradient is the block sums added in block
+        order: within 1e-12 relative of one pass over all rows, its loss
+        ``population_hinge_loss`` bit for bit, and a run-held gradient
+        reproduces a fresh one on every call."""
+        dist = uniform_cube(grid=2 * ROW_BLOCK + 808)
+        target = telgarsky_target(8)
+        net = xavier_init(8, 32, 1, seed=3, bias_std=1.0)
+        loss, g = population_hinge_grad(net, target, dist)
+        assert loss == population_hinge_loss(net, target, dist)
+        y = target(dist.points)
+        w = 1.0 / dist.n_points
+
+        def hinge_rows(out):
+            return (np.add.reduce(hinge(y, out)) * w,
+                    np.where(y * out <= 1.0, -y * w, 0.0))
+
+        single_loss, single_g = hinge_grad_rows(net, dist.points, hinge_rows)
+        assert abs(loss - single_loss) <= 1e-15
+        assert l2_norm(g - single_g) <= 1e-12 * l2_norm(single_g)
+        held = mlp._population_hinge_grad_fn(net, target, dist)
+        for theta in (net.flat_params(), 0.9 * net.flat_params()):
+            other = net.with_flat_params(theta)
+            fresh_loss, fresh_g = population_hinge_grad(other, target, dist)
+            held_loss, held_g = held(other)
+            assert held_loss == fresh_loss and held_g.tobytes() == fresh_g.tobytes()
