@@ -36,7 +36,7 @@ def main():
         configs.append(ExperimentConfig(eid, params))
     reports = sweep(configs, outdir=args.outdir, workers=args.workers)
     for c, r in zip(configs, reports):
-        print(f"{'PASS' if r.passed else 'FAIL'}  {c.experiment:24s} {r.error}")
+        print(f"{'PASS' if r.passed else 'FAIL'}  {c.experiment:24s} {r.first_failed}{r.error}")
     failed = sum(not r.passed for r in reports)
     print(f"{len(reports) - failed}/{len(reports)} passed; summary in {args.outdir}/")
     sys.exit(1 if failed else 0)

@@ -75,9 +75,9 @@ def main(argv=None) -> int:
                 raise ConfigError(f"{args.dir} holds no .cfg, .txt or .conf file")
             configs = [parse_config_file(p) for p in files]
             reports = sweep(configs, outdir=args.outdir, workers=args.workers)
-            for c, r in zip(configs, reports):
-                status = "pass" if r.passed else "FAIL"
-                print(f"{status}  {c.run_name()}  {r.error}")
+            for c, r in zip(configs, reports):  # a FAIL names its first failed check
+                print(f"{'pass' if r.passed else 'FAIL'}  {c.run_name()}  "
+                      f"{r.first_failed}{r.error}")
             print(f"{sum(r.passed for r in reports)}/{len(reports)} passed; "
                   f"summary in {args.outdir}/summary.csv")
             return 0 if all(r.passed for r in reports) else 1

@@ -3,7 +3,7 @@
 Each experiment is a pure function of its parameter dict plus a root seed;
 per-component seeds are derived by labeled hashing so reports are
 byte-identical across reruns.  Wall-clock time goes to a separate meta
-file, never into report.json.
+file, never into report.json.  ``run`` forms each pass flag from ``Check`` records.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import audit, boolfn, constructions, dists, gd, kernel, mlp, pwl, sq
 
-__all__ = ["ExperimentConfig", "ExperimentReport", "ConfigError", "run", "sweep",
+__all__ = ["Check", "ExperimentConfig", "ExperimentReport", "ConfigError", "run", "sweep",
            "experiment_ids", "CLAIMS", "DEFAULTS", "derive_seed", "parse_config_file"]
 
 
@@ -247,16 +247,38 @@ class ExperimentReport:
     passed: bool
     artifacts: list
     error: str = ""
+    checks: list = field(default_factory=list)
+    first_failed: str = ""
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
+@dataclass(frozen=True)
+class Check:
+    """``value sense bound`` (<, <=, >= or ==); a NaN value fails.  ``margin`` is the slack."""
+
+    name: str
+    value: float
+    bound: float
+    sense: str
+
+    @property
+    def ok(self) -> bool:
+        v, b = self.value, self.bound
+        return bool({"<": v < b, "<=": v <= b, ">=": v >= b, "==": v == b}[self.sense])
+
+    @property
+    def margin(self):
+        if self.sense != "==":
+            return self.value - self.bound if self.sense == ">=" else self.bound - self.value
+
+
 # ---------------------------------------------------------------------------
-# experiment bodies: params -> (metrics, thresholds, passed, series rows).
-# A body with random inputs draws them from its seed and hands them to a
-# _certify_* step; the acceptance suite calls the same step on its own
-# pinned draws.
+# experiment bodies: params -> (metrics, checks, series rows); a check is
+# named after the value it reads, with any tolerance inside its bound.  A
+# body with random inputs draws them from its seed and hands them to a
+# _certify_* step; the acceptance suite calls the same step on its pinned draws.
 
 # the net depth that depth = 0 stands for in each experiment with a net
 _DEPTH_AT_ZERO = {"gd-flatline": lambda p: p["n"], "gd-sanity": lambda p: 0,
@@ -309,7 +331,7 @@ def _certify_gd_flatline(p, net):
         "log_mean_grad_norm": float(np.log(traj.grad_norm.mean())),
         "final_param_dist_l2": float(traj.param_dist[-1]),
     })
-    return metrics, {"abs_loss_change_hinge_max": p["flat_tol"]}, change <= p["flat_tol"], series
+    return metrics, [Check("abs_loss_change_hinge", change, p["flat_tol"], "<=")], series
 
 
 def _exp_gd_flatline(p):
@@ -318,8 +340,8 @@ def _exp_gd_flatline(p):
 
 def _certify_gd_sanity(p, net):
     _, metrics, series = _gd_on_wave(p, net)
-    passed = metrics["loss_end_hinge"] < p["loss_target"]
-    return metrics, {"loss_end_hinge_max": p["loss_target"]}, passed, series
+    loss = metrics["loss_end_hinge"]
+    return metrics, [Check("loss_end_hinge", loss, p["loss_target"], "<")], series
 
 
 def _exp_gd_sanity(p):
@@ -331,29 +353,28 @@ def _certify_separation(p, nets):
     n = p["n"]
     depth, width = nets[0].depth, nets[0].width
     bound_width = max(0.0, 1.0 - 2 ** math.sqrt(n) * (2 * width) ** math.sqrt(n) / 2**n)
-    series = []
-    ok = True
-    min_loss = np.inf
+    cap, series = pwl.piece_bound(depth, width), []
     for net in nets:
         f = pwl.from_mlp_1d(net)
         pieces = pwl.count_pieces(f)
         K = pwl.sign_crossings(f)
         loss = pwl.sign_hinge_loss_vs_fn(f, n)
         lower = (2 ** (n - 1) - K) / 2 ** (n - 1)
-        ok = ok and loss >= max(lower, bound_width) and pieces <= pwl.piece_bound(depth, width)
-        min_loss = min(min_loss, loss)
         series.append({
             "depth": depth, "width": width, "pieces": pieces,
-            "bound": pwl.piece_bound(depth, width), "crossings": K,
+            "bound": cap, "crossings": K,
             "loss": loss, "lower_bound": lower,
         })
     metrics = {
         "n": n, "depth": depth, "width": width, "nets": len(nets),
-        "min_sign_hinge_loss": float(min_loss),
+        "min_sign_hinge_loss": float(min(r["loss"] for r in series)),
         "width_based_lower_bound": bound_width,
         "width_bound_vacuous": bound_width == 0.0,
     }
-    return metrics, {"per_net": "loss >= max(lower_bound, width_bound)"}, ok, series
+    # loss >= max(lower_bound, width bound) for every net: IEEE subtraction keeps the sign
+    excess = float(np.min([r["loss"] - max(r["lower_bound"], bound_width) for r in series]))
+    return metrics, [Check("min_loss_minus_floor", excess, 0.0, ">="),
+                     Check("max_pieces", max(r["pieces"] for r in series), cap, "<=")], series
 
 
 def _exp_telgarsky_separation(p):
@@ -382,13 +403,11 @@ def _certify_sq_games(p, learner_seeds):
     floor_loss = 1.0 - 2.0 / math.sqrt(d)
     count_cap = 4.0 * d ** (2.0 / 3.0)
     series = []
-    ok = True
     for name, seeds in learner_seeds:
         for s, seed in enumerate(seeds):
             learner = _LEARNER_FACTORIES[name](family, seed)
             res = sq.adversarial_game(family, learner, p["budget"], p["tau"])
             worst_count = max(res.inconsistent_counts, default=0)
-            ok = ok and res.loss >= floor_loss and worst_count <= count_cap
             series.append({
                 "learner": name, "seed": s, "loss": res.loss,
                 "chosen_index": res.chosen_index,
@@ -397,12 +416,14 @@ def _certify_sq_games(p, learner_seeds):
     metrics = {
         "n": n, "family_size": d, "budget": p["budget"], "tau": p["tau"],
         "games": len(series),
-        "min_loss_hinge": min(r["loss"] for r in series),
+        "min_loss_hinge": float(np.min([r["loss"] for r in series])),  # np.min keeps a NaN
         "loss_floor": floor_loss,
         "inconsistent_count_cap": count_cap,
         "max_inconsistent_per_query": max(r["max_inconsistent_per_query"] for r in series),
     }
-    return metrics, {"loss_min": floor_loss, "inconsistent_max": count_cap}, ok, series
+    return metrics, [Check(k, metrics[k], bound, sense) for k, bound, sense in [
+        ("min_loss_hinge", floor_loss, ">="),
+        ("max_inconsistent_per_query", count_cap, "<=")]], series
 
 
 def _exp_sq_parity_lower_bound(p):
@@ -417,7 +438,6 @@ def _certify_weak_learn(p, draws):
     of that member's direct row dot with the target, which no family product sets."""
     n = p["n"]
     family = boolfn.parity_family(n)
-    ok = True
     gap = 0.0
     series = []
     for t, (j, oracle_seed) in enumerate(draws):
@@ -427,18 +447,16 @@ def _certify_weak_learn(p, draws):
         y, h = target.table.astype(np.float64), got.table
         loss = float(np.add.reduce(np.maximum(0.0, 1.0 - y * h)) / len(y))
         recovered = bool(np.array_equal(got.table, target.table))
-        ok = ok and recovered and loss == 0.0
         answer = oracle.log[int(np.argmax(np.abs(oracle.log)))]
-        gap = max(gap, abs(answer - boolfn.inner_product(got.table, target.table)))
+        gap = np.maximum(gap, abs(answer - boolfn.inner_product(got.table, target.table)))
         series.append({"trial": t, "target_index": j, "recovered": recovered, "loss": loss})
-    metrics = {
-        "n": n, "tau": p["tau"], "targets": len(draws),
-        "all_recovered": ok,
-        "max_loss_hinge": max(r["loss"] for r in series),
-        "max_answer_gap": gap,
-    }
-    passed = ok and gap <= p["tau"]
-    return metrics, {"loss_exact": 0.0, "answer_gap_max": p["tau"]}, passed, series
+    checks = [Check("recovered_targets", sum(r["recovered"] for r in series), len(draws), "=="),
+              Check("max_loss_hinge", float(np.max([r["loss"] for r in series])), 0.0, "=="),
+              Check("max_answer_gap", gap, p["tau"], "<=")]
+    metrics = {"n": n, "tau": p["tau"], "targets": len(draws),
+               "all_recovered": checks[0].ok and checks[1].ok,
+               **{c.name: c.value for c in checks[1:]}}
+    return metrics, checks, series
 
 
 def _exp_sq_weak_learn(p):
@@ -480,16 +498,14 @@ def _exp_kernel_hardness(p):
         "grad_identity_max_err": report.grad_identity_max_err,
         "parseval_rel_err": report.parseval_rel_err,
     }
-    # duality_tol: lower_j <= loss_j for every target, up to roundoff;
-    # parseval_tol: ||C||_F^2 against its Parseval value, exact at the defaults
-    floor, grad_tol, duality_tol, parseval_tol = p["threshold"], 1e-9, 1e-12, 1e-12
-    passed = (report.average_loss >= floor and report.average_lower_bound >= floor
-              and bool(np.all(report.lower_bounds <= report.losses + duality_tol))
-              and report.grad_identity_max_err <= grad_tol
-              and report.parseval_rel_err <= parseval_tol)
-    return metrics, {"average_loss_min": floor, "grad_identity_err_max": grad_tol,
-                     "weak_duality_tol": duality_tol,
-                     "parseval_rel_err_max": parseval_tol}, passed, series
+    floor, excess = p["threshold"], float(np.max(report.lower_bounds - report.losses))
+    return metrics, [
+        Check("average_loss_hinge", report.average_loss, floor, ">="),
+        Check("average_lower_bound_hinge", report.average_lower_bound, floor, ">="),
+        Check("max_lower_bound_minus_loss", excess, 1e-12, "<="),  # weak duality, up to roundoff
+        Check("grad_identity_max_err", report.grad_identity_max_err, 1e-9, "<="),
+        Check("parseval_rel_err", report.parseval_rel_err, 1e-12, "<="),  # exact at the defaults
+    ], series
 
 
 def _depth2_net(rng, n, k):
@@ -517,10 +533,9 @@ def _certify_f_family(p, z_prime, pairs, Z, net2):
     n_or = z_prime.size
     net = constructions.or_parity_net(z_prime, n_or)
     U = boolfn.enumerate_signs(2 * n_or).astype(np.float64)
-    or_exact = bool(np.array_equal(mlp.forward_many(net, U),
-                                   boolfn.or_parity_fn(z_prime, n_or)))
+    or_err = np.max(np.abs(mlp.forward_many(net, U) - boolfn.or_parity_fn(z_prime, n_or)))
     # closed-form correlations vs enumeration
-    closed_ok = True
+    closed_err = 0.0
     for m, pick in pairs:
         zs = boolfn.enumerate_signs(m)
         half = len(pick) // 2
@@ -529,7 +544,7 @@ def _certify_f_family(p, z_prime, pairs, Z, net2):
             for b, j in enumerate(pick[half:], half):
                 ip = abs(boolfn.inner_product(boolfn.or_parity_fn(zs[i], m),
                                               boolfn.or_parity_fn(zs[j], m)))
-                closed_ok = closed_ok and ip == G[a, b]
+                closed_err = np.maximum(closed_err, abs(ip - G[a, b]))
     # selector set with pairwise Hamming >= n/4, certified via the closed form
     hamming = sq.min_hamming(Z)
     cert = sq.certify_from_gram(sq.f_family_gram(Z))
@@ -545,29 +560,18 @@ def _certify_f_family(p, z_prime, pairs, Z, net2):
     n_x = 2**n_red
     for zi, u in enumerate(red.coefficients):
         rows = np.arange(n_x) * n_x + zi
-        ident_err = max(ident_err, float(np.max(np.abs(Psi @ u - ghat[rows]))))
-    identity_tol, hamming_min = 1e-9, p["n_zset"] / 4.0
-    checks = {
-        "or_net_exact_on_4^n": or_exact,
-        "closed_form_matches_enumeration": closed_ok,
-        "zset_min_hamming": hamming,
-        "zset_hamming_ok": hamming >= hamming_min,
-        "zset_certificate_passed": cert.passed,
-        "rounding_error": rounding_err,
-        "rounding_bound": red.rounding_bound,
-        "rounding_ok": rounding_err <= red.rounding_bound,
-        "identity_max_err": ident_err,
-        "identity_ok": ident_err <= identity_tol,
-    }
-    passed = all(checks[k] for k in
-                 ["or_net_exact_on_4^n", "closed_form_matches_enumeration",
-                  "zset_hamming_ok", "zset_certificate_passed", "rounding_ok",
-                  "identity_ok"])
-    series = [{"check": k, "value": v if not isinstance(v, (bool, np.bool_)) else int(v)}
-              for k, v in checks.items()]
-    metrics = {**checks, "zset_max_abs_corr": cert.max_abs_inner,
+        ident_err = np.maximum(ident_err, np.max(np.abs(Psi @ u - ghat[rows])))
+    checks = [
+        Check("or_net_max_err", float(or_err), 0.0, "=="),  # exact on the 4^n_or pairs
+        Check("closed_form_max_err", float(closed_err), 0.0, "=="),
+        Check("zset_min_hamming", hamming, p["n_zset"] / 4.0, ">="),
+        Check("zset_max_abs_corr", cert.max_abs_inner, 1.0 / cert.size, "<"),  # cert.passed
+        Check("rounding_error", rounding_err, red.rounding_bound, "<="),
+        Check("identity_max_err", ident_err, 1e-9, "<="),
+    ]
+    metrics = {**{c.name: c.value for c in checks[2:]}, "rounding_bound": red.rounding_bound,
                "reduction_features": red.feature_map.n_features}
-    return metrics, {"identity_err_max": identity_tol, "hamming_min": hamming_min}, passed, series
+    return metrics, checks, [asdict(c) for c in checks]
 
 
 def _exp_f_family(p):
@@ -583,8 +587,7 @@ _LIPSCHITZ_CASES = [
 
 def _certify_lipschitz(p, rng):
     """Monte Carlo L1 error of each case's net, sampling from ``rng``."""
-    series = []
-    ok = True
+    checks, series = [], []
     for name, h, L, C, n, d in _LIPSCHITZ_CASES:
         net = constructions.lipschitz_approx_net(h, L, C, n, d)
         S = rng.random((p["samples"], d))
@@ -592,15 +595,14 @@ def _certify_lipschitz(p, rng):
         est = float(errs.mean())
         sigma = float(errs.std(ddof=1) / np.sqrt(len(errs)))
         bound = (2 * C + L * np.sqrt(d)) / n**d
-        row_ok = est <= bound + 3 * sigma
-        ok = ok and row_ok
+        checks.append(Check(f"{name}_l1_error", est, bound + 3 * sigma, "<="))
         series.append({"case": name, "L": L, "C": C, "n": n, "d": d,
                        "l1_error": est, "mc_3sigma": 3 * sigma, "bound": bound,
-                       "width": net.width, "ok": int(row_ok)})
+                       "width": net.width, "ok": int(checks[-1].ok)})
     metrics = {"cases": len(series),
                **{f"{r['case']}_l1_error": r["l1_error"] for r in series},
                **{f"{r['case']}_bound": r["bound"] for r in series}}
-    return metrics, {"per_case": "l1_error <= bound + 3 sigma"}, ok, series
+    return metrics, checks, series
 
 
 def _exp_lipschitz_approx(p):
@@ -625,12 +627,10 @@ def _exp_xavier_audit(p):
         "grad_gap": rep.grad_gap,
     }
     series = [{"metric": k, "value": v} for k, v in metrics.items()]
-    # the smallest rung's ratio against the gradient's slope: O(2^-20)
+    # grad_gap: the smallest rung's ratio against the gradient's slope, O(2^-20)
     # apart on working code (at most 2.9e-8 over 40 default seeds)
-    grad_gap_tol = 1e-6
-    passed = rep.pass_fraction >= p["threshold"] and rep.grad_gap <= grad_gap_tol
-    thresholds = {"pass_fraction_min": p["threshold"], "grad_gap_max": grad_gap_tol}
-    return metrics, thresholds, passed, series
+    return metrics, [Check("pass_fraction", rep.pass_fraction, p["threshold"], ">="),
+                     Check("grad_gap", rep.grad_gap, 1e-6, "<=")], series
 
 
 _BODIES = {
@@ -674,10 +674,10 @@ def run(config: ExperimentConfig, outdir="runs") -> ExperimentReport:
     """
     t0 = time.time()
     try:
-        metrics, thresholds, passed, series = _BODIES[config.experiment](config.params)
+        metrics, checks, series = _BODIES[config.experiment](config.params)
         error = ""
     except Exception as e:  # failed run still produces a report
-        metrics, thresholds, passed, series = {}, {}, False, []
+        metrics, checks, series = {}, [], []
         error = f"{type(e).__name__}: {e}"
     rundir = Path(outdir) / config.run_name()
     rundir.mkdir(parents=True, exist_ok=True)
@@ -686,10 +686,12 @@ def run(config: ExperimentConfig, outdir="runs") -> ExperimentReport:
         config=dict(config.params),
         claim=CLAIMS[config.experiment],
         metrics=_jsonable(metrics),
-        thresholds=_jsonable(thresholds),
-        passed=bool(passed),
+        thresholds=_jsonable({c.name: c.bound for c in checks}),
+        passed=bool(checks) and all(c.ok for c in checks),
         artifacts=["report.json", "series.csv"] if series else ["report.json"],
         error=error,
+        checks=_jsonable([{**asdict(c), "ok": c.ok, "margin": c.margin} for c in checks]),
+        first_failed=next((c.name for c in checks if not c.ok), ""),
     )
     _write_series(rundir / "series.csv", series)
     with open(rundir / "report.json", "w") as fh:

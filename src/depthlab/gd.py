@@ -27,13 +27,13 @@ Every other target or distribution, smaller grids, where the symbolic
 propagation costs more than it saves, grids with fewer points than bands,
 and grids above MAX_GRID_POINTS, where the moments could stop being
 exact, take the dense gradient over every point from
-``mlp._population_hinge_grad_fn``.  The points, labels and hinge weights
-are computed once per run, and each step's forward and backward passes
-stream the points in row blocks through buffers that the run allocates
-once, sized for one block: the run's net keeps its layer views for the
-whole run.  Its losses and gradients are ``population_hinge_grad``'s,
-bit for bit, and a grid of fewer than 2 ``mlp.ROW_BLOCK`` points, every
-dense run the experiments make, is one block: one pass over all rows.
+``mlp._population_hinge_grad_fn``.  The points and labels are computed
+once per run, and each step's forward and backward passes stream the
+points in row blocks through buffers that the run allocates once, sized
+for one block: the run's net keeps its layer views for the whole run.
+Its losses and gradients are ``population_hinge_grad``'s, bit for bit,
+and a grid of fewer than 2 ``mlp.ROW_BLOCK`` points (every dense run of
+the experiments) is one block: one pass over all rows.
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ and never hands out.  The hinge subgradient is one forward and one
 backward pass over weighted rows, and every gradient in the lab takes
 its passes from one implementation, ``_Backprop``: ``hinge_grad_rows``
 and ``output_grad_params`` run a fresh one per call.
-``_population_hinge_grad_fn`` computes a distribution's points, labels
-and hinge weights once and keeps one ``_Backprop`` for the nets of one
-shape: GD's dense path takes every step of a run from it, allocating no
-more than a row of hinge weights per step, and ``population_hinge_grad``
-is its single call.  The dense passes over a distribution's points,
+``_population_hinge_grad_fn`` computes a distribution's points and labels
+once and keeps one ``_Backprop`` for the nets of one shape: GD's dense
+path takes every step of a run from it, allocating no more than a block
+of hinge weights per step, and ``population_hinge_grad`` is its single
+call.  The dense passes over a distribution's points,
 ``forward_many`` and ``_population_hinge_grad_fn``, stream the rows in
 the blocks of ``_row_blocks``, so they hold one block's activations,
 O(ROW_BLOCK x width), whatever the number of points.  At a single point
@@ -303,32 +303,30 @@ def _population_hinge_grad_fn(net: Mlp, target, dist):
     """(net -> (loss, grad)): ``population_hinge_grad`` over ``dist`` for
     nets shaped like ``net``.
 
-    The points, the labels and the hinge weights -y/m are computed once.
-    The rows go through in ``_row_blocks``, all of them through one
-    ``_Backprop``, whose buffers reach the size of the largest block (the
-    last) on the first call; so the returned gradient is a buffer that the
-    next call overwrites.  Each block's passes write its points' hinge
-    values into one (m,) array, and the loss is their one sum over all m
-    points: ``population_hinge_loss``, bit for bit.  One block's gradient
-    is the passes' own; above one block, the block gradients are added
-    into one more buffer in block order, which rounds differently from a
-    single pass over all m rows.
+    The points and the labels are computed once.  The rows go through in
+    ``_row_blocks``, all of them through one ``_Backprop``, whose buffers
+    reach the size of the largest block (the last) on the first call; so
+    the returned gradient is a buffer that the next call overwrites.  Each
+    block writes 1 - margin, then its hinge values, into one (m,) array,
+    and the loss is their one sum over all m points:
+    ``population_hinge_loss``, bit for bit.  One block's gradient is the
+    passes' own; above one block, the block gradients are added into one
+    more buffer in block order, which rounds differently from a single
+    pass over all m rows.
     """
     X = dist.points_float()
     y = np.asarray(target(X), dtype=np.float64)
-    m = dist.n_points
-    hinge_weight = -y * dist.weight  # a point's dout while its margin is <= 1
-    margins, h = np.empty(m), np.empty(m)
+    m, neg_w, h = dist.n_points, -dist.weight, np.empty(dist.n_points)
 
     def hinge_rows(lo, hi):
-        """The passes' (X, loss_and_dout) for rows lo:hi: the hook writes
-        their margins and hinge values and returns their douts."""
-        yb, mb, hb, wb = y[lo:hi], margins[lo:hi], h[lo:hi], hinge_weight[lo:hi]
+        """The passes' (X, loss_and_dout) for rows lo:hi, whose hook fills h[lo:hi]."""
+        yb, hb = y[lo:hi], h[lo:hi]
 
         def dout(out):
-            np.multiply(yb, out, out=mb)
-            np.maximum(0.0, np.subtract(1.0, mb, out=hb), out=hb)
-            return None, np.where(mb <= 1.0, wb, 0.0)
+            np.subtract(1.0, np.multiply(yb, out, out=hb), out=hb)
+            d = np.where(hb >= 0.0, yb * neg_w, 0.0)  # -y/m while the margin is <= 1
+            np.maximum(0.0, hb, out=hb)
+            return None, d
 
         return X[lo:hi], dout
 

@@ -4,7 +4,8 @@ Each criterion prints one pass/fail line (run pytest with -s to see them
 all).  Thresholds are pinned here, not configurable.  A criterion that
 checks an experiment's claim runs that experiment's code in experiments.py:
 its _certify_* step on draws pinned here, or its body where the criterion
-uses the experiment's own draws.
+uses the experiment's own draws, and reads the check records that step
+returns.
 """
 
 import math
@@ -32,6 +33,11 @@ def report(name: str, ok: bool, detail: str) -> bool:
 
 def params(experiment, **overrides):
     return ExperimentConfig(experiment, overrides).params
+
+
+def holds(checks) -> bool:
+    """Every check of a certify step holds (each step states at least one)."""
+    return bool(checks) and all(c.ok for c in checks)
 
 
 def test_c01_exact_square_wave_realization():
@@ -71,11 +77,11 @@ def test_c03_shallow_loss_lower_bound():
     depth = math.ceil(math.sqrt(n))
     t0 = time.time()
     nets = [xavier_init(depth, 32, 1, seed=seed) for seed in range(100)]
-    _, _, passed, series = ex._certify_separation(params("telgarsky-separation", n=n), nets)
+    _, checks, series = ex._certify_separation(params("telgarsky-separation", n=n), nets)
     violations = sum(r["loss"] < (2 ** (n - 1) - r["crossings"]) / 2 ** (n - 1)
                      for r in series)
     dt = time.time() - t0
-    assert report("C3 shallow-loss-bound", passed and violations == 0 and dt < 60.0,
+    assert report("C3 shallow-loss-bound", holds(checks) and violations == 0 and dt < 60.0,
                   f"{violations} violations in 100 depth-{depth} nets, {dt:.1f}s < 60s")
 
 
@@ -84,7 +90,7 @@ def test_c04_gd_flatline_decay_and_sanity():
     t0 = time.time()
     # flatline at n = 12: depth-12 width-32, eta 0.1, T = 500, grid 2^16 (the
     # default gd-flatline run)
-    flat, _, _, _ = ex._exp_gd_flatline(
+    flat, _, _ = ex._exp_gd_flatline(
         params("gd-flatline", n=12, width=32, eta=0.1, iters=500, grid=2**16, seed=0))
     change = flat["abs_loss_change_hinge"]
     flat_ok = change <= 1e-3
@@ -94,7 +100,7 @@ def test_c04_gd_flatline_decay_and_sanity():
     for seed in range(5):
         for nn in (6, 8, 10, 12):
             net = xavier_init(nn, 32, 1, seed=derive_seed(seed, f"slope{nn}"))
-            m, _, _, _ = ex._certify_gd_flatline(
+            m, _, _ = ex._certify_gd_flatline(
                 params("gd-flatline", n=nn, eta=0.1, iters=20, grid=2 ** (nn + 4)), net)
             points.append((nn, m["log_mean_grad_norm"]))
     fit = ex._decay_fit(points)
@@ -103,7 +109,7 @@ def test_c04_gd_flatline_decay_and_sanity():
 
     # contrast sanity: the same deep pipeline on the 4-band wave learns
     net = xavier_init(12, 32, 1, seed=derive_seed(0, "sanity"))
-    easy, _, _, _ = ex._certify_gd_sanity(
+    easy, _, _ = ex._certify_gd_sanity(
         params("gd-sanity", n=2, eta=0.1, iters=2000, grid=2**6), net)
     sanity_ok = easy["loss_end_hinge"] < 0.5
 
@@ -119,11 +125,11 @@ def test_c04_gd_flatline_decay_and_sanity():
 def test_c05_lipschitz_approximation():
     """Monte Carlo L1 error under (2C + L sqrt(d))/n^d plus 3 sigma."""
     t0 = time.time()
-    _, _, passed, series = ex._certify_lipschitz(params("lipschitz-approx", samples=10**5),
-                                                 np.random.default_rng(55))
+    _, checks, series = ex._certify_lipschitz(params("lipschitz-approx", samples=10**5),
+                                              np.random.default_rng(55))
     details = [f"{r['case']} {r['l1_error']:.3f}<={r['bound']:.3f}" for r in series]
     dt = time.time() - t0
-    assert report("C5 lipschitz-approx", passed and dt < 60.0,
+    assert report("C5 lipschitz-approx", holds(checks) and dt < 60.0,
                   "; ".join(details) + f"; {dt:.1f}s < 60s")
 
 
@@ -136,12 +142,12 @@ def test_c06_sq_query_lower_bound():
     assert cert.passed and cert.max_abs_inner == 0.0
     floor = 1.0 - 2.0 / math.sqrt(d)
     cap = 4.0 * d ** (2.0 / 3.0)
-    m, _, passed, _ = ex._certify_sq_games(
+    m, checks, _ = ex._certify_sq_games(
         params("sq-parity-lower-bound", n=12, budget=2, tau=1.0 / 16.0),
         [(name, list(range(20))) for name in ex._LEARNER_FACTORIES])
     min_loss, worst_count = m["min_loss_hinge"], m["max_inconsistent_per_query"]
     dt = time.time() - t0
-    ok = passed and min_loss >= floor and worst_count <= cap and dt < 300.0
+    ok = holds(checks) and min_loss >= floor and worst_count <= cap and dt < 300.0
     assert report("C6 sq-lower-bound", ok,
                   f"min loss {min_loss:.5f} >= {floor:.5f} over {m['games']} games; "
                   f"max per-query inconsistent {worst_count} <= {cap:.0f}; "
@@ -153,9 +159,9 @@ def test_c07_sq_weak_learning():
     t0 = time.time()
     rng = np.random.default_rng(derive_seed(0, "c7"))
     draws = [(int(rng.integers(2**12)), derive_seed(1, f"c7-{t}")) for t in range(50)]
-    _, _, passed, _ = ex._certify_weak_learn(params("sq-weak-learn", n=12, tau=1e-3), draws)
+    _, checks, _ = ex._certify_weak_learn(params("sq-weak-learn", n=12, tau=1e-3), draws)
     dt = time.time() - t0
-    assert report("C7 sq-weak-learn", passed and dt < 60.0,
+    assert report("C7 sq-weak-learn", holds(checks) and dt < 60.0,
                   f"50/50 exact recoveries with loss 0.0; {dt:.0f}s < 60s")
 
 
@@ -193,10 +199,10 @@ def test_c09_kernel_hardness():
     t0 = time.time()
     # n = 10, 64 parity features, B = 10, 2000 solver iterations (the default
     # kernel-hardness run)
-    m, _, passed, series = ex._exp_kernel_hardness(params(
+    m, checks, series = ex._exp_kernel_hardness(params(
         "kernel-hardness", n=10, features=64, feature_kind="parity", B=10.0, iters=2000,
         seed=0))
-    avg_ok = passed and m["average_loss_hinge"] >= 0.9
+    avg_ok = holds(checks) and m["average_loss_hinge"] >= 0.9
     # the alpha = 1 dual certifies the average from below, and brackets every
     # target's minimum with no gap: a solver that stopped early could not pass
     lower_ok = (m["average_lower_bound_hinge"] >= 0.9 and m["max_bracket_gap"] == 0.0
@@ -237,9 +243,9 @@ def test_c10_or_parity_family():
     pairs = [(nn, rng.choice(2**nn, size=6, replace=False)) for nn in (4, 5, 6)]
     net2 = ex._depth2_net(np.random.default_rng(derive_seed(0, "red")), 8, 4)
     draws = {**ex._f_family_draws(p), "z_prime": z_prime, "pairs": pairs, "net2": net2}
-    m, _, passed, _ = ex._certify_f_family(p, **draws)
+    m, checks, _ = ex._certify_f_family(p, **draws)
     ident_err = m["identity_max_err"]
-    ok = passed and m["zset_min_hamming"] >= 12 and ident_err <= 1e-9
+    ok = holds(checks) and m["zset_min_hamming"] >= 12 and ident_err <= 1e-9
     dt = time.time() - t0
     assert report("C10 or-parity-family", ok and dt < 300.0,
                   f"net exact on 4^6; closed form exact for n<=6; Hamming >= 12; "
@@ -307,10 +313,10 @@ def test_c12_separation_with_content():
     depth = math.ceil(math.sqrt(n))
     t0 = time.time()
     nets = [xavier_init(depth, 32, 1, seed=seed, bias_std=1.0) for seed in range(100)]
-    m, _, passed, series = ex._certify_separation(params("telgarsky-separation", n=n), nets)
+    m, checks, series = ex._certify_separation(params("telgarsky-separation", n=n), nets)
     pieces = [r["pieces"] for r in series]
     dt = time.time() - t0
-    ok = passed and not m["width_bound_vacuous"] and np.median(pieces) > 1
+    ok = holds(checks) and not m["width_bound_vacuous"] and np.median(pieces) > 1
     assert report("C12 separation-at-n52", ok and dt < 60.0,
                   f"width bound {m['width_based_lower_bound']:.4f} > 0; min loss "
                   f"{m['min_sign_hinge_loss']!r} over 100 depth-{depth} nets with "

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from depthlab import dists, kernel
 from depthlab import experiments as ex
 from depthlab.cli import main as cli_main
 from depthlab.experiments import (
+    Check,
     ConfigError,
     ExperimentConfig,
     derive_seed,
@@ -67,9 +69,9 @@ def test_empty_population_rejected(experiment, key):
 
 
 @pytest.mark.parametrize("experiment,extra,threshold", [
-    ("gd-sanity", set(), "loss_end_hinge_max"),
+    ("gd-sanity", set(), "loss_end_hinge"),
     ("gd-flatline", {"abs_loss_change_hinge", "mean_grad_norm_l2", "log_mean_grad_norm",
-                     "final_param_dist_l2"}, "abs_loss_change_hinge_max"),
+                     "final_param_dist_l2"}, "abs_loss_change_hinge"),
 ])
 def test_gd_reports_keep_their_metrics(tmp_path, experiment, extra, threshold):
     cfg = ExperimentConfig(experiment, {"iters": 3})
@@ -80,6 +82,57 @@ def test_gd_reports_keep_their_metrics(tmp_path, experiment, extra, threshold):
     assert rep.metrics["depth"] == 12  # gd-flatline's depth 0 stands for n = 12
     series = (tmp_path / cfg.run_name() / "series.csv").read_text().splitlines()
     assert series[0] == "iter,loss,grad_norm,param_dist" and len(series) == 1 + 4
+
+
+# small configs at which every experiment passes
+SMALL = {
+    "gd-flatline": {"n": 6, "iters": 5}, "gd-sanity": {},
+    "telgarsky-separation": {"n": 6, "count": 3, "width": 4},
+    "sq-parity-lower-bound": {"n": 9, "seeds": 2, "tau": 0.125},
+    "sq-weak-learn": {"n": 6, "targets": 2},
+    "kernel-hardness": {"n": 8, "features": 16, "iters": 5}, "f-family": {},
+    "lipschitz-approx": {"samples": 2000}, "xavier-audit": {"trials": 5, "probes": 2},
+}
+
+
+@pytest.mark.parametrize("experiment", experiment_ids())
+def test_pass_flag_and_thresholds_come_from_the_checks(tmp_path, experiment):
+    cfg = ExperimentConfig(experiment, SMALL[experiment])
+    rep = run(cfg, tmp_path)
+    names = [c["name"] for c in rep.checks]
+    assert rep.error == "" and names and len(set(names)) == len(names)
+    assert rep.passed == all(c["ok"] for c in rep.checks) and rep.first_failed == ""
+    assert rep.thresholds == {c["name"]: c["bound"] for c in rep.checks}
+    for c in rep.checks:  # the margin is the slack: >= 0 while a check holds, > 0 for <
+        assert c["margin"] is None if c["sense"] == "==" else \
+            (c["margin"] > 0 if c["sense"] == "<" else c["margin"] >= 0) == c["ok"]
+    doc = json.loads((tmp_path / cfg.run_name() / "report.json").read_text())
+    assert doc["checks"] == rep.checks and doc["first_failed"] == ""
+
+
+@pytest.mark.parametrize("experiment,params,check", [
+    ("xavier-audit", {"d": 1, "trials": 10}, "pass_fraction"),  # 0.9 < 0.95
+    ("gd-sanity", {"seed": 78}, "loss_end_hinge"),  # 0.637 > 0.5
+])
+def test_known_failures_name_their_check(tmp_path, experiment, params, check):
+    rep = run(ExperimentConfig(experiment, params), tmp_path)
+    assert rep.error == "" and not rep.passed and rep.first_failed == check
+    (failed,) = [c for c in rep.checks if not c["ok"]]
+    assert failed["name"] == check and failed["margin"] < 0
+
+
+@pytest.mark.parametrize("sense", ["<", "<=", ">=", "=="])
+def test_check_senses_and_nan(sense):
+    assert not Check("x", math.nan, 1.0, sense).ok
+    assert Check("x", 1.0, 1.0, sense).ok == (sense != "<")
+    assert Check("x", 0.5, 1.0, sense).ok == (sense in ("<", "<="))
+
+
+def test_a_body_with_no_checks_fails_the_run(tmp_path, monkeypatch):
+    monkeypatch.setitem(ex._BODIES, "xavier-audit", lambda p: ({"trials": 1}, [], [{"a": 1}]))
+    rep = run(ExperimentConfig("xavier-audit"), tmp_path)
+    assert rep.error == "" and not rep.passed
+    assert rep.checks == [] and rep.thresholds == {} and rep.first_failed == ""
 
 
 def test_derive_seed_stable():
@@ -388,6 +441,15 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "runs" / "summary.csv").exists()
 
+    def test_sweep_fail_line_names_the_failed_check(self, tmp_path, capsys):
+        d = tmp_path / "cfgs"
+        d.mkdir()
+        (d / "one.cfg").write_text("experiment = xavier-audit\ntrials = 2\nprobes = 1\n"
+                                   "threshold = 2.0\n")
+        assert cli_main(["sweep", str(d), "--outdir", str(tmp_path / "runs")]) == 1
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("FAIL  xavier-audit-") and line.endswith("  pass_fraction")
+
 
 def test_separation_runs_at_n_52(tmp_path):
     # the largest n whose band edges are exact; there the width bound has content
@@ -434,7 +496,7 @@ def test_sq_experiments_never_build_the_parity_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB at n = {n}"
-    assert learned[2] and games[2]
+    assert all(c.ok for c in [*learned[1], *games[1]])
     for experiment, sets in [("sq-weak-learn", ["n=16", "targets=3"]),
                              ("sq-parity-lower-bound", ["n=16", "seeds=2"])]:
         cfg = tmp_path / f"{experiment}.cfg"

@@ -375,8 +375,9 @@ def test_zero_family_product_fails_the_run(tmp_path, monkeypatch):
     monkeypatch.setattr(boolfn.ParityFamily, "product", lambda self, V: np.zeros(np.shape(V)))
     report = run(ExperimentConfig("kernel-hardness"), outdir=tmp_path)
     assert not report.error
-    assert report.metrics["parseval_rel_err"] == 1.0
-    assert not report.passed
+    (parseval,) = [c for c in report.checks if c["name"] == "parseval_rel_err"]
+    assert report.metrics["parseval_rel_err"] == 1.0 > parseval["bound"]
+    assert not report.passed and report.first_failed == "parseval_rel_err"
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for 2 BLAS threads")

@@ -2,14 +2,21 @@
 
 Each test patches one defect into the program and runs the experiment that
 certifies that code at its defaults: the run must fail (pass flag false or
-an error).  A certificate that still passes under the defect cannot tell
-working code from broken code.
+an error), and a run that fails a check names the check the defect flips
+as its ``first_failed``.  A certificate that still passes under the defect
+cannot tell working code from broken code.
 """
 
 import numpy as np
 
 from depthlab import audit, boolfn
 from depthlab.experiments import ExperimentConfig, run
+
+
+def bound(report, name):
+    """The bound of the report's check ``name``."""
+    (check,) = [c for c in report.checks if c["name"] == name]
+    return check["bound"]
 
 
 def test_zero_stacked_outputs_fail_the_audit(tmp_path, monkeypatch):
@@ -21,8 +28,8 @@ def test_zero_stacked_outputs_fail_the_audit(tmp_path, monkeypatch):
     report = run(ExperimentConfig("xavier-audit"), outdir=tmp_path)
     assert not report.error
     assert report.metrics["lhat_theta"] == 0.0 and report.metrics["pass_fraction"] == 1.0
-    assert report.metrics["grad_gap"] > report.thresholds["grad_gap_max"]
-    assert not report.passed
+    assert report.metrics["grad_gap"] > bound(report, "grad_gap")
+    assert not report.passed and report.first_failed == "grad_gap"
 
 
 def test_negated_parity_product_fails_weak_learning(tmp_path, monkeypatch):
@@ -35,5 +42,5 @@ def test_negated_parity_product_fails_weak_learning(tmp_path, monkeypatch):
     report = run(ExperimentConfig("sq-weak-learn", {"targets": 5}), outdir=tmp_path)
     assert not report.error
     assert report.metrics["all_recovered"]
-    assert report.metrics["max_answer_gap"] > report.thresholds["answer_gap_max"]
-    assert not report.passed
+    assert report.metrics["max_answer_gap"] > bound(report, "max_answer_gap")
+    assert not report.passed and report.first_failed == "max_answer_gap"
